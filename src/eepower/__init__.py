@@ -11,13 +11,15 @@ from .allocator import (
     ee_of,
     eepa,
     gee_dinkelbach,
+    gee_dinkelbach_rows,
     se_of,
+    water_level,
     wmee_maxmin,
     wpa,
     wpee_ascent,
     wsee_ascent,
 )
-from .channel import FadingSpec, draw_gains, draw_matrix, rng_for
+from .channel import FadingSpec, draw_gain_rows, draw_gains, draw_matrix, matrices_from_uniforms, rng_for, stream_uniforms
 from .errors import InfeasibleError, NumericalError, PowerControlError
 from .experiments import CurveSet, ExperimentSpec, default_spec, run
 from .metrics import EeSePoint, MultiLinkReport, evaluate, jain_index, trace_ee_se
@@ -39,20 +41,25 @@ __all__ = [
     "PowerControlError",
     "bisect",
     "default_spec",
+    "draw_gain_rows",
     "draw_gains",
     "draw_matrix",
     "ee_of",
     "eepa",
     "evaluate",
     "gee_dinkelbach",
+    "gee_dinkelbach_rows",
     "grid_argmax",
     "jain_index",
     "lambert_w0",
+    "matrices_from_uniforms",
     "rng_for",
     "run",
     "se_of",
+    "stream_uniforms",
     "svd_gains",
     "trace_ee_se",
+    "water_level",
     "wmee_maxmin",
     "wpa",
     "wpee_ascent",

@@ -6,6 +6,11 @@ Dinkelbach solver for the global-EE ratio over parallel channels, and
 budgeted multi-link solvers for the sum, product, and max-min weighted-EE
 objectives.
 
+Water-filling levels come from one exact sort-and-threshold rule
+(`water_level`), and the Dinkelbach solver runs on a (rows, n) gain array
+with one price per row (`gee_dinkelbach_rows`); `gee_dinkelbach` is its
+one-row call.
+
 Conventions: rates are in nats (natural log); converting to bits is a
 reporting concern, never a solver concern. Noise power is normalized to 1,
 so a channel gain is the SNR delivered by 1 W of transmit power.
@@ -26,6 +31,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Water level used for the very first Dinkelbach subproblem (price zero) when
 # no total-power cap bounds it.
 _FREE_LEVEL_SCALE = 1e3
+_DINKELBACH_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -72,10 +78,10 @@ class GeeProblem:
             raise ValueError("gains must be finite and non-negative")
         if not np.any(self.gains > 0.0):
             raise InfeasibleError("at least one gain must be positive")
-        if not self.pc > 0.0:
-            raise ValueError(f"circuit power must be positive, got {self.pc}")
-        if self.p_max_total is not None and not self.p_max_total > 0.0:
-            raise ValueError(f"p_max_total must be positive, got {self.p_max_total}")
+        if not (math.isfinite(self.pc) and self.pc > 0.0):
+            raise ValueError(f"circuit power must be positive and finite, got {self.pc}")
+        if self.p_max_total is not None and not (math.isfinite(self.p_max_total) and self.p_max_total > 0.0):
+            raise ValueError(f"p_max_total must be positive and finite, got {self.p_max_total}")
 
 
 def se_of(gamma: float, p: float) -> float:
@@ -115,75 +121,117 @@ def eepa(gamma: float, cfg: LinkConfig) -> float:
 def wpa(gains, p_avg: float) -> Allocation:
     """Water-filling power allocation: maximizes the sum rate at mean power p_avg.
 
-    Powers are max(0, level - 1/gain) with the water level found by bisection
-    so that the mean allocated power matches p_avg (to ~1e-12 relative).
-    The reported objective is the achieved sum rate.
+    Powers are max(0, level - 1/gain) with the water level at which the
+    powers sum to p_avg * n (see `water_level`). The reported objective is the
+    achieved sum rate.
     """
     g = np.asarray(gains, dtype=float)
     if g.ndim != 1 or g.size < 1:
         raise ValueError("gains must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(g)) or np.any(g < 0.0):
         raise ValueError("gains must be finite and non-negative")
-    if not p_avg > 0.0:
-        raise ValueError(f"p_avg must be positive, got {p_avg}")
-    positive = g > 0.0
-    if not positive.any():
+    if not (math.isfinite(p_avg) and p_avg > 0.0):
+        raise ValueError(f"p_avg must be positive and finite, got {p_avg}")
+    if not np.any(g > 0.0):
         raise InfeasibleError("water-filling needs at least one positive gain")
-    with np.errstate(divide="ignore"):
-        inv = np.where(positive, 1.0 / np.where(positive, g, 1.0), np.inf)
-
-    def mean_power(level: float) -> float:
-        return float(np.maximum(0.0, level - inv).mean())
-
-    hi = float(inv[positive].max()) + 2.0 * p_avg * g.size / int(positive.sum())
-    level = bisect(lambda w: mean_power(w) - p_avg, 0.0, hi, tol=1e-13 * hi)
-    powers = np.maximum(0.0, level - inv)
+    powers = np.maximum(0.0, water_level(g, p_avg * g.size) - _inverse(g))
     rate = float(np.log1p(g * powers).sum())
     return Allocation(powers, rate)
 
 
-def _capped_level(inv: np.ndarray, total: float) -> float:
-    """Water level at which the summed powers hit the given total."""
-    finite = inv[np.isfinite(inv)]
-    hi = float(finite.min()) + 2.0 * total
-    return bisect(
-        lambda w: float(np.maximum(0.0, w - inv).sum()) - total, 0.0, hi, tol=1e-13 * hi
-    )
+def _inverse(g: np.ndarray) -> np.ndarray:
+    """1/g elementwise, +inf for a zero gain (a dead channel never fills)."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / g
+
+
+def water_level(gains, total):
+    """Water level w with sum_i max(0, w - 1/g_i) = total, per row of gains.
+
+    gains has shape (..., n) with at least one positive entry per row; total
+    is positive and broadcasts against the rows. Exact up to rounding: with
+    the floors 1/g sorted ascending into s, the k cheapest channels are active
+    at level (total + s_1 + ... + s_k) / k, and the active count is the
+    largest k whose floor s_k lies below that level.
+    """
+    floors = np.sort(_inverse(np.asarray(gains, dtype=float)), axis=-1)
+    count = np.arange(1, floors.shape[-1] + 1)
+    levels = (np.asarray(total, dtype=float)[..., None] + np.cumsum(floors, axis=-1)) / count
+    active = np.count_nonzero(floors < levels, axis=-1)
+    return np.take_along_axis(levels, active[..., None] - 1, axis=-1)[..., 0]
 
 
 def gee_dinkelbach(prob: GeeProblem, tol: float) -> Allocation:
     """Maximize the global EE  sum_i ln(1 + g_i p_i) / (pc + sum_i p_i).
 
-    Dinkelbach iteration: at price eta the subproblem max R(p) - eta * sum(p)
-    is water-filling with level 1/eta; eta is then refreshed to the achieved
-    ratio. Terminates once R - eta_prev * (pc + sum p) <= tol. The first
-    subproblem (eta = 0) uses either the cap-saturating level or a large
-    fallback level of 1e3 / min positive gain.
+    The one-row call of `gee_dinkelbach_rows`.
     """
+    powers, objective = gee_dinkelbach_rows(prob.gains[None, :], prob.pc, tol, prob.p_max_total)
+    return Allocation(powers[0], float(objective[0]))
+
+
+def gee_dinkelbach_rows(gains, pc: float, tol: float, p_max_total: float | None = None):
+    """Global-EE maximization for every row of a (rows, n) gain array.
+
+    Row r solves max sum_i ln(1 + g_ri p_ri) / (pc + sum_i p_ri); the circuit
+    power pc and the optional total-power cap are shared by all rows.
+    Dinkelbach iteration, one price eta per row: at price eta the subproblem
+    max R(p) - eta * sum(p) is water-filling with level 1/eta (cut back to the
+    cap-saturating level when that overshoots the cap); eta is then refreshed
+    to the achieved ratio. A row stops once R - eta_prev * (pc + sum p) <= tol
+    and leaves the working set. The first subproblem (eta = 0) uses either the
+    cap-saturating level or a large fallback level of 1e3 / min positive gain.
+
+    Returns (powers, objective) of shapes (rows, n) and (rows,). Errors name
+    the first failing row in the message and in the error's `row`.
+    """
+    g = np.asarray(gains, dtype=float)
+    if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
+        raise ValueError(f"gains must be a non-empty (rows, n) array, got shape {g.shape}")
+    if not np.all(np.isfinite(g)) or np.any(g < 0.0):
+        raise ValueError("gains must be finite and non-negative")
+    if not (math.isfinite(pc) and pc > 0.0):
+        raise ValueError(f"circuit power must be positive and finite, got {pc}")
+    if p_max_total is not None and not (math.isfinite(p_max_total) and p_max_total > 0.0):
+        raise ValueError(f"p_max_total must be positive and finite, got {p_max_total}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    g = prob.gains
-    positive = g > 0.0
-    with np.errstate(divide="ignore"):
-        inv = np.where(positive, 1.0 / np.where(positive, g, 1.0), np.inf)
-    cap = prob.p_max_total
+    dead = ~np.any(g > 0.0, axis=1)
+    if dead.any():
+        row = int(np.argmax(dead))
+        raise InfeasibleError(f"row {row}: at least one gain must be positive", row=row)
 
-    eta = 0.0
-    for _ in range(1000):
-        if eta <= 0.0:
-            level = _capped_level(inv, cap) if cap is not None else _FREE_LEVEL_SCALE / g[positive].min()
-        else:
-            level = 1.0 / eta
-        powers = np.maximum(0.0, level - inv)
-        if cap is not None and powers.sum() > cap * (1.0 + 1e-12):
-            level = _capped_level(inv, cap)
-            powers = np.maximum(0.0, level - inv)
-        rate = float(np.log1p(g * powers).sum())
-        total = prob.pc + float(powers.sum())
-        if rate - eta * total <= tol:
-            return Allocation(powers, rate / total)
-        eta = rate / total
-    raise NumericalError("gee_dinkelbach: no convergence after 1000 iterations")
+    # level at price zero; with a cap it is also the level a row is cut back to
+    if p_max_total is None:
+        first = _FREE_LEVEL_SCALE / np.where(g > 0.0, g, np.inf).min(axis=1)
+    else:
+        first = water_level(g, p_max_total)
+    powers = np.empty_like(g)
+    objective = np.empty(g.shape[0])
+    # working set: rows still iterating, with their gains, floors and price
+    rows = np.arange(g.shape[0])
+    g_w, inv_w, eta = g, _inverse(g), np.zeros(g.shape[0])
+    for _ in range(_DINKELBACH_MAX_ITER):
+        level = first[rows]
+        priced = eta > 0.0
+        level[priced] = 1.0 / eta[priced]
+        p = np.maximum(0.0, level[:, None] - inv_w)
+        if p_max_total is not None:
+            over = p.sum(axis=1) > p_max_total * (1.0 + 1e-12)
+            p[over] = np.maximum(0.0, first[rows[over], None] - inv_w[over])
+        rate = np.log1p(g_w * p).sum(axis=1)
+        total = pc + p.sum(axis=1)
+        done = rate - eta * total <= tol
+        powers[rows[done]] = p[done]
+        objective[rows[done]] = rate[done] / total[done]
+        going = ~done
+        if not going.any():
+            return powers, objective
+        rows, g_w, inv_w, eta = rows[going], g_w[going], inv_w[going], (rate / total)[going]
+    row = int(rows[0])
+    raise NumericalError(
+        f"row {row}: gee_dinkelbach: no convergence after {_DINKELBACH_MAX_ITER} iterations", row=row
+    )
 
 
 def wmee_maxmin(gains, cfgs, p_total: float) -> Allocation:

@@ -40,6 +40,24 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def stream_uniforms(spec: FadingSpec, trials: int, size: int) -> np.ndarray:
+    """The leading `size` uniforms of streams 0 .. trials-1, one row per stream.
+
+    Every draw on stream t that consumes at most `size` uniforms reads a
+    prefix of row t, so slices of this block reproduce draw_gains and
+    draw_matrix bit for bit while each stream's generator is opened once.
+    """
+    out = np.empty((trials, size))
+    for t in range(trials):
+        out[t] = rng_for(spec.seed, t).random(size)
+    return out
+
+
+def _exponential(spec: FadingSpec, u: np.ndarray) -> np.ndarray:
+    """Exponential variates with mean mean_gain from uniforms (inverse CDF)."""
+    return -spec.mean_gain * np.log1p(-u)
+
+
 def draw_gains(spec: FadingSpec, n: int, stream: int = 0) -> np.ndarray:
     """n channel power gains for the given fading spec.
 
@@ -52,8 +70,18 @@ def draw_gains(spec: FadingSpec, n: int, stream: int = 0) -> np.ndarray:
         raise ValueError(f"draw_gains: n must be >= 1, got {n}")
     if spec.kind == "deterministic":
         return np.full(n, float(spec.mean_gain))
-    u = rng_for(spec.seed, stream).random(n)
-    return -spec.mean_gain * np.log1p(-u)
+    return _exponential(spec, rng_for(spec.seed, stream).random(n))
+
+
+def draw_gain_rows(spec: FadingSpec, trials: int, n: int) -> np.ndarray:
+    """(trials, n) gains whose row t is draw_gains(spec, n, stream=t).
+
+    By the prefix property the first k columns are the k-gain draws, so one
+    block serves every dimension count up to n.
+    """
+    if spec.kind == "deterministic":
+        return np.full((trials, n), float(spec.mean_gain))
+    return _exponential(spec, stream_uniforms(spec, trials, n))
 
 
 def draw_matrix(spec: FadingSpec, rows: int, cols: int, stream: int = 0) -> np.ndarray:
@@ -64,8 +92,18 @@ def draw_matrix(spec: FadingSpec, rows: int, cols: int, stream: int = 0) -> np.n
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"draw_matrix: need rows, cols >= 1, got {rows}x{cols}")
-    rng = rng_for(spec.seed, stream)
-    u1 = rng.random((rows, cols))
-    u2 = rng.random((rows, cols))
-    radius = np.sqrt(-spec.mean_gain * np.log1p(-u1))
-    return radius * np.exp(2j * np.pi * u2)
+    return matrices_from_uniforms(spec, rng_for(spec.seed, stream).random(2 * rows * cols), rows, cols)
+
+
+def matrices_from_uniforms(spec: FadingSpec, u: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Complex Gaussian matrices (..., rows, cols) built as draw_matrix builds
+    them from the leading 2 * rows * cols uniforms of each row of u: the first
+    rows * cols set the radii, the next rows * cols the phases (Box-Muller).
+    stream_uniforms(spec, trials, 2 * rows * cols) thus yields the stacked
+    draw_matrix draws of streams 0 .. trials-1."""
+    k = rows * cols
+    if u.shape[-1] < 2 * k:
+        raise ValueError(f"matrices_from_uniforms: need {2 * k} uniforms per matrix, got {u.shape[-1]}")
+    shape = u.shape[:-1] + (rows, cols)
+    radius = np.sqrt(_exponential(spec, u[..., :k].reshape(shape)))
+    return radius * np.exp(2j * np.pi * u[..., k : 2 * k].reshape(shape))

@@ -2,7 +2,15 @@
 
 
 class PowerControlError(Exception):
-    """Base class for solver-level failures."""
+    """Base class for solver-level failures.
+
+    row is the index of the failing instance when a solver working on many
+    rows at once raised the error, else None.
+    """
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class InfeasibleError(PowerControlError):

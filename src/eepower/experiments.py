@@ -15,10 +15,28 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .allocator import GeeProblem, LinkConfig, ee_of, eepa, gee_dinkelbach, se_of, wmee_maxmin, wpee_ascent, wsee_ascent
-from .channel import FadingSpec, draw_gains, draw_matrix, rng_for
+from .allocator import (
+    GeeProblem,
+    LinkConfig,
+    ee_of,
+    eepa,
+    gee_dinkelbach,
+    gee_dinkelbach_rows,
+    se_of,
+    water_level,
+    wmee_maxmin,
+    wpee_ascent,
+    wsee_ascent,
+)
+from .channel import FadingSpec, draw_gain_rows, draw_gains, matrices_from_uniforms, rng_for, stream_uniforms
+from .errors import PowerControlError
 from .metrics import evaluate, trace_ee_se
-from .numerics import bisect, svd_gains
+from .numerics import svd_gains
+
+# Unused here: perfbench/child.py wraps these names on this module when it
+# traces a run, so they must stay importable from it.
+from .channel import draw_matrix  # noqa: F401
+from .numerics import bisect  # noqa: F401
 
 EXPERIMENTS = (
     "siso_profiles",
@@ -89,12 +107,12 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if any(pc <= 0.0 for pc in self.pc_values):
-            raise ValueError("pc values must be positive")
+        if not all(math.isfinite(pc) and pc > 0.0 for pc in self.pc_values):
+            raise ValueError(f"pc values must be positive and finite, got {self.pc_values}")
         if any(n < 1 for n in self.n_values):
             raise ValueError("n values must be >= 1")
-        if self.budget is not None and not self.budget > 0.0:
-            raise ValueError(f"budget must be positive, got {self.budget}")
+        if self.budget is not None and not (math.isfinite(self.budget) and self.budget > 0.0):
+            raise ValueError(f"budget must be positive and finite, got {self.budget}")
         if self.gamma_points < 2 or self.gamma_range[0] <= 0.0 or self.gamma_range[1] <= self.gamma_range[0]:
             raise ValueError("gamma grid must have >= 2 points over a positive increasing range")
         if self.links < 2:
@@ -178,11 +196,7 @@ def run_siso_profiles(spec: ExperimentSpec) -> list[CurveSet]:
     cfg = LinkConfig(pc)
     budget = spec.budget if spec.budget is not None else DEFAULT_WPA_BUDGET
     sample = draw_gains(spec.fading, max(spec.trials, 2), stream=0)
-    positive = sample > 0.0
-    with np.errstate(divide="ignore"):
-        inv = np.where(positive, 1.0 / np.where(positive, sample, 1.0), np.inf)
-    hi = float(inv[positive].max()) + 2.0 * budget * sample.size / int(positive.sum())
-    level = bisect(lambda w: float(np.maximum(0.0, w - inv).mean()) - budget, 0.0, hi, tol=1e-13 * hi)
+    level = float(water_level(sample, budget * sample.size))
 
     rows = []
     for gamma in _gamma_grid(spec):
@@ -256,45 +270,48 @@ def run_siso_ee_se(spec: ExperimentSpec) -> list[CurveSet]:
     return curves
 
 
-def _ofdm_trial_gains(spec: ExperimentSpec, n: int, trial: int) -> np.ndarray:
-    return draw_gains(spec.fading, n, stream=trial)
-
-
-def _mimo_trial_gains(spec: ExperimentSpec, n: int, trial: int) -> np.ndarray:
-    if n == 1:
-        # a 1x1 draw consumes the same leading uniform as a scalar gain draw,
-        # so the antenna-scaling baseline matches the subcarrier one
-        return np.array([abs(draw_matrix(spec.fading, 1, 1, stream=trial)[0, 0]) ** 2])
-    return svd_gains(draw_matrix(spec.fading, n, n, stream=trial))
-
-
 def _scaling_stats(spec: ExperimentSpec, tech: str, ns, pcs):
     """Mean/stderr of the optimized global EE and total SE per (pc, n).
 
     OFDM dimensions share the circuit power (extra subcarriers are free);
     MIMO antennas each carry their own transceiver chain, so the circuit
     power scales with n there (pc is the per-chain value).
+
+    Trial t always draws from stream t. Each stream is read once, as the
+    largest block any n needs (max n gains, or the 2 max(n)^2 uniforms of a
+    square matrix); every (n, trial) draw is a prefix of its row, so the
+    values equal per-(n, trial) draw_gains / draw_matrix calls. Each n is
+    then solved for all trials at once.
     """
-    trial_gains = _ofdm_trial_gains if tech == "ofdm" else _mimo_trial_gains
+    if tech == "ofdm":
+        block = draw_gain_rows(spec.fading, spec.trials, max(ns))
+    else:
+        block = stream_uniforms(spec.fading, spec.trials, 2 * max(ns) ** 2)
     stats: dict[tuple[float, int], tuple[float, float, float, float]] = {}
     for n in ns:
-        ee = np.empty((len(pcs), spec.trials))
-        se = np.empty((len(pcs), spec.trials))
-        for t in range(spec.trials):
-            gains = trial_gains(spec, n, t)
-            for k, pc in enumerate(pcs):
-                pc_total = pc * n if tech == "mimo" else pc
-                alloc = gee_dinkelbach(GeeProblem(gains, pc_total, spec.budget), _DINKELBACH_TOL)
-                ee[k, t] = alloc.objective
-                se[k, t] = float(np.log1p(gains * alloc.powers).sum())
-        for k, pc in enumerate(pcs):
-            stats[(pc, n)] = (
-                float(ee[k].mean()),
-                _stderr(ee[k]),
-                float(se[k].mean()),
-                _stderr(se[k]),
-            )
+        gains = block[:, :n] if tech == "ofdm" else svd_gains(matrices_from_uniforms(spec.fading, block, n, n))
+        for pc in pcs:
+            powers, ee = _solve_trials(spec, tech, n, pc, gains)
+            se = np.log1p(gains * powers).sum(axis=1)
+            stats[(pc, n)] = (float(ee.mean()), _stderr(ee), float(se.mean()), _stderr(se))
     return stats
+
+
+def _solve_trials(spec: ExperimentSpec, tech: str, n: int, pc: float, gains: np.ndarray):
+    """Dinkelbach over the (trials, n) gains; a solver error is re-raised
+    naming the trial, n, pc and seed and the one command that replays it."""
+    try:
+        return gee_dinkelbach_rows(gains, pc * n if tech == "mimo" else pc, _DINKELBACH_TOL, spec.budget)
+    except PowerControlError as exc:
+        if exc.row is None:
+            raise
+        replay = f"eepower {tech}-sweep --seed {spec.fading.seed} --n {n} --pc {pc!r} --trials {exc.row + 1}"
+        if spec.budget is not None:
+            replay += f" --budget {spec.budget!r}"
+        raise type(exc)(
+            f"{tech} trial {exc.row} (n={n}, pc={pc!r}, seed={spec.fading.seed}): {exc}; replay: {replay}",
+            row=exc.row,
+        ) from exc
 
 
 def _stderr(values: np.ndarray) -> float:

@@ -2,8 +2,8 @@
 
 Self-contained building blocks used by the allocation solvers: the principal
 branch of the Lambert W function, a plain bisection root finder, and the
-squared singular values of small complex matrices (the eigen-channel power
-gains of a MIMO link).
+squared singular values of stacks of complex matrices (the eigen-channel
+power gains of MIMO links).
 """
 
 from __future__ import annotations
@@ -100,69 +100,23 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float) -> flo
 
 
 def svd_gains(h: np.ndarray) -> np.ndarray:
-    """Squared singular values of a complex matrix, sorted descending.
+    """Squared singular values of complex matrices, sorted descending.
 
-    These are the power gains of the parallel scalar channels obtained by
-    diagonalizing the link: exactly min(rows, cols) values, each >= 0, summing
-    to the squared Frobenius norm of h. They are computed as the eigenvalues
-    of the smaller Gram matrix via cyclic Jacobi rotations, which is simple
-    and accurate at the small sizes used here (at most a few dozen antennas).
+    h is one matrix (rows, cols) or a stack (..., rows, cols); the result has
+    shape (..., min(rows, cols)). These are the power gains of the parallel
+    scalar channels obtained by diagonalizing each link: every value is >= 0
+    and each row sums to the squared Frobenius norm of its matrix. They are
+    the eigenvalues of the smaller Gram matrix, from LAPACK's Hermitian
+    eigenvalue solver (numpy.linalg.eigvalsh) applied to the whole stack.
     """
     h = np.atleast_2d(np.asarray(h, dtype=np.complex128))
-    if h.ndim != 2 or h.shape[0] < 1 or h.shape[1] < 1:
-        raise ValueError(f"svd_gains: need a 2-D matrix, got shape {h.shape}")
+    if h.shape[-2] < 1 or h.shape[-1] < 1:
+        raise ValueError(f"svd_gains: need matrices with rows, cols >= 1, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("svd_gains: matrix entries must be finite")
-    rows, cols = h.shape
-    if cols <= rows:
-        gram = h.conj().T @ h
-    else:
-        gram = h @ h.conj().T
-    vals = _jacobi_eigvals(gram)
-    vals = np.maximum(vals, 0.0)
-    vals = np.sort(vals)[::-1]
-    if vals[0] > 0.0:
-        vals[np.sqrt(vals) < _SV_TRUNCATION * math.sqrt(vals[0])] = 0.0
+    hh = np.conj(np.swapaxes(h, -1, -2))
+    gram = hh @ h if h.shape[-1] <= h.shape[-2] else h @ hh
+    vals = np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0)
+    tiny = np.sqrt(vals) < _SV_TRUNCATION * np.sqrt(vals[..., :1])
+    vals[tiny] = 0.0
     return vals
-
-
-def _jacobi_eigvals(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi sweeps."""
-    a = np.array(a, dtype=np.complex128)
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
-        return np.zeros(n)
-    skip = 1e-14 * fro / n
-    for _ in range(60):
-        off = math.sqrt(max(np.sum(np.abs(a) ** 2).real - np.sum(np.abs(np.diag(a)) ** 2).real, 0.0))
-        if off <= 1e-13 * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = (t * c) * phase
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - np.conj(s) * cq
-                a[:, q] = s * cp + c * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = np.conj(s) * rp + c * rq
-                # the rotation zeroes this pair by construction; pin it to
-                # keep the iterate exactly Hermitian
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    return np.real(np.diag(a))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from eepower import allocator
 from eepower.allocator import (
     Allocation,
     GeeProblem,
@@ -10,13 +11,15 @@ from eepower.allocator import (
     ee_of,
     eepa,
     gee_dinkelbach,
+    gee_dinkelbach_rows,
     se_of,
+    water_level,
     wmee_maxmin,
     wpa,
     wpee_ascent,
     wsee_ascent,
 )
-from eepower.errors import InfeasibleError
+from eepower.errors import InfeasibleError, NumericalError
 
 E = math.e
 
@@ -155,6 +158,42 @@ def test_wpa_rejects_degenerate():
         wpa([1.0], 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_wpa_rejects_non_finite_budget(bad):
+    with pytest.raises(ValueError, match="p_avg"):
+        wpa([1.0, 2.0], bad)
+
+
+def _level_by_bisection(gains, total):
+    # independent reference: bisect on the monotone filled volume
+    inv = np.array([1.0 / x if x > 0.0 else math.inf for x in gains])
+    lo, hi = 0.0, float(inv[np.isfinite(inv)].min()) + total
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.maximum(0.0, mid - inv).sum() < total:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_water_level_matches_bisection_rowwise():
+    rng = np.random.default_rng(8)
+    gains = 10.0 ** rng.uniform(-3, 3, size=(40, 7))
+    gains[::5, ::3] = 0.0
+    totals = 10.0 ** rng.uniform(-3, 3, size=40)
+    levels = water_level(gains, totals)
+    assert levels.shape == (40,)
+    for g, total, level in zip(gains, totals, levels):
+        assert level == pytest.approx(_level_by_bisection(g, total), rel=1e-12)
+        with np.errstate(divide="ignore"):
+            filled = np.maximum(0.0, level - 1.0 / g).sum()
+        assert filled == pytest.approx(total, rel=1e-12)
+    # a scalar total is shared by all rows; one row of gains gives one level
+    np.testing.assert_array_equal(water_level(gains, 2.0), water_level(gains, np.full(40, 2.0)))
+    assert water_level([1.0, 2.0], 0.25) == pytest.approx(1.0 / 2.0 + 0.25, rel=1e-15)
+
+
 def test_dinkelbach_single_dimension_equals_eepa():
     alloc = gee_dinkelbach(GeeProblem([1.0], 1.0), 1e-12)
     assert abs(alloc.powers[0] - (E - 1.0)) <= 1e-8
@@ -223,6 +262,45 @@ def test_gee_problem_validation():
         GeeProblem([1.0], 0.0)
     with pytest.raises(ValueError):
         gee_dinkelbach(GeeProblem([1.0], 1.0), 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_gee_problem_rejects_non_finite_cap(bad):
+    with pytest.raises(ValueError, match="p_max_total"):
+        GeeProblem([1.0, 2.0], 1.0, p_max_total=bad)
+    with pytest.raises(ValueError, match="p_max_total"):
+        gee_dinkelbach_rows([[1.0, 2.0]], 1.0, 1e-12, p_max_total=bad)
+
+
+@pytest.mark.parametrize("cap", [None, 0.3, 5.0])
+@pytest.mark.parametrize("pc", [0.2, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_dinkelbach_rows_equal_one_row_calls(cap, pc, n):
+    rng = np.random.default_rng(31 + n)
+    gains = 10.0 ** rng.uniform(-2, 2, size=(25, n))
+    if n > 1:
+        gains[3, 0] = 0.0
+        gains[4, 1:] = 0.0
+    powers, objective = gee_dinkelbach_rows(gains, pc, 1e-12, cap)
+    assert powers.shape == (25, n) and objective.shape == (25,)
+    for r in range(25):
+        alone = gee_dinkelbach(GeeProblem(gains[r], pc, cap), 1e-12)
+        assert np.all(powers[r] == alone.powers)
+        assert objective[r] == alone.objective
+        assert np.all(powers[r][gains[r] == 0.0] == 0.0)
+        if cap is not None:
+            assert powers[r].sum() <= cap * (1.0 + 1e-12)
+
+
+def test_dinkelbach_rows_name_the_failing_row(monkeypatch):
+    gains = np.array([[1.0, 2.0], [0.5, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(InfeasibleError, match="row 2") as err:
+        gee_dinkelbach_rows(gains, 1.0, 1e-12)
+    assert err.value.row == 2
+    monkeypatch.setattr(allocator, "_DINKELBACH_MAX_ITER", 1)
+    with pytest.raises(NumericalError, match="row 0") as err:
+        gee_dinkelbach_rows(gains[:2], 1.0, 1e-12)
+    assert err.value.row == 0
 
 
 def test_wmee_identical_links_ample_budget():

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from eepower.channel import FadingSpec, draw_gains, draw_matrix, rng_for
+from eepower.channel import (
+    FadingSpec,
+    draw_gain_rows,
+    draw_gains,
+    draw_matrix,
+    matrices_from_uniforms,
+    rng_for,
+    stream_uniforms,
+)
 
 
 def test_deterministic_gains():
@@ -65,6 +73,30 @@ def test_matrix_entry_moment_scaled():
     # and the 1x1 special case draws the same way
     scalars = [abs(draw_matrix(spec, 1, 1, stream=t)[0, 0]) ** 2 for t in range(2_000)]
     assert abs(float(np.mean(scalars)) - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("kind", ["rayleigh", "deterministic"])
+def test_gain_rows_slices_equal_per_stream_draws(kind):
+    spec = FadingSpec(kind=kind, mean_gain=0.7, seed=12)
+    block = draw_gain_rows(spec, 6, 16)
+    assert block.shape == (6, 16)
+    for t in range(6):
+        for n in (1, 2, 5, 16):
+            assert np.all(block[t, :n] == draw_gains(spec, n, stream=t))
+
+
+def test_uniform_block_matrices_equal_per_stream_draws():
+    spec = FadingSpec(mean_gain=0.5, seed=21)
+    block = stream_uniforms(spec, 5, 2 * 8**2)
+    for n in (1, 2, 3, 8):
+        stack = matrices_from_uniforms(spec, block, n, n)
+        assert stack.shape == (5, n, n)
+        for t in range(5):
+            assert np.all(stack[t] == draw_matrix(spec, n, n, stream=t))
+    # rectangular draws read the same prefix
+    assert np.all(matrices_from_uniforms(spec, block, 3, 7)[2] == draw_matrix(spec, 3, 7, stream=2))
+    with pytest.raises(ValueError):
+        matrices_from_uniforms(spec, block, 9, 9)
 
 
 def test_rng_for_is_deterministic_per_key():

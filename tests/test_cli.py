@@ -99,6 +99,18 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["verify", "--objective", "gee", "--dims", "9"]) == 1
 
 
+@pytest.mark.parametrize(
+    "flag, bad, name", [("--budget", "inf", "budget"), ("--budget", "nan", "budget"), ("--pc", "1,inf", "pc values")]
+)
+def test_non_finite_parameter_exits_1_naming_it(tmp_path, capsys, flag, bad, name):
+    rc = main(["ofdm-sweep", "--trials", "2", flag, bad, "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{name} must be positive and finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_numerical_errors_exit_2(tmp_path, monkeypatch):
     def boom(spec):
         raise NumericalError("synthetic failure")

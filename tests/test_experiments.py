@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from eepower.allocator import LinkConfig, ee_of, eepa
+from eepower import allocator, experiments
+from eepower.allocator import GeeProblem, LinkConfig, ee_of, eepa, gee_dinkelbach
 from eepower.channel import FadingSpec, draw_gains, draw_matrix
+from eepower.errors import InfeasibleError, NumericalError
+from eepower.numerics import svd_gains
 from eepower.experiments import (
     CurveSet,
     ExperimentSpec,
@@ -22,6 +27,14 @@ def test_spec_validation():
         default_spec("fairness", links=1)
     with pytest.raises(ValueError):
         run(default_spec("table1", pc_values=(2.0,)))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_spec_rejects_non_finite_budget_and_pc(bad):
+    with pytest.raises(ValueError, match="budget"):
+        default_spec("ofdm_scaling", budget=bad)
+    with pytest.raises(ValueError, match="pc values"):
+        default_spec("ofdm_scaling", pc_values=(1.0, bad))
 
 
 def test_curveset_validation():
@@ -182,3 +195,64 @@ def test_doubling_trials_is_statistically_stable():
     b = run(doubled)[0]
     gap = abs(a.column("ee_mean")[0] - b.column("ee_mean")[0])
     assert gap <= 3.0 * a.column("ee_stderr")[0]
+
+
+def _per_trial_loop(spec, tech):
+    # reference: one draw and one solve per (n, trial, pc), as a plain loop
+    rows = {pc: [] for pc in spec.pc_values}
+    for n in spec.n_values:
+        ee = {pc: [] for pc in spec.pc_values}
+        se = {pc: [] for pc in spec.pc_values}
+        for t in range(spec.trials):
+            if tech == "ofdm":
+                gains = draw_gains(spec.fading, n, stream=t)
+            else:
+                gains = svd_gains(draw_matrix(spec.fading, n, n, stream=t))
+            for pc in spec.pc_values:
+                pc_total = pc * n if tech == "mimo" else pc
+                alloc = gee_dinkelbach(GeeProblem(gains, pc_total, spec.budget), 1e-12)
+                ee[pc].append(alloc.objective)
+                se[pc].append(float(np.log1p(gains * alloc.powers).sum()))
+        for pc in spec.pc_values:
+            e, s = np.array(ee[pc]), np.array(se[pc])
+            stderr = [float(v.std(ddof=1) / math.sqrt(v.size)) for v in (e, s)]
+            rows[pc].append([float(n), float(e.mean()), stderr[0], float(s.mean()), stderr[1]])
+    return [rows[pc] for pc in spec.pc_values]
+
+
+@pytest.mark.parametrize("budget", [None, 0.8])
+@pytest.mark.parametrize("tech", ["ofdm", "mimo"])
+def test_scaling_equals_per_trial_loop(tech, budget):
+    spec = default_spec(
+        f"{tech}_scaling", seed=17, trials=6, n_values=(1, 2, 3, 8), pc_values=(0.5, 2.0), budget=budget
+    )
+    curves = run(spec)
+    assert [c.rows for c in curves] == _per_trial_loop(spec, tech)
+
+
+def _zero_row(real, row):
+    def draw(*args):
+        block = real(*args).copy()
+        block[row] = 0.0
+        return block
+
+    return draw
+
+
+def test_scaling_errors_name_trial_n_pc_and_seed(monkeypatch):
+    spec = default_spec("ofdm_scaling", seed=3, trials=5, n_values=(1, 4), pc_values=(2.0,))
+    monkeypatch.setattr(experiments, "draw_gain_rows", _zero_row(experiments.draw_gain_rows, 2))
+    with pytest.raises(InfeasibleError) as err:
+        run(spec)
+    message = str(err.value)
+    assert "ofdm trial 2 (n=1, pc=2.0, seed=3)" in message
+    assert "eepower ofdm-sweep --seed 3 --n 1 --pc 2.0 --trials 3" in message
+    assert err.value.row == 2
+
+    monkeypatch.setattr(allocator, "_DINKELBACH_MAX_ITER", 1)
+    spec = default_spec("mimo_scaling", seed=4, trials=3, n_values=(2,), pc_values=(1.0,), budget=1.5)
+    with pytest.raises(NumericalError) as err:
+        run(spec)
+    message = str(err.value)
+    assert "mimo trial 0 (n=2, pc=1.0, seed=4)" in message
+    assert "eepower mimo-sweep --seed 4 --n 2 --pc 1.0 --trials 1 --budget 1.5" in message

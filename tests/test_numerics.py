@@ -125,12 +125,25 @@ def test_svd_gains_unit_modulus_invariance():
 
 def test_svd_gains_matches_lapack_on_random_matrices():
     rng = np.random.default_rng(42)
-    for _ in range(20):
-        rows = int(rng.integers(1, 9))
-        cols = int(rng.integers(1, 9))
+    for _ in range(40):
+        rows = int(rng.integers(1, 33))
+        cols = int(rng.integers(1, 33))
         h = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
         ref = np.sort(np.linalg.svd(h, compute_uv=False) ** 2)[::-1]
         np.testing.assert_allclose(svd_gains(h), ref, rtol=1e-8, atol=1e-10 * max(1.0, ref[0]))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (4, 4), (8, 8), (16, 16), (32, 32), (3, 5), (7, 2)])
+def test_svd_gains_stacked_equals_per_matrix_calls(shape):
+    rng = np.random.default_rng(sum(shape))
+    stack = rng.normal(size=(2, 3, *shape)) + 1j * rng.normal(size=(2, 3, *shape))
+    gains = svd_gains(stack)
+    assert gains.shape == (2, 3, min(shape))
+    for i in range(2):
+        for j in range(3):
+            np.testing.assert_array_equal(gains[i, j], svd_gains(stack[i, j]))
+    ref = np.linalg.svd(stack, compute_uv=False) ** 2
+    np.testing.assert_allclose(gains, ref, rtol=1e-8, atol=1e-10 * ref.max())
 
 
 def test_svd_gains_zero_and_rank_deficient():
