@@ -9,7 +9,10 @@ objectives.
 Water-filling levels come from one exact sort-and-threshold rule
 (`water_level`), and the Dinkelbach solver runs on a (rows, n) gain array
 with one price per row (`gee_dinkelbach_rows`); `gee_dinkelbach` is its
-one-row call.
+one-row call. The Lambert W function gives both a link's EE peak (`eepa`)
+and its power at a given EE level (`_rising_power`), so `wmee_maxmin`
+bisects only on the common level; the sum and product solvers start from
+the per-link peaks and only trade power between pairs of links.
 
 Conventions: rates are in nats (natural log); converting to bits is a
 reporting concern, never a solver concern. Noise power is normalized to 1,
@@ -24,7 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, NumericalError
-from .numerics import bisect, lambert_w0
+from .numerics import lambert_w0
+
+# Unused here: perfbench/child.py wraps this name on this module when it
+# traces a run, so it must stay importable from it.
+from .numerics import bisect  # noqa: F401
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -178,9 +185,10 @@ def gee_dinkelbach_rows(gains, pc: float, tol: float, p_max_total: float | None 
     Dinkelbach iteration, one price eta per row: at price eta the subproblem
     max R(p) - eta * sum(p) is water-filling with level 1/eta (cut back to the
     cap-saturating level when that overshoots the cap); eta is then refreshed
-    to the achieved ratio. A row stops once R - eta_prev * (pc + sum p) <= tol
-    and leaves the working set. The first subproblem (eta = 0) uses either the
-    cap-saturating level or a large fallback level of 1e3 / min positive gain.
+    to the achieved ratio. A row stops once R - eta_prev * (pc + sum p) <=
+    tol * R (relative to its rate R) and leaves the working set. The first
+    subproblem (eta = 0) uses either the cap-saturating level or a large
+    fallback level of 1e3 / min positive gain.
 
     Returns (powers, objective) of shapes (rows, n) and (rows,). Errors name
     the first failing row in the message and in the error's `row`.
@@ -221,7 +229,7 @@ def gee_dinkelbach_rows(gains, pc: float, tol: float, p_max_total: float | None 
             p[over] = np.maximum(0.0, first[rows[over], None] - inv_w[over])
         rate = np.log1p(g_w * p).sum(axis=1)
         total = pc + p.sum(axis=1)
-        done = rate - eta * total <= tol
+        done = rate - eta * total <= tol * rate
         powers[rows[done]] = p[done]
         objective[rows[done]] = rate[done] / total[done]
         going = ~done
@@ -239,13 +247,12 @@ def wmee_maxmin(gains, cfgs, p_total: float) -> Allocation:
 
     Bisection on the common level t: for each link the minimal power reaching
     weight * EE = t sits on the rising branch of the (unimodal) EE curve and
-    is found by an inner bisection; t is feasible when those powers fit the
-    budget. At the returned point all weighted EEs are equalized whenever the
-    budget binds.
+    has a Lambert-W closed form (`_rising_power`); t is feasible when those
+    powers fit the budget. The returned level is the feasible end of the
+    final bracket, so the powers never exceed the budget, and all weighted
+    EEs are equalized whenever the budget binds.
     """
-    g, cfgs = _check_links(gains, cfgs)
-    if not p_total > 0.0:
-        raise ValueError(f"p_total must be positive, got {p_total}")
+    g, cfgs = _check_links(gains, cfgs, p_total)
     n = g.size
     peaks = np.array([eepa(g[i], cfgs[i]) for i in range(n)])
     tops = np.array([cfgs[i].weight * ee_of(g[i], peaks[i], cfgs[i]) for i in range(n)])
@@ -256,15 +263,7 @@ def wmee_maxmin(gains, cfgs, p_total: float) -> Allocation:
     def powers_at(t: float) -> np.ndarray:
         if t <= 0.0:
             return np.zeros(n)
-        out = np.empty(n)
-        for i in range(n):
-            w = cfgs[i].weight
-
-            def shortfall(p: float, i=i, w=w) -> float:
-                return w * ee_of(g[i], p, cfgs[i]) - t
-
-            out[i] = bisect(shortfall, 0.0, peaks[i], tol=1e-13 * (1.0 + peaks[i]))
-        return out
+        return np.array([_rising_power(g[i], cfgs[i], t, peaks[i]) for i in range(n)])
 
     p_hi = powers_at(t_hi)
     if p_hi.sum() <= p_total:
@@ -281,14 +280,35 @@ def wmee_maxmin(gains, cfgs, p_total: float) -> Allocation:
     return Allocation(powers_at(lo), lo)
 
 
+def _rising_power(gamma: float, cfg: LinkConfig, t: float, peak: float) -> float:
+    """Smallest p with weight * ln(1 + gamma p) = t (pc + p), clipped to [0, peak].
+
+    With a = t / weight, c = a / gamma and x = 1 + gamma p, the smaller root
+    of ln x = a pc + c (x - 1) is x = -W0(-c e^(a pc - c)) / c. As x - 1
+    cancels for small gamma p, y = gamma p takes one Newton step on
+    log1p(y) = a pc + c y, kept only at a positive slope and a step no larger
+    than that cancellation.
+    """
+    a = t / cfg.weight
+    c = a / gamma
+    y = -lambert_w0(-c * math.exp(a * cfg.pc - c)) / c - 1.0
+    slope = 1.0 / (1.0 + y) - c
+    if slope > 0.0:
+        step = (math.log1p(y) - a * cfg.pc - c * y) / slope
+        if abs(step) <= 1e-12 * (1.0 + y):
+            y -= step
+    return min(max(y / gamma, 0.0), peak)
+
+
 def wsee_ascent(gains, cfgs, p_total: float) -> Allocation:
     """Maximize the weighted sum of link EEs under a total power budget.
 
-    Projected coordinate ascent: cyclic golden-section maximization of each
-    power within its remaining-budget interval, plus golden-section line
-    searches along pairwise power transfers once the budget face binds (plain
-    per-coordinate steps stall there). The objective is nonconvex; the result
-    is a stationary point, cross-checked against a grid oracle in tests.
+    Each link's EE rises up to its peak (`eepa`, clipped to its cap), so the
+    capped peaks are optimal whenever they fit the budget. Otherwise they are
+    scaled onto the budget face and improved by golden-section line searches
+    along pairwise power transfers, sweep after sweep until the objective
+    stops rising. The objective is nonconvex; the result is a stationary
+    point, cross-checked against a grid oracle in tests.
     """
     return _budget_ascent(gains, cfgs, p_total, log_terms=False)
 
@@ -300,13 +320,10 @@ def wpee_ascent(gains, cfgs, p_total: float) -> Allocation:
     objective is the product itself. Any link with zero gain collapses the
     product identically to zero, so such instances are rejected.
     """
-    g, _ = _check_links(gains, cfgs)
-    if np.any(g == 0.0):
-        raise InfeasibleError("product objective is degenerate when a link has zero gain")
     return _budget_ascent(gains, cfgs, p_total, log_terms=True)
 
 
-def _check_links(gains, cfgs):
+def _check_links(gains, cfgs, p_total: float):
     g = np.asarray(gains, dtype=float)
     cfgs = list(cfgs)
     if g.ndim != 1 or g.size < 1:
@@ -315,6 +332,8 @@ def _check_links(gains, cfgs):
         raise ValueError(f"got {g.size} gains but {len(cfgs)} link configs")
     if not np.all(np.isfinite(g)) or np.any(g < 0.0):
         raise ValueError("gains must be finite and non-negative")
+    if not (math.isfinite(p_total) and p_total > 0.0):
+        raise ValueError(f"p_total must be positive and finite, got {p_total}")
     return g, cfgs
 
 
@@ -339,9 +358,9 @@ def _golden_max(f, lo: float, hi: float):
 
 
 def _budget_ascent(gains, cfgs, p_total: float, log_terms: bool) -> Allocation:
-    g, cfgs = _check_links(gains, cfgs)
-    if not p_total > 0.0:
-        raise ValueError(f"p_total must be positive, got {p_total}")
+    g, cfgs = _check_links(gains, cfgs, p_total)
+    if log_terms and np.any(g == 0.0):
+        raise InfeasibleError("product objective is degenerate when a link has zero gain")
     n = g.size
     peaks = np.array([eepa(g[i], cfgs[i]) for i in range(n)])
     caps = np.array([c.p_max if c.p_max is not None else math.inf for c in cfgs])
@@ -355,39 +374,36 @@ def _budget_ascent(gains, cfgs, p_total: float, log_terms: bool) -> Allocation:
     def total(p: np.ndarray) -> float:
         return sum(term(i, p[i]) for i in range(n))
 
+    # every term rises on [0, peak], so min(peak, cap) maximizes each
+    # coordinate; scaled onto the budget face, each coordinate's best point
+    # within its remaining budget is its current power, and only pairwise
+    # transfers along the face can still raise the objective
     p = np.minimum(peaks, caps)
     s = float(p.sum())
-    if s > p_total:
-        p *= p_total / s
+    if s <= p_total:
+        obj = total(p)
+        return Allocation(p, math.exp(obj) if log_terms else obj)
+    p *= p_total / s
     obj = total(p)
     for _ in range(500):
         for i in range(n):
-            slack = p_total - (float(p.sum()) - p[i])
-            hi = min(slack, caps[i], peaks[i])
-            if hi <= 0.0:
-                continue
-            x, fx = _golden_max(lambda t, i=i: term(i, t), 0.0, hi)
-            if fx > term(i, p[i]):
-                p[i] = x
-        if n >= 2 and float(p.sum()) >= p_total - 1e-9 * max(1.0, p_total):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    t_lo = max(-p[i], p[j] - caps[j])
-                    t_hi = min(p[j], caps[i] - p[i])
-                    if t_hi - t_lo <= 1e-12:
-                        continue
+            for j in range(i + 1, n):
+                t_lo = max(-p[i], p[j] - caps[j])
+                t_hi = min(p[j], caps[i] - p[i])
+                if t_hi - t_lo <= 1e-12:
+                    continue
 
-                    def shifted(t: float, i=i, j=j) -> float:
-                        return term(i, p[i] + t) + term(j, p[j] - t)
+                def shifted(t: float, i=i, j=j) -> float:
+                    return term(i, p[i] + t) + term(j, p[j] - t)
 
-                    # coarse scan to bracket the best basin, then refine
-                    ts = np.linspace(t_lo, t_hi, 33)
-                    vals = [shifted(t) for t in ts]
-                    k = int(np.argmax(vals))
-                    t_star, best = _golden_max(shifted, ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)])
-                    if best > term(i, p[i]) + term(j, p[j]):
-                        p[i] += t_star
-                        p[j] -= t_star
+                # coarse scan to bracket the best basin, then refine
+                ts = np.linspace(t_lo, t_hi, 33)
+                vals = [shifted(t) for t in ts]
+                k = int(np.argmax(vals))
+                t_star, best = _golden_max(shifted, ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)])
+                if best > term(i, p[i]) + term(j, p[j]):
+                    p[i] += t_star
+                    p[j] -= t_star
         new = total(p)
         if new - obj <= 1e-9:
             obj = max(obj, new)

@@ -25,7 +25,7 @@ from . import __version__
 from .allocator import GeeProblem, LinkConfig, eepa, ee_of, gee_dinkelbach, wmee_maxmin, wpa, wpee_ascent, wsee_ascent
 from .channel import rng_for
 from .errors import PowerControlError
-from .experiments import default_spec, fairness_medians, run
+from .experiments import default_spec, fairness_summary, run
 from .oracle import OBJECTIVES, GridSpec, grid_argmax
 
 _LN2 = math.log(2.0)
@@ -63,21 +63,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _parse_list(text: str, kind: type) -> tuple:
+    """Comma-separated list of `kind` values (float or int)."""
+    noun = "integers" if kind is int else "numbers"
     try:
-        values = tuple(float(v) for v in text.split(",") if v != "")
+        values = tuple(kind(v) for v in text.split(",") if v != "")
     except ValueError:
-        raise UsageError(f"expected a comma-separated list of numbers, got {text!r}")
-    if not values:
-        raise UsageError("empty list")
-    return values
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(v) for v in text.split(",") if v != "")
-    except ValueError:
-        raise UsageError(f"expected a comma-separated list of integers, got {text!r}")
+        raise UsageError(f"expected a comma-separated list of {noun}, got {text!r}")
     if not values:
         raise UsageError("empty list")
     return values
@@ -128,9 +120,9 @@ def load_config(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             if key == "pc":
-                out[key] = _parse_float_list(value)
+                out[key] = _parse_list(value, float)
             elif key == "n":
-                out[key] = _parse_int_list(value)
+                out[key] = _parse_list(value, int)
             elif key in ("trials", "seed"):
                 out[key] = int(value)
             elif key == "budget":
@@ -182,9 +174,9 @@ def _cmd_experiment(args) -> int:
         if value is not None:
             options[key] = value
     if args.pc is not None:
-        options["pc"] = _parse_float_list(args.pc)
+        options["pc"] = _parse_list(args.pc, float)
     if args.n is not None:
-        options["n"] = _parse_int_list(args.n)
+        options["n"] = _parse_list(args.n, int)
 
     seed = int(options.get("seed", 1))
     try:
@@ -208,7 +200,7 @@ def _cmd_experiment(args) -> int:
     started = time.perf_counter()
     curves = run(spec)
     if experiment == "fairness":
-        curves.append(_fairness_summary(curves[0], spec.trials))
+        curves.append(fairness_summary(curves[0], spec.trials))
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     for curve in curves:
@@ -221,21 +213,6 @@ def _cmd_experiment(args) -> int:
     elapsed = time.perf_counter() - started
     print(f"eepower {args.command}: wrote {len(written)} file(s) to {outdir} in {elapsed:.2f}s", file=sys.stderr)
     return 0
-
-
-def _fairness_summary(trial_curve, trials: int):
-    from .experiments import CurveSet
-
-    medians = fairness_medians(trial_curve)
-    row = [float(trials)] + [medians[name] for name in ("gee", "wsee", "wpee", "wmee")]
-    columns = [
-        ("trials", "1"),
-        ("median_jain_gee", "1"),
-        ("median_jain_wsee", "1"),
-        ("median_jain_wpee", "1"),
-        ("median_jain_wmee", "1"),
-    ]
-    return CurveSet("fairness_summary", columns, [row])
 
 
 def _format_value(v: float) -> str:

@@ -413,6 +413,13 @@ def fairness_medians(curve: CurveSet) -> dict[str, float]:
     }
 
 
+def fairness_summary(curve: CurveSet, trials: int) -> CurveSet:
+    """One row: the trial count and the median Jain index per objective."""
+    medians = fairness_medians(curve)
+    columns = [("trials", "1")] + [(f"median_jain_{name}", "1") for name in medians]
+    return CurveSet("fairness_summary", columns, [[float(trials), *medians.values()]])
+
+
 def run_table1(spec: ExperimentSpec) -> list[CurveSet]:
     """EE and SE gain ratios over the single-dimension baseline for the
     standard subcarrier and antenna counts, at circuit power 1 W."""

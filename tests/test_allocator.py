@@ -20,6 +20,7 @@ from eepower.allocator import (
     wsee_ascent,
 )
 from eepower.errors import InfeasibleError, NumericalError
+from eepower.oracle import GridSpec, grid_argmax
 
 E = math.e
 
@@ -303,6 +304,13 @@ def test_dinkelbach_rows_name_the_failing_row(monkeypatch):
     assert err.value.row == 0
 
 
+def test_dinkelbach_stop_is_relative_at_tiny_gain():
+    # at g pc = 1e-15 the optimum is about sqrt(2 pc / g); the rate there is
+    # about 4.5e-8 nats, so a stop on an absolute 1e-12 residual ends far off
+    alloc = gee_dinkelbach(GeeProblem([1e-15], 1.0), 1e-12)
+    assert alloc.powers[0] == pytest.approx(math.sqrt(2.0 / 1e-15), rel=1e-5)
+
+
 def test_wmee_identical_links_ample_budget():
     cfgs = [LinkConfig(1.0), LinkConfig(1.0)]
     alloc = wmee_maxmin([1.0, 1.0], cfgs, 100.0)
@@ -334,16 +342,25 @@ def test_wmee_vs_grid_search():
 
 
 def test_wmee_equalizes_weighted_ee_when_budget_binds():
+    # gains over twelve decades: the per-link power at a common level must be
+    # exact relative to the level, not to an absolute power tolerance
     rng = np.random.default_rng(21)
-    for _ in range(10):
-        n = int(rng.integers(2, 5))
-        gains = 10.0 ** rng.uniform(-0.5, 0.5, n)
-        cfgs = [LinkConfig(10.0 ** rng.uniform(-0.5, 0.3), weight=rng.uniform(0.5, 2.0)) for _ in range(n)]
-        budget = 0.3 * n
+    binding = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 6))
+        gains = 10.0 ** rng.uniform(-6, 6, n)
+        cfgs = [LinkConfig(10.0 ** rng.uniform(-1, 1), weight=rng.uniform(0.5, 2.0)) for _ in range(n)]
+        budget = 10.0 ** rng.uniform(-3, 1) * n
         alloc = wmee_maxmin(gains, cfgs, budget)
+        assert alloc.powers.sum() <= budget * (1 + 1e-12)
+        top = min(c.weight * ee_of(g, eepa(g, c), c) for g, c in zip(gains, cfgs))
+        if alloc.objective == top:
+            continue
+        binding += 1
         levels = [cfgs[i].weight * ee_of(gains[i], alloc.powers[i], cfgs[i]) for i in range(n)]
-        assert max(levels) - min(levels) <= 1e-6 * max(levels)
-        assert alloc.powers.sum() <= budget * (1 + 1e-9)
+        assert max(levels) - min(levels) <= 1e-9 * max(levels)
+        assert min(levels) == pytest.approx(alloc.objective, rel=1e-9)
+    assert binding >= 200
 
 
 def test_wmee_zero_gain_link_yields_zero_objective():
@@ -368,10 +385,10 @@ def test_ascent_single_link_matches_eepa():
     assert alloc.powers[0] == pytest.approx(E - 1.0, abs=1e-6)
 
 
-def _two_link_grid(objective, gains, cfgs, budget, step=0.01):
+def _two_link_grid(objective, gains, cfgs, budget, step=0.01, cap0=math.inf):
     axis = np.arange(0.0, budget + step / 2, step)
     best = -np.inf
-    for p0 in axis:
+    for p0 in axis[axis <= cap0]:
         grid = axis[axis <= budget - p0 + 1e-12]
         t0 = cfgs[0].weight * math.log1p(gains[0] * p0) / (cfgs[0].pc + p0)
         t1 = cfgs[1].weight * np.log1p(gains[1] * grid) / (cfgs[1].pc + grid)
@@ -397,6 +414,39 @@ def test_wpee_beats_grid_on_reference_instance():
     best = _two_link_grid("product", gains, cfgs, 1.0)
     assert alloc.objective >= best - 1e-3
     assert np.all(alloc.powers > 0.0)
+
+
+@pytest.mark.parametrize("name, solver", [("wsee", wsee_ascent), ("wpee", wpee_ascent)])
+def test_ascent_capped_link_binding_budget_matches_grid(name, solver):
+    # link 0 is capped at 0.8 W, below its EE peak of 1.72 W; the capped peaks
+    # (0.8 + 0.86 W) exceed the 1 W budget, and the optimum leaves the cap
+    # slack, so the grid oracle (which knows no caps) gives the optimum
+    gains = [1.0, 2.0]
+    cfgs = [LinkConfig(1.0, p_max=0.8), LinkConfig(0.5)]
+    alloc = solver(gains, cfgs, 1.0)
+    oracle = grid_argmax(name, gains, cfgs, GridSpec(0.0, 1.0, 1001), budget=1.0)
+    assert alloc.objective >= oracle.objective - 1e-9
+    np.testing.assert_allclose(alloc.powers, oracle.powers, atol=1e-3)
+    assert alloc.powers.sum() <= 1.0 + 1e-9
+    assert alloc.powers[0] <= 0.8
+
+
+@pytest.mark.parametrize("objective, solver", [("sum", wsee_ascent), ("product", wpee_ascent)])
+def test_ascent_binding_cap_beats_capped_grid(objective, solver):
+    # without its cap link 0 would take 0.48 W (sum) or 0.59 W (product)
+    gains = [1.0, 2.0]
+    cfgs = [LinkConfig(1.0, p_max=0.45), LinkConfig(0.5)]
+    alloc = solver(gains, cfgs, 1.0)
+    assert alloc.powers[0] == pytest.approx(0.45, rel=1e-12)
+    assert alloc.powers[0] <= 0.45
+    assert alloc.objective >= _two_link_grid(objective, gains, cfgs, 1.0, step=1e-3, cap0=0.45) - 1e-9
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("solver", [wsee_ascent, wpee_ascent, wmee_maxmin])
+def test_budgeted_solvers_reject_bad_budget(solver, bad):
+    with pytest.raises(ValueError, match="p_total"):
+        solver([1.0, 2.0], [LinkConfig(1.0)] * 2, bad)
 
 
 def test_wpee_rejects_zero_gain():

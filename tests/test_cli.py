@@ -97,6 +97,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["siso-ee-se", "--pc", "zero", "--out", str(tmp_path)]) == 1
     assert main(["siso-ee-se", "--pc", "-1", "--out", str(tmp_path)]) == 1
     assert main(["verify", "--objective", "gee", "--dims", "9"]) == 1
+    assert main(["ofdm-sweep", "--n", "1.5", "--out", str(tmp_path)]) == 1
+    assert "list of integers, got '1.5'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
