@@ -52,6 +52,9 @@ VERIFY_TOL = {
     "wmee": 1e-2,
     "sumrate": 1e-3,
 }
+# oracle points per axis for the gee and sumrate checks, by dimension; 301
+# keeps dims 3 within the oracle's point limit
+_VERIFY_STEPS = {1: 40_001, 2: 2001, 3: 301}
 
 
 class UsageError(Exception):
@@ -267,20 +270,33 @@ def _render_manifest(command: str, spec, units: str, written) -> bytes:
 def _cmd_verify(args) -> int:
     if args.dims < 1 or (args.objective != "ee_siso" and args.dims > 3):
         raise UsageError("verify: --dims must be 1..3 (1 for ee_siso)")
+    if args.trials < 1:
+        raise UsageError(f"verify: --trials must be >= 1, got {args.trials}")
     if args.objective == "ee_siso" and args.dims != 1:
         args.dims = 1
     worst = 0.0
+    worst_trial = None
     for i in range(args.trials):
         rng = rng_for(args.seed, i)
         gains = np.exp(rng.random(args.dims) * (math.log(3.0) - math.log(0.3)) + math.log(0.3))
         pcs = 0.5 + 1.5 * rng.random(args.dims)
         cfgs = [LinkConfig(pc) for pc in pcs]
         shortfall = _verify_instance(args.objective, gains, cfgs)
-        worst = max(worst, shortfall)
+        if shortfall > worst:
+            worst, worst_trial = shortfall, (i, gains, pcs)
     tol = VERIFY_TOL[args.objective]
     status = "ok" if worst <= tol else "FAIL"
     print(f"verify {args.objective}: max objective shortfall {worst:.3e} (tolerance {tol:.1e}) {status}")
-    return 0 if worst <= tol else 2
+    if worst <= tol:
+        return 0
+    i, gains, pcs = worst_trial
+    replay = f"eepower verify --objective {args.objective} --dims {args.dims} --seed {args.seed} --trials {i + 1}"
+    print(
+        f"verify {args.objective}: worst trial {i} (seed={args.seed}): gains {gains.tolist()!r}, "
+        f"pcs {pcs.tolist()!r}; replay: {replay}",
+        file=sys.stderr,
+    )
+    return 2
 
 
 def _verify_instance(objective: str, gains, cfgs) -> float:
@@ -296,14 +312,14 @@ def _verify_instance(objective: str, gains, cfgs) -> float:
         alloc = gee_dinkelbach(prob, 1e-12)
         solver_obj = alloc.objective
         top = max(4.0, 1.5 * float(alloc.powers.max()) + 1.0)
-        steps = 2001 if dims >= 2 else 40_001
+        steps = _VERIFY_STEPS[dims]
         oracle = grid_argmax("gee", gains, cfgs, GridSpec(0.0, top, steps))
     elif objective == "sumrate":
         p_avg = 0.5
         alloc = wpa(gains, p_avg)
         solver_obj = alloc.objective
         budget = p_avg * dims
-        steps = 2001 if dims >= 2 else 40_001
+        steps = _VERIFY_STEPS[dims]
         oracle = grid_argmax("sumrate", gains, cfgs, GridSpec(0.0, budget, steps), budget=budget)
     else:
         budget = 0.75 * dims

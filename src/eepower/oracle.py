@@ -2,9 +2,15 @@
 
 Evaluates any of the supported objectives on every point of a rectangular
 power grid (optionally filtered by a total-power budget) and returns the best
-point. Deliberately simple so it can serve as an independent check on the
-closed-form and iterative solvers; ties break toward the lexicographically
-smallest power vector and the result is independent of evaluation order.
+point, as an independent check on the closed-form and iterative solvers.
+
+Every objective combines per-link terms that depend on that link's own power
+only (log1p(g*p), or w*log1p(g*p)/(pc+p)), so each term is evaluated once per
+axis point and the grid values are formed by broadcasting over row blocks of
+the first axis. The arithmetic runs in the per-point order (sums from the
+first link on), so every grid value is bitwise the one a per-point evaluation
+gives, and ties break toward the lexicographically smallest power vector
+whatever the block size.
 """
 
 from __future__ import annotations
@@ -19,6 +25,10 @@ from .allocator import Allocation
 OBJECTIVES = ("ee_siso", "gee", "wsee", "wpee", "wmee", "sumrate")
 
 _MAX_POINTS = 10**8
+# grid values combined per row block of the first axis (about 1 MB of float64)
+_BLOCK = 2**17
+# how per-link terms combine into the objective (the rest sum them)
+_COMBINE = {"wpee": np.multiply, "wmee": np.minimum}
 
 
 @dataclass(frozen=True)
@@ -49,8 +59,9 @@ def grid_argmax(objective: str, gains, cfgs, grid: GridSpec, budget: float | Non
     """Best grid point for the named objective.
 
     budget, when given, keeps only points whose summed power is at most the
-    budget. Dimensions above 1 are capped at 3 (grid search only). For "gee"
-    the shared circuit power is taken from the first config.
+    budget. Gains must be finite and non-negative, one to three of them
+    (grid search only). For "gee" the shared circuit power is taken from the
+    first config.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
@@ -61,8 +72,10 @@ def grid_argmax(objective: str, gains, cfgs, grid: GridSpec, budget: float | Non
         raise ValueError(f"got {n} gains but {len(cfgs)} configs")
     if objective == "ee_siso" and n != 1:
         raise ValueError("ee_siso is a single-dimension objective")
-    if n > 3:
-        raise ValueError(f"grid search supports at most 3 dimensions, got {n}")
+    if not 1 <= n <= 3:
+        raise ValueError(f"grid search supports 1 to 3 dimensions, got {n}")
+    if not np.all(np.isfinite(g)) or np.any(g < 0.0):
+        raise ValueError("gains must be finite and non-negative")
     if grid.steps**n > _MAX_POINTS:
         raise ValueError(f"grid too large: {grid.steps}**{n} points exceeds {_MAX_POINTS}")
 
@@ -71,57 +84,39 @@ def grid_argmax(objective: str, gains, cfgs, grid: GridSpec, budget: float | Non
     w = np.array([c.weight for c in cfgs])
     budget_slack = None if budget is None else budget + 1e-12 * (1.0 + abs(budget))
 
-    if n == 1:
-        mesh = axis[:, None]
-        value = _objective_values(objective, g, pc, w, [mesh[:, 0]])
-        if budget_slack is not None:
-            value = np.where(mesh[:, 0] <= budget_slack, value, -np.inf)
-        best = int(np.argmax(value))
-        if value[best] == -np.inf:
-            raise InfeasibleError("no grid point satisfies the budget")
-        return Allocation(np.array([axis[best]]), float(value[best]))
+    # each link's term depends on its own power only: evaluate it once per
+    # axis point, (n, steps), then gather the tail links' terms and powers
+    # over the row-major index grid of axes 1..n-1 (one point when n == 1)
+    se = np.log1p(g[:, None] * axis)
+    term = se if objective in ("sumrate", "gee") else w[:, None] * se / (pc[:, None] + axis)
+    tail_idx = np.indices((grid.steps,) * (n - 1)).reshape(n - 1, grid.steps ** (n - 1))
+    tail_term = np.take_along_axis(term[1:], tail_idx, axis=1)
+    tail_p = axis[tail_idx]
+    tail_sum = sum(tail_p, np.zeros(tail_idx.shape[1]))
+    combine = _COMBINE.get(objective, np.add)
 
-    # chunk over the first axis so memory stays at steps^(n-1) per evaluation
-    tail = np.meshgrid(*([axis] * (n - 1)), indexing="ij")
-    tail = [t.ravel() for t in tail]
-    tail_sum = np.zeros_like(tail[0])
-    for t in tail:
-        tail_sum = tail_sum + t
+    # sums run from the first link on, as at a single point, so the values
+    # are bitwise the per-point ones; the strict > keeps the first maximum in
+    # row-major order across blocks
+    rows = max(1, _BLOCK // tail_sum.size)
     best_val = -np.inf
     best_idx = (0, 0)
-    for i, p0 in enumerate(axis):
-        coords = [np.full_like(tail[0], p0)] + tail
-        value = _objective_values(objective, g, pc, w, coords)
+    for start in range(0, grid.steps, rows):
+        p0 = axis[start:start + rows, None]
+        value = term[0][start:start + rows, None]
+        for t in tail_term:
+            value = combine(value, t)
+        if objective == "gee":
+            value = value / (pc[0] + sum(tail_p, p0))
         if budget_slack is not None:
             value = np.where(p0 + tail_sum <= budget_slack, value, -np.inf)
-        j = int(np.argmax(value))
-        if value[j] > best_val:
-            best_val = float(value[j])
-            best_idx = (i, j)
+        k = int(np.argmax(value))
+        if value.flat[k] > best_val:
+            best_val = float(value.flat[k])
+            r, j = divmod(k, value.shape[1])
+            best_idx = (start + r, j)
     if best_val == -np.inf:
         raise InfeasibleError("no grid point satisfies the budget")
     i, j = best_idx
-    powers = np.array([axis[i]] + [t[j] for t in tail])
+    powers = np.concatenate(([axis[i]], tail_p[:, j]))
     return Allocation(powers, best_val)
-
-
-def _objective_values(objective, g, pc, w, coords):
-    se = [np.log1p(g[i] * coords[i]) for i in range(len(coords))]
-    if objective == "sumrate":
-        return sum(se)
-    if objective == "gee":
-        total = pc[0] + sum(coords)
-        return sum(se) / total
-    ee = [w[i] * se[i] / (pc[i] + coords[i]) for i in range(len(coords))]
-    if objective in ("ee_siso", "wsee"):
-        return sum(ee)
-    if objective == "wpee":
-        out = ee[0]
-        for v in ee[1:]:
-            out = out * v
-        return out
-    # wmee
-    out = ee[0]
-    for v in ee[1:]:
-        out = np.minimum(out, v)
-    return out

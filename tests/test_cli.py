@@ -90,6 +90,35 @@ def test_verify_exit_codes():
     assert main(["verify", "--objective", "ee_siso", "--dims", "1", "--seed", "3", "--trials", "3"]) == 0
 
 
+@pytest.mark.parametrize("objective", ["gee", "sumrate"])
+def test_verify_unbudgeted_objectives_at_three_dimensions(objective, capsys):
+    assert main(["verify", "--objective", objective, "--dims", "3", "--seed", "1", "--trials", "1"]) == 0
+    assert capsys.readouterr().out.endswith(" ok\n")
+
+
+def test_verify_failure_names_worst_trial_and_replay_command(monkeypatch, capsys):
+    shortfalls = [0.0, 0.5, 0.2]
+    seen = []
+
+    def fake_instance(objective, gains, cfgs):
+        seen.append((gains.tolist(), [float(c.pc) for c in cfgs]))
+        return shortfalls[len(seen) - 1]
+
+    monkeypatch.setattr("eepower.cli._verify_instance", fake_instance)
+    assert main(["verify", "--objective", "wsee", "--dims", "2", "--seed", "4", "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "verify wsee: max objective shortfall 5.000e-01 (tolerance 1.0e-03) FAIL\n"
+    gains, pcs = seen[1]
+    assert captured.err == (
+        f"verify wsee: worst trial 1 (seed=4): gains {gains!r}, pcs {pcs!r}; "
+        "replay: eepower verify --objective wsee --dims 2 --seed 4 --trials 2\n"
+    )
+    # the replay command ends on the same instance and reports it again
+    seen.clear()
+    assert main(["verify", "--objective", "wsee", "--dims", "2", "--seed", "4", "--trials", "2"]) == 2
+    assert capsys.readouterr().err == captured.err
+
+
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["no-such-command"]) == 1
     assert main(["siso-ee-se", "--bogus-flag", "1"]) == 1
@@ -97,6 +126,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["siso-ee-se", "--pc", "zero", "--out", str(tmp_path)]) == 1
     assert main(["siso-ee-se", "--pc", "-1", "--out", str(tmp_path)]) == 1
     assert main(["verify", "--objective", "gee", "--dims", "9"]) == 1
+    assert main(["verify", "--objective", "gee", "--trials", "0"]) == 1
+    assert "--trials must be >= 1, got 0" in capsys.readouterr().err
     assert main(["ofdm-sweep", "--n", "1.5", "--out", str(tmp_path)]) == 1
     assert "list of integers, got '1.5'" in capsys.readouterr().err
 

@@ -1,13 +1,87 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from eepower import oracle
 from eepower.allocator import LinkConfig, wpa
 from eepower.errors import InfeasibleError
-from eepower.oracle import GridSpec, grid_argmax
+from eepower.oracle import OBJECTIVES, GridSpec, grid_argmax
 
 E = math.e
+
+
+def reference_argmax(objective, gains, cfgs, grid, budget=None):
+    """Per-point brute force: every objective value computed at every point of
+    the full meshgrid, first maximum in row-major order."""
+    g = np.asarray(gains, dtype=float)
+    pc = np.array([c.pc for c in cfgs])
+    w = np.array([c.weight for c in cfgs])
+    axis = grid.axis()
+    coords = [m.ravel() for m in np.meshgrid(*([axis] * g.size), indexing="ij")]
+    se = [np.log1p(g[i] * coords[i]) for i in range(g.size)]
+    if objective == "sumrate":
+        value = sum(se)
+    elif objective == "gee":
+        value = sum(se) / (pc[0] + sum(coords))
+    else:
+        ee = [w[i] * se[i] / (pc[i] + coords[i]) for i in range(g.size)]
+        if objective in ("ee_siso", "wsee"):
+            value = sum(ee)
+        else:
+            value = ee[0]
+            for v in ee[1:]:
+                value = value * v if objective == "wpee" else np.minimum(value, v)
+    if budget is not None:
+        tail_sum = np.zeros_like(coords[0])
+        for t in coords[1:]:
+            tail_sum = tail_sum + t
+        value = np.where(coords[0] + tail_sum <= budget + 1e-12 * (1.0 + abs(budget)), value, -np.inf)
+    k = int(np.argmax(value))
+    if value[k] == -np.inf:
+        raise InfeasibleError("no grid point satisfies the budget")
+    return float(value[k]), np.array([c[k] for c in coords])
+
+
+@st.composite
+def grid_instances(draw):
+    objective = draw(st.sampled_from(OBJECTIVES))
+    n = 1 if objective == "ee_siso" else draw(st.integers(1, 3))
+    steps = draw(st.integers(2, {1: 400, 2: 120, 3: 30}[n]))
+    gains = [10.0 ** draw(st.floats(-6.0, 6.0)) for _ in range(n)]
+    cfgs = [LinkConfig(10.0 ** draw(st.floats(-2.0, 2.0)), weight=draw(st.floats(0.5, 2.0))) for _ in range(n)]
+    p_max = 10.0 ** draw(st.floats(-2.0, 2.0))
+    p_min = draw(st.sampled_from([0.0, 0.1, 0.5])) * p_max
+    budget = draw(st.none() | st.floats(0.1, 1.2).map(lambda f: f * n * p_max))
+    # row blocks from one row of the first axis to the whole grid, most of
+    # them not dividing steps
+    block = draw(st.integers(1, steps**n))
+    return objective, gains, cfgs, GridSpec(p_min, p_max, steps), budget, block
+
+
+@settings(
+    max_examples=150, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(grid_instances())
+# blocks of 131 rows of the first axis, the last one short
+@example(("wsee", [0.3, 2.0], [LinkConfig(1.0), LinkConfig(0.5, weight=1.5)], GridSpec(0.0, 2.0, 1000), 1.5, oracle._BLOCK))
+# the best power sum rounds differently as p0 + (p1 + p2)
+@example(("gee", [2.8, 2.3, 2.1], [LinkConfig(1.1)] * 3, GridSpec(0.0, 1.0, 20), None, 3 * 20**2))
+def test_grid_argmax_is_bitwise_the_per_point_search(case):
+    objective, gains, cfgs, grid, budget, block = case
+    with mock.patch.object(oracle, "_BLOCK", block):
+        try:
+            alloc = grid_argmax(objective, gains, cfgs, grid, budget)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                reference_argmax(objective, gains, cfgs, grid, budget)
+            return
+    value, powers = reference_argmax(objective, gains, cfgs, grid, budget)
+    assert alloc.objective == value
+    np.testing.assert_array_equal(alloc.powers, powers)
 
 
 def test_grid_spec_validation():
@@ -66,6 +140,23 @@ def test_tie_break_toward_smallest_power():
     np.testing.assert_array_equal(alloc.powers, [0.0, 0.0])
 
 
+@pytest.mark.parametrize("budget", [None, 2.5])
+@pytest.mark.parametrize("block", [11 * 11, 3 * 11 * 11, oracle._BLOCK])
+def test_tie_break_across_row_blocks(budget, block):
+    cfgs = [LinkConfig(1.0)] * 3
+    with mock.patch.object(oracle, "_BLOCK", block):
+        flat = grid_argmax("sumrate", [0.0] * 3, cfgs, GridSpec(0.2, 1.0, 11), budget)
+        # link 0's EE exceeds the other links' best from p0 = 0.1 on, so the
+        # max-min value is the same float on rows 1..10 of the first axis
+        # (1..5 under the budget)
+        plateau = grid_argmax("wmee", [100.0, 0.1, 0.1], cfgs, GridSpec(0.0, 1.0, 11), budget)
+    np.testing.assert_array_equal(flat.powers, [0.2, 0.2, 0.2])
+    assert flat.objective == 0.0
+    np.testing.assert_array_equal(plateau.powers, [0.1, 1.0, 1.0])
+    value, _ = reference_argmax("wmee", [100.0, 0.1, 0.1], cfgs, GridSpec(0.0, 1.0, 11), budget)
+    assert plateau.objective == value
+
+
 def test_three_dimension_search():
     gains = [0.5, 1.0, 2.0]
     cfgs = [LinkConfig(1.0)] * 3
@@ -85,6 +176,11 @@ def test_guards():
         grid_argmax("ee_siso", [1.0, 2.0], [LinkConfig(1.0)] * 2, GridSpec(0.0, 1.0, 11))
     with pytest.raises(ValueError):
         grid_argmax("nonsense", [1.0], [LinkConfig(1.0)], GridSpec(0.0, 1.0, 11))
+    with pytest.raises(ValueError):
+        grid_argmax("sumrate", [], [], GridSpec(0.0, 1.0, 11))
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gains must be finite and non-negative"):
+            grid_argmax("sumrate", [1.0, bad], [LinkConfig(1.0)] * 2, GridSpec(0.0, 2.0, 11))
 
 
 def test_empty_feasible_set_raises():
