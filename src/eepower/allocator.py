@@ -364,15 +364,30 @@ def _budget_ascent(gains, cfgs, p_total: float, log_terms: bool) -> Allocation:
     n = g.size
     peaks = np.array([eepa(g[i], cfgs[i]) for i in range(n)])
     caps = np.array([c.p_max if c.p_max is not None else math.inf for c in cfgs])
+    # the sweeps evaluate thousands of terms per instance, so they run on
+    # Python floats with each link's constants read once; a term is
+    # w * (log1p(g x) / (pc + x)) at the clamped power x, the operations of
+    # w * ee_of(g, max(p, 0), cfg), so every value is ee_of's to the bit
+    gs, cap = g.tolist(), caps.tolist()
+    pcs = [c.pc for c in cfgs]
+    ws = [c.weight for c in cfgs]
+    log, log1p, inf = math.log, math.log1p, math.inf
 
-    def term(i: int, p: float) -> float:
-        v = cfgs[i].weight * ee_of(g[i], max(p, 0.0), cfgs[i])
+    def term(i: int, x: float) -> float:
+        if x < 0.0:
+            x = 0.0
+        v = ws[i] * (log1p(gs[i] * x) / (pcs[i] + x))
         if log_terms:
-            return math.log(v) if v > 0.0 else -math.inf
+            return log(v) if v > 0.0 else -inf
         return v
 
-    def total(p: np.ndarray) -> float:
-        return sum(term(i, p[i]) for i in range(n))
+    def total(p: list) -> float:
+        # left to right from link 0 on every Python version (from 3.12 on,
+        # sum() compensates float sums and would round differently)
+        s = 0.0
+        for i in range(n):
+            s += term(i, p[i])
+        return s
 
     # every term rises on [0, peak], so min(peak, cap) maximizes each
     # coordinate; scaled onto the budget face, each coordinate's best point
@@ -381,33 +396,49 @@ def _budget_ascent(gains, cfgs, p_total: float, log_terms: bool) -> Allocation:
     p = np.minimum(peaks, caps)
     s = float(p.sum())
     if s <= p_total:
-        obj = total(p)
+        obj = total(p.tolist())
         return Allocation(p, math.exp(obj) if log_terms else obj)
     p *= p_total / s
+    p = p.tolist()
     obj = total(p)
     for _ in range(500):
         for i in range(n):
             for j in range(i + 1, n):
-                t_lo = max(-p[i], p[j] - caps[j])
-                t_hi = min(p[j], caps[i] - p[i])
+                pi, pj = p[i], p[j]
+                t_lo = max(-pi, pj - cap[j])
+                t_hi = min(pj, cap[i] - pi)
                 if t_hi - t_lo <= 1e-12:
                     continue
 
-                def shifted(t: float, i=i, j=j) -> float:
-                    return term(i, p[i] + t) + term(j, p[j] - t)
+                def shifted(t, pi=pi, pj=pj, gi=gs[i], gj=gs[j], ci=pcs[i], cj=pcs[j], wi=ws[i], wj=ws[j]):
+                    x = pi + t
+                    if x < 0.0:
+                        x = 0.0
+                    y = pj - t
+                    if y < 0.0:
+                        y = 0.0
+                    u = wi * (log1p(gi * x) / (ci + x))
+                    v = wj * (log1p(gj * y) / (cj + y))
+                    if log_terms:
+                        u = log(u) if u > 0.0 else -inf
+                        v = log(v) if v > 0.0 else -inf
+                    return u + v
 
-                # coarse scan to bracket the best basin, then refine
-                ts = np.linspace(t_lo, t_hi, 33)
+                # coarse scan to bracket the best basin, then refine; the scan
+                # points are np.linspace(t_lo, t_hi, 33)'s, k * step + t_lo
+                # with the end point exact
+                step = (t_hi - t_lo) / 32
+                ts = [k * step + t_lo for k in range(32)]
+                ts.append(t_hi)
                 vals = [shifted(t) for t in ts]
-                k = int(np.argmax(vals))
-                t_star, best = _golden_max(shifted, ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)])
-                if best > term(i, p[i]) + term(j, p[j]):
-                    p[i] += t_star
-                    p[j] -= t_star
+                k = vals.index(max(vals))
+                t_star, best = _golden_max(shifted, ts[max(k - 1, 0)], ts[min(k + 1, 32)])
+                if best > term(i, pi) + term(j, pj):
+                    p[i] = pi + t_star
+                    p[j] = pj - t_star
         new = total(p)
         if new - obj <= 1e-9:
             obj = max(obj, new)
             break
         obj = new
-    p = np.maximum(p, 0.0)
-    return Allocation(p, math.exp(obj) if log_terms else obj)
+    return Allocation(np.maximum(p, 0.0), math.exp(obj) if log_terms else obj)

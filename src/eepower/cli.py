@@ -42,6 +42,19 @@ COMMANDS = {
 
 CONFIG_KEYS = ("pc", "n", "trials", "seed", "budget", "units", "out")
 
+# the list flags each command reads; the others are not registered, so
+# passing one is a usage error instead of a manifest entry for a run it never
+# shaped
+_LIST_FLAGS = {
+    "siso-profiles": ("pc",),
+    "siso-ee-se": ("pc",),
+    "pc-sweep": ("pc",),
+    "ofdm-sweep": ("pc", "n"),
+    "mimo-sweep": ("pc", "n"),
+    "fairness": (),
+    "table1": ("pc",),
+}
+
 # objective-value shortfall tolerated when a solver is compared against the
 # grid oracle; grids are listed as (p_max, steps, budget per dimension)
 VERIFY_TOL = {
@@ -83,8 +96,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name in COMMANDS:
         p = sub.add_parser(name, description=f"run the {COMMANDS[name]} experiment")
-        p.add_argument("--pc", help="comma-separated circuit powers in W")
-        p.add_argument("--n", help="comma-separated dimension counts")
+        if "pc" in _LIST_FLAGS[name]:
+            p.add_argument("--pc", help="comma-separated circuit powers in W")
+        if "n" in _LIST_FLAGS[name]:
+            p.add_argument("--n", help="comma-separated dimension counts")
         p.add_argument("--trials", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--budget", type=float)
@@ -176,10 +191,10 @@ def _cmd_experiment(args) -> int:
         value = getattr(args, key)
         if value is not None:
             options[key] = value
-    if args.pc is not None:
-        options["pc"] = _parse_list(args.pc, float)
-    if args.n is not None:
-        options["n"] = _parse_list(args.n, int)
+    for key, kind in (("pc", float), ("n", int)):
+        value = getattr(args, key, None)
+        if value is not None:
+            options[key] = _parse_list(value, kind)
 
     seed = int(options.get("seed", 1))
     try:

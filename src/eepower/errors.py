@@ -4,8 +4,8 @@
 class PowerControlError(Exception):
     """Base class for solver-level failures.
 
-    row is the index of the failing instance when a solver working on many
-    rows at once raised the error, else None.
+    row is the index of the failing instance when a solver or pipeline
+    working on many rows or trials at once raised the error, else None.
     """
 
     def __init__(self, message: str, row: int | None = None) -> None:

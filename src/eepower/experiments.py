@@ -305,13 +305,22 @@ def _solve_trials(spec: ExperimentSpec, tech: str, n: int, pc: float, gains: np.
     except PowerControlError as exc:
         if exc.row is None:
             raise
-        replay = f"eepower {tech}-sweep --seed {spec.fading.seed} --n {n} --pc {pc!r} --trials {exc.row + 1}"
-        if spec.budget is not None:
-            replay += f" --budget {spec.budget!r}"
-        raise type(exc)(
-            f"{tech} trial {exc.row} (n={n}, pc={pc!r}, seed={spec.fading.seed}): {exc}; replay: {replay}",
-            row=exc.row,
+        raise _replayable(
+            exc,
+            spec,
+            exc.row,
+            f"{tech} trial {exc.row} (n={n}, pc={pc!r}, seed={spec.fading.seed})",
+            f"eepower {tech}-sweep --seed {spec.fading.seed} --n {n} --pc {pc!r} --trials {exc.row + 1}",
         ) from exc
+
+
+def _replayable(exc: PowerControlError, spec: ExperimentSpec, trial: int, instance: str, replay: str):
+    """exc again for the failing trial, its message prefixed with the
+    instance and ending in the eepower command (plus the run's --budget) that
+    replays it."""
+    if spec.budget is not None:
+        replay += f" --budget {spec.budget!r}"
+    return type(exc)(f"{instance}: {exc}; replay: {replay}", row=trial)
 
 
 def _stderr(values: np.ndarray) -> float:
@@ -358,7 +367,9 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
     """Per-trial Jain fairness of the per-link EEs under each aggregate
     objective, plus the per-trial minimum EE for the global and max-min
     solvers. Links draw independent gains and heterogeneous circuit powers;
-    all four objectives share one total power budget."""
+    all four objectives share one total power budget. A solver error is
+    re-raised naming the trial, seed and budget and the command that
+    replays it."""
     budget = spec.budget if spec.budget is not None else DEFAULT_FAIRNESS_BUDGET
     lo, hi = spec.pc_range
     rows = []
@@ -368,10 +379,19 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
         pcs = lo + (hi - lo) * u
         cfgs = [LinkConfig(pc) for pc in pcs]
 
-        gee_alloc = gee_dinkelbach(GeeProblem(gains, float(pcs.sum()), budget), _DINKELBACH_TOL)
-        wsee_alloc = wsee_ascent(gains, cfgs, budget)
-        wpee_alloc = wpee_ascent(gains, cfgs, budget)
-        wmee_alloc = wmee_maxmin(gains, cfgs, budget)
+        try:
+            gee_alloc = gee_dinkelbach(GeeProblem(gains, float(pcs.sum()), budget), _DINKELBACH_TOL)
+            wsee_alloc = wsee_ascent(gains, cfgs, budget)
+            wpee_alloc = wpee_ascent(gains, cfgs, budget)
+            wmee_alloc = wmee_maxmin(gains, cfgs, budget)
+        except PowerControlError as exc:
+            raise _replayable(
+                exc,
+                spec,
+                t,
+                f"fairness trial {t} (seed={spec.fading.seed}, budget={budget!r})",
+                f"eepower fairness --seed {spec.fading.seed} --trials {t + 1}",
+            ) from exc
 
         reports = {
             name: evaluate(gains, cfgs, alloc.powers)

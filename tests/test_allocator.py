@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from eepower import allocator
 from eepower.allocator import (
@@ -440,6 +442,98 @@ def test_ascent_binding_cap_beats_capped_grid(objective, solver):
     assert alloc.powers[0] == pytest.approx(0.45, rel=1e-12)
     assert alloc.powers[0] <= 0.45
     assert alloc.objective >= _two_link_grid(objective, gains, cfgs, 1.0, step=1e-3, cap0=0.45) - 1e-9
+
+
+def reference_budget_ascent(gains, cfgs, p_total, log_terms):
+    """The sum/product ascent evaluated through ee_of on numpy arrays: every
+    term is w * ee_of(g, max(p, 0), cfg), the scan is np.linspace and its best
+    point np.argmax. Objective sums run left to right from link 0 (what `sum`
+    computes before Python 3.12, which compensates sums of Python floats)."""
+    g, cfgs = allocator._check_links(gains, cfgs, p_total)
+    if log_terms and np.any(g == 0.0):
+        raise InfeasibleError("product objective is degenerate when a link has zero gain")
+    n = g.size
+    peaks = np.array([eepa(g[i], cfgs[i]) for i in range(n)])
+    caps = np.array([c.p_max if c.p_max is not None else math.inf for c in cfgs])
+
+    def term(i, p):
+        v = cfgs[i].weight * ee_of(g[i], max(p, 0.0), cfgs[i])
+        if log_terms:
+            return math.log(v) if v > 0.0 else -math.inf
+        return v
+
+    def total(p):
+        s = 0
+        for i in range(n):
+            s = s + term(i, p[i])
+        return s
+
+    p = np.minimum(peaks, caps)
+    s = float(p.sum())
+    if s <= p_total:
+        obj = total(p)
+        return Allocation(p, math.exp(obj) if log_terms else obj)
+    p *= p_total / s
+    obj = total(p)
+    for _ in range(500):
+        for i in range(n):
+            for j in range(i + 1, n):
+                t_lo = max(-p[i], p[j] - caps[j])
+                t_hi = min(p[j], caps[i] - p[i])
+                if t_hi - t_lo <= 1e-12:
+                    continue
+
+                def shifted(t, i=i, j=j):
+                    return term(i, p[i] + t) + term(j, p[j] - t)
+
+                ts = np.linspace(t_lo, t_hi, 33)
+                vals = [shifted(t) for t in ts]
+                k = int(np.argmax(vals))
+                t_star, best = allocator._golden_max(shifted, ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)])
+                if best > term(i, p[i]) + term(j, p[j]):
+                    p[i] += t_star
+                    p[j] -= t_star
+        new = total(p)
+        if new - obj <= 1e-9:
+            obj = max(obj, new)
+            break
+        obj = new
+    p = np.maximum(p, 0.0)
+    return Allocation(p, math.exp(obj) if log_terms else obj)
+
+
+@st.composite
+def ascent_instances(draw):
+    log_terms = draw(st.booleans())
+    n = draw(st.integers(2, 5))
+    gains = [10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(n)]
+    if not log_terms and draw(st.booleans()):
+        gains[draw(st.integers(0, n - 1))] = 0.0
+    cfgs = []
+    for g in gains:
+        pc = 10.0 ** draw(st.floats(-1.0, 1.0))
+        peak = eepa(g, LinkConfig(pc))
+        # some links capped below their EE peak
+        cap = draw(st.none() | st.floats(0.2, 0.95).map(lambda f: f * peak)) if peak > 0.0 else None
+        cfgs.append(LinkConfig(pc, cap, draw(st.floats(0.5, 2.0))))
+    capped_peaks = sum(min(eepa(g, c), c.p_max or math.inf) for g, c in zip(gains, cfgs))
+    # binding budgets run the transfer sweeps; slack ones return the capped peaks
+    budget = capped_peaks * draw(st.floats(0.05, 0.95) | st.floats(1.0, 2.0))
+    return log_terms, gains, cfgs, budget
+
+
+@settings(
+    max_examples=200, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(ascent_instances())
+@example((False, [0.0, 1.0, 2.0], [LinkConfig(1.0), LinkConfig(1.0, p_max=0.8), LinkConfig(0.5)], 1.0))
+@example((True, [1.0, 2.0], [LinkConfig(1.0, p_max=0.45), LinkConfig(0.5)], 1.0))
+def test_ascent_is_bitwise_the_ee_of_reference(case):
+    log_terms, gains, cfgs, budget = case
+    alloc = (wpee_ascent if log_terms else wsee_ascent)(gains, cfgs, budget)
+    ref = reference_budget_ascent(gains, cfgs, budget, log_terms)
+    assert alloc.objective == ref.objective
+    np.testing.assert_array_equal(alloc.powers, ref.powers)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])

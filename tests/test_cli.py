@@ -133,6 +133,24 @@ def test_usage_errors_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("fairness", "--pc", "7,9"),
+        ("fairness", "--n", "5"),
+        ("siso-profiles", "--n", "5"),
+        ("siso-ee-se", "--n", "5"),
+        ("pc-sweep", "--n", "5"),
+        ("table1", "--n", "5"),
+    ],
+)
+def test_flag_the_command_does_not_read_exits_1(tmp_path, capsys, command, flag, value):
+    rc = main([command, flag, value, "--trials", "2", "--out", str(tmp_path / "d")])
+    assert rc == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize(
     "flag, bad, name", [("--budget", "inf", "budget"), ("--budget", "nan", "budget"), ("--pc", "1,inf", "pc values")]
 )
 def test_non_finite_parameter_exits_1_naming_it(tmp_path, capsys, flag, bad, name):
@@ -151,6 +169,32 @@ def test_numerical_errors_exit_2(tmp_path, monkeypatch):
     monkeypatch.setattr("eepower.cli.run", boom)
     rc = main(["siso-ee-se", "--pc", "1", "--out", str(tmp_path / "d")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("budget_flag, budget", [([], "2.0"), (["--budget", "1.5"], "1.5")])
+def test_fairness_failure_names_trial_and_replay_command(tmp_path, monkeypatch, capsys, budget_flag, budget):
+    solve = experiments.wsee_ascent
+    calls = []
+
+    def fail_on_trial_2(gains, cfgs, p_total):
+        calls.append(p_total)
+        if len(calls) == 3:
+            raise NumericalError("synthetic failure")
+        return solve(gains, cfgs, p_total)
+
+    monkeypatch.setattr(experiments, "wsee_ascent", fail_on_trial_2)
+    rc = main(["fairness", "--trials", "5", "--seed", "3", *budget_flag, "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (
+        f"eepower: numerical error: fairness trial 2 (seed=3, budget={budget}): synthetic failure; "
+        f"replay: eepower fairness --seed 3 --trials 3{' --budget 1.5' if budget_flag else ''}\n"
+    )
+    assert not (tmp_path / "d").exists()
+    # the replay command ends on the same trial and reports it again
+    calls.clear()
+    assert main(["fairness", "--seed", "3", "--trials", "3", *budget_flag, "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == err
 
 
 def test_config_file_defaults_and_flag_precedence(tmp_path):
