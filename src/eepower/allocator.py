@@ -41,6 +41,15 @@ _FREE_LEVEL_SCALE = 1e3
 _DINKELBACH_MAX_ITER = 1000
 
 
+def _check_positive(name: str, value, optional: bool = False) -> None:
+    """ValueError naming `name` unless value is positive and finite (or None
+    when the parameter is optional)."""
+    if optional and value is None:
+        return
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Per-link constants: circuit power, optional power cap, weight."""
@@ -50,12 +59,9 @@ class LinkConfig:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.pc) and self.pc > 0.0):
-            raise ValueError(f"circuit power must be positive and finite, got {self.pc}")
-        if self.p_max is not None and not (math.isfinite(self.p_max) and self.p_max > 0.0):
-            raise ValueError(f"p_max must be positive and finite, got {self.p_max}")
-        if not (math.isfinite(self.weight) and self.weight > 0.0):
-            raise ValueError(f"weight must be positive and finite, got {self.weight}")
+        _check_positive("circuit power", self.pc)
+        _check_positive("p_max", self.p_max, optional=True)
+        _check_positive("weight", self.weight)
 
 
 @dataclass
@@ -85,10 +91,8 @@ class GeeProblem:
             raise ValueError("gains must be finite and non-negative")
         if not np.any(self.gains > 0.0):
             raise InfeasibleError("at least one gain must be positive")
-        if not (math.isfinite(self.pc) and self.pc > 0.0):
-            raise ValueError(f"circuit power must be positive and finite, got {self.pc}")
-        if self.p_max_total is not None and not (math.isfinite(self.p_max_total) and self.p_max_total > 0.0):
-            raise ValueError(f"p_max_total must be positive and finite, got {self.p_max_total}")
+        _check_positive("circuit power", self.pc)
+        _check_positive("p_max_total", self.p_max_total, optional=True)
 
 
 def se_of(gamma: float, p: float) -> float:
@@ -137,8 +141,7 @@ def wpa(gains, p_avg: float) -> Allocation:
         raise ValueError("gains must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(g)) or np.any(g < 0.0):
         raise ValueError("gains must be finite and non-negative")
-    if not (math.isfinite(p_avg) and p_avg > 0.0):
-        raise ValueError(f"p_avg must be positive and finite, got {p_avg}")
+    _check_positive("p_avg", p_avg)
     if not np.any(g > 0.0):
         raise InfeasibleError("water-filling needs at least one positive gain")
     powers = np.maximum(0.0, water_level(g, p_avg * g.size) - _inverse(g))
@@ -198,10 +201,8 @@ def gee_dinkelbach_rows(gains, pc: float, tol: float, p_max_total: float | None 
         raise ValueError(f"gains must be a non-empty (rows, n) array, got shape {g.shape}")
     if not np.all(np.isfinite(g)) or np.any(g < 0.0):
         raise ValueError("gains must be finite and non-negative")
-    if not (math.isfinite(pc) and pc > 0.0):
-        raise ValueError(f"circuit power must be positive and finite, got {pc}")
-    if p_max_total is not None and not (math.isfinite(p_max_total) and p_max_total > 0.0):
-        raise ValueError(f"p_max_total must be positive and finite, got {p_max_total}")
+    _check_positive("circuit power", pc)
+    _check_positive("p_max_total", p_max_total, optional=True)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     dead = ~np.any(g > 0.0, axis=1)
@@ -306,9 +307,13 @@ def wsee_ascent(gains, cfgs, p_total: float) -> Allocation:
     Each link's EE rises up to its peak (`eepa`, clipped to its cap), so the
     capped peaks are optimal whenever they fit the budget. Otherwise they are
     scaled onto the budget face and improved by golden-section line searches
-    along pairwise power transfers, sweep after sweep until the objective
-    stops rising. The objective is nonconvex; the result is a stationary
-    point, cross-checked against a grid oracle in tests.
+    along pairwise power transfers, sweep after sweep. Each link term is
+    concave on [0, min(peak, cap)] and no optimum puts a link above that
+    bound, so this is a concave program and a point no pairwise transfer
+    improves is its global optimum. The sweeps stop once a whole sweep raises
+    the objective by at most an absolute 1e-9, not a relative amount, so an
+    instance whose objective is far below 1 can stop early. Cross-checked
+    against a grid oracle in tests.
     """
     return _budget_ascent(gains, cfgs, p_total, log_terms=False)
 
@@ -332,8 +337,7 @@ def _check_links(gains, cfgs, p_total: float):
         raise ValueError(f"got {g.size} gains but {len(cfgs)} link configs")
     if not np.all(np.isfinite(g)) or np.any(g < 0.0):
         raise ValueError("gains must be finite and non-negative")
-    if not (math.isfinite(p_total) and p_total > 0.0):
-        raise ValueError(f"p_total must be positive and finite, got {p_total}")
+    _check_positive("p_total", p_total)
     return g, cfgs
 
 

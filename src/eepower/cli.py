@@ -16,7 +16,6 @@ import hashlib
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from . import __version__
 from .allocator import GeeProblem, LinkConfig, eepa, ee_of, gee_dinkelbach, wmee_maxmin, wpa, wpee_ascent, wsee_ascent
 from .channel import rng_for
 from .errors import PowerControlError
-from .experiments import default_spec, fairness_summary, run
+from .experiments import INPUTS, READS, default_spec, fairness_summary, run
 from .oracle import OBJECTIVES, GridSpec, grid_argmax
 
 _LN2 = math.log(2.0)
@@ -38,21 +37,6 @@ COMMANDS = {
     "mimo-sweep": "mimo_scaling",
     "fairness": "fairness",
     "table1": "table1",
-}
-
-CONFIG_KEYS = ("pc", "n", "trials", "seed", "budget", "units", "out")
-
-# the list flags each command reads; the others are not registered, so
-# passing one is a usage error instead of a manifest entry for a run it never
-# shaped
-_LIST_FLAGS = {
-    "siso-profiles": ("pc",),
-    "siso-ee-se": ("pc",),
-    "pc-sweep": ("pc",),
-    "ofdm-sweep": ("pc", "n"),
-    "mimo-sweep": ("pc", "n"),
-    "fairness": (),
-    "table1": ("pc",),
 }
 
 # objective-value shortfall tolerated when a solver is compared against the
@@ -79,16 +63,46 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
-def _parse_list(text: str, kind: type) -> tuple:
-    """Comma-separated list of `kind` values (float or int)."""
+def _list_of(kind: type):
+    """argparse converter for a comma-separated list of `kind` values (float or int)."""
     noun = "integers" if kind is int else "numbers"
-    try:
-        values = tuple(kind(v) for v in text.split(",") if v != "")
-    except ValueError:
-        raise UsageError(f"expected a comma-separated list of {noun}, got {text!r}")
-    if not values:
-        raise UsageError("empty list")
-    return values
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(kind(v) for v in text.split(",") if v != "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list of {noun}, got {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError("empty list")
+        return values
+
+    return parse
+
+
+# every option of an experiment command, by its flag and config-key name, as
+# argparse keywords; dest is the ExperimentSpec field or run setting it sets.
+# An input (experiments.INPUTS) is offered only by the commands whose
+# experiment reads it (experiments.READS); seed, units and out by all.
+_OPTIONS = {
+    "pc": {
+        "dest": "pc_values",
+        "metavar": "PC",
+        "type": _list_of(float),
+        "help": "comma-separated circuit powers in W",
+    },
+    "n": {"dest": "n_values", "metavar": "N", "type": _list_of(int), "help": "comma-separated dimension counts"},
+    "trials": {"dest": "trials", "type": int},
+    "seed": {"dest": "seed", "type": int},
+    "budget": {"dest": "budget", "type": float},
+    "units": {"dest": "units", "choices": ("nats", "bits")},
+    "out": {"dest": "out", "help": "output directory (default: out)"},
+}
+
+
+def _command_options(command: str) -> dict:
+    """The entries of _OPTIONS that `command` offers as flags and config keys."""
+    reads = READS[COMMANDS[command]]
+    return {name: kw for name, kw in _OPTIONS.items() if kw["dest"] in reads or kw["dest"] not in INPUTS}
 
 
 def build_parser() -> _Parser:
@@ -96,30 +110,27 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name in COMMANDS:
         p = sub.add_parser(name, description=f"run the {COMMANDS[name]} experiment")
-        if "pc" in _LIST_FLAGS[name]:
-            p.add_argument("--pc", help="comma-separated circuit powers in W")
-        if "n" in _LIST_FLAGS[name]:
-            p.add_argument("--n", help="comma-separated dimension counts")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--budget", type=float)
-        p.add_argument("--units", choices=("nats", "bits"))
-        p.add_argument("--out", help="output directory (default: out)")
+        for flag, kw in _command_options(name).items():
+            p.add_argument(f"--{flag}", **kw)
         p.add_argument("--config", help="key=value config file; flags take precedence")
     v = sub.add_parser("verify", description="compare a solver against the grid oracle")
     v.add_argument("--objective", choices=OBJECTIVES, required=True)
-    v.add_argument("--dims", type=int, default=2)
+    v.add_argument("--dims", type=int, help="1..3 (default 2); 1 for ee_siso")
     v.add_argument("--trials", type=int, default=10)
     v.add_argument("--seed", type=int, default=1)
     return parser
 
 
-def load_config(path: str) -> dict:
-    """Parse a key=value config file (one key per line, # comments).
+def load_config(path: str, command: str) -> dict:
+    """Parse a key=value config file (one key per line, # comments) for an
+    experiment command.
 
-    Returns a mapping of recognized option names to parsed values; unknown
-    keys and malformed values are rejected with the offending line number.
+    Keys are the command's flag names, offered and converted exactly as the
+    flags are; returns a mapping of option destinations to values. Unknown
+    keys, keys the command does not read and malformed values are rejected
+    with the file and line number.
     """
+    options = _command_options(command)
     out: dict = {}
     try:
         text = Path(path).read_text()
@@ -134,25 +145,18 @@ def load_config(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in options:
+            raise UsageError(f"{path}:{lineno}: {command} does not read key {key!r}")
+        kw = options[key]
         try:
-            if key == "pc":
-                out[key] = _parse_list(value, float)
-            elif key == "n":
-                out[key] = _parse_list(value, int)
-            elif key in ("trials", "seed"):
-                out[key] = int(value)
-            elif key == "budget":
-                out[key] = float(value)
-            elif key == "units":
-                if value not in ("nats", "bits"):
-                    raise ValueError(value)
-                out[key] = value
-            else:  # out
-                out[key] = value
-        except (ValueError, UsageError):
+            parsed = kw["type"](value) if "type" in kw else value
+        except (ValueError, argparse.ArgumentTypeError):
+            parsed = None
+        if parsed is None or ("choices" in kw and parsed not in kw["choices"]):
             raise UsageError(f"{path}:{lineno}: bad value for {key!r}: {value!r}")
+        out[kw["dest"]] = parsed
     return out
 
 
@@ -186,34 +190,14 @@ def console_main() -> None:
 
 def _cmd_experiment(args) -> int:
     experiment = COMMANDS[args.command]
-    options = load_config(args.config) if args.config else {}
-    for key in ("trials", "seed", "budget", "units", "out"):
-        value = getattr(args, key)
-        if value is not None:
-            options[key] = value
-    for key, kind in (("pc", float), ("n", int)):
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = _parse_list(value, kind)
-
-    seed = int(options.get("seed", 1))
+    options = load_config(args.config, args.command) if args.config else {}
+    options.update((k, v) for k, v in vars(args).items() if v is not None and k not in ("command", "config"))
+    units = options.pop("units", "bits")
+    outdir = Path(options.pop("out", "out"))
     try:
-        spec = default_spec(experiment, seed=seed)
-        overrides = {}
-        if "pc" in options:
-            overrides["pc_values"] = options["pc"]
-        if "n" in options:
-            overrides["n_values"] = options["n"]
-        if "trials" in options:
-            overrides["trials"] = options["trials"]
-        if "budget" in options:
-            overrides["budget"] = options["budget"]
-        if overrides:
-            spec = replace(spec, **overrides)
+        spec = default_spec(experiment, **options)
     except ValueError as exc:
         raise UsageError(f"eepower {args.command}: {exc}")
-    units = options.get("units", "bits")
-    outdir = Path(options.get("out", "out"))
 
     started = time.perf_counter()
     curves = run(spec)
@@ -283,18 +267,20 @@ def _render_manifest(command: str, spec, units: str, written) -> bytes:
 
 
 def _cmd_verify(args) -> int:
-    if args.dims < 1 or (args.objective != "ee_siso" and args.dims > 3):
-        raise UsageError("verify: --dims must be 1..3 (1 for ee_siso)")
+    top = 1 if args.objective == "ee_siso" else 3
+    dims = min(2, top) if args.dims is None else args.dims
+    if not 1 <= dims <= top:
+        raise UsageError(f"verify: --dims must be 1..3 (1 for ee_siso), got {dims} for {args.objective}")
     if args.trials < 1:
         raise UsageError(f"verify: --trials must be >= 1, got {args.trials}")
-    if args.objective == "ee_siso" and args.dims != 1:
-        args.dims = 1
+    if args.seed < 0:
+        raise UsageError(f"verify: --seed must be >= 0, got {args.seed}")
     worst = 0.0
     worst_trial = None
     for i in range(args.trials):
         rng = rng_for(args.seed, i)
-        gains = np.exp(rng.random(args.dims) * (math.log(3.0) - math.log(0.3)) + math.log(0.3))
-        pcs = 0.5 + 1.5 * rng.random(args.dims)
+        gains = np.exp(rng.random(dims) * (math.log(3.0) - math.log(0.3)) + math.log(0.3))
+        pcs = 0.5 + 1.5 * rng.random(dims)
         cfgs = [LinkConfig(pc) for pc in pcs]
         shortfall = _verify_instance(args.objective, gains, cfgs)
         if shortfall > worst:
@@ -305,7 +291,7 @@ def _cmd_verify(args) -> int:
     if worst <= tol:
         return 0
     i, gains, pcs = worst_trial
-    replay = f"eepower verify --objective {args.objective} --dims {args.dims} --seed {args.seed} --trials {i + 1}"
+    replay = f"eepower verify --objective {args.objective} --dims {dims} --seed {args.seed} --trials {i + 1}"
     print(
         f"verify {args.objective}: worst trial {i} (seed={args.seed}): gains {gains.tolist()!r}, "
         f"pcs {pcs.tolist()!r}; replay: {replay}",

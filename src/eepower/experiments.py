@@ -38,16 +38,6 @@ from .numerics import svd_gains
 from .channel import draw_matrix  # noqa: F401
 from .numerics import bisect  # noqa: F401
 
-EXPERIMENTS = (
-    "siso_profiles",
-    "siso_ee_se",
-    "pc_sweep",
-    "ofdm_scaling",
-    "mimo_scaling",
-    "fairness",
-    "table1",
-)
-
 DEFAULT_TRIALS = {
     "siso_profiles": 10_000,
     "siso_ee_se": 1,
@@ -72,6 +62,22 @@ DEFAULT_N = {
     "ofdm_scaling": (1, 2, 4, 8, 16, 32, 64),
     "mimo_scaling": (1, 2, 4, 8, 16, 32),
 }
+
+# the run inputs, as ExperimentSpec fields, and the ones each experiment
+# reads: default_spec refuses an override of any other, and the CLI offers a
+# flag and a config key for these only, so a manifest never records an input
+# that did not shape its data
+INPUTS = ("pc_values", "n_values", "trials", "budget")
+READS = {
+    "siso_profiles": ("pc_values", "trials", "budget"),
+    "siso_ee_se": ("pc_values",),
+    "pc_sweep": ("pc_values",),
+    "ofdm_scaling": ("pc_values", "n_values", "trials", "budget"),
+    "mimo_scaling": ("pc_values", "n_values", "trials", "budget"),
+    "fairness": ("trials", "budget"),
+    "table1": ("trials", "budget"),
+}
+EXPERIMENTS = tuple(READS)
 
 # mean power budget for the water-filling profile comparison
 DEFAULT_WPA_BUDGET = 1.0
@@ -119,10 +125,27 @@ class ExperimentSpec:
             raise ValueError(f"fairness needs >= 2 links, got {self.links}")
         if not (0.0 < self.pc_range[0] <= self.pc_range[1]):
             raise ValueError(f"bad pc_range {self.pc_range}")
+        # what each experiment needs of the inputs it reads
+        reads, pcs, ns = READS[self.experiment], self.pc_values, self.n_values
+        if self.experiment == "siso_profiles" and len(pcs) != 1:
+            raise ValueError(f"siso_profiles reads exactly one pc value, got {pcs}")
+        if self.experiment == "pc_sweep" and len(pcs) < 2:
+            raise ValueError(f"pc_sweep needs at least two pc values, got {pcs}")
+        if self.experiment == "table1" and pcs != (1.0,):
+            raise ValueError(f"the gain table is defined at pc = 1 W only, got {pcs}")
+        if "pc_values" in reads and not pcs:
+            raise ValueError("need at least one pc value")
+        if "n_values" in reads and (not ns or any(b <= a for a, b in zip(ns, ns[1:]))):
+            raise ValueError(f"n values must be non-empty and strictly ascending, got {ns}")
 
 
 def default_spec(experiment: str, seed: int = 1, **overrides) -> ExperimentSpec:
-    """Spec with the documented defaults for the named experiment."""
+    """Spec with the documented defaults for the named experiment; an
+    override of an input the experiment does not read (see READS) is a
+    ValueError."""
+    unread = [f for f in INPUTS if f in overrides and f not in READS.get(experiment, INPUTS)]
+    if unread:
+        raise ValueError(f"{experiment} does not read {', '.join(unread)}")
     base = ExperimentSpec(
         experiment=experiment,
         fading=FadingSpec(seed=seed),
@@ -190,8 +213,6 @@ def run_siso_profiles(spec: ExperimentSpec) -> list[CurveSet]:
     fading draws equals the budget (default 1 W), mirroring a long-run average
     power constraint.
     """
-    if not spec.pc_values:
-        raise ValueError("siso_profiles needs one pc value")
     pc = spec.pc_values[0]
     cfg = LinkConfig(pc)
     budget = spec.budget if spec.budget is not None else DEFAULT_WPA_BUDGET
@@ -229,11 +250,7 @@ def run_siso_ee_se(spec: ExperimentSpec) -> list[CurveSet]:
     """Parametric EE-SE curve per circuit power; the pc_sweep variant adds the
     matched-SE EE ratio between consecutive pc values (linear interpolation on
     the sampled curves over their common SE range)."""
-    if not spec.pc_values:
-        raise ValueError("need at least one pc value")
     sweep = spec.experiment == "pc_sweep"
-    if sweep and len(spec.pc_values) < 2:
-        raise ValueError("pc_sweep needs at least two pc values")
     grid = _gamma_grid(spec)
     curves = []
     traced = []
@@ -330,13 +347,7 @@ def _stderr(values: np.ndarray) -> float:
 
 
 def _scaling_curves(spec: ExperimentSpec, tech: str) -> list[CurveSet]:
-    if not spec.n_values:
-        raise ValueError("need at least one dimension count")
     ns = list(spec.n_values)
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n values must be strictly ascending")
-    if not spec.pc_values:
-        raise ValueError("need at least one pc value")
     stats = _scaling_stats(spec, tech, ns, spec.pc_values)
     columns = [
         ("n", "1"),
@@ -443,8 +454,6 @@ def fairness_summary(curve: CurveSet, trials: int) -> CurveSet:
 def run_table1(spec: ExperimentSpec) -> list[CurveSet]:
     """EE and SE gain ratios over the single-dimension baseline for the
     standard subcarrier and antenna counts, at circuit power 1 W."""
-    if 1.0 not in spec.pc_values:
-        raise ValueError("the gain table is defined at pc = 1.0")
     pc = 1.0
     ofdm_ns = [1, *TABLE1_OFDM_N]
     mimo_ns = [1, *TABLE1_MIMO_N]

@@ -23,14 +23,27 @@ def test_siso_ee_se_writes_curves_and_manifest(tmp_path):
     assert manifest.count("sha256=") == 2
 
 
+# every experiment command at small trials, with only the flags it reads
+SMALL_RUNS = {
+    "siso-profiles": ["--trials", "50"],
+    "siso-ee-se": ["--pc", "1,2"],
+    "pc-sweep": ["--pc", "1,2"],
+    "ofdm-sweep": ["--pc", "1", "--n", "1,2", "--trials", "20"],
+    "mimo-sweep": ["--pc", "1", "--n", "1,2", "--trials", "5", "--budget", "3"],
+    "fairness": ["--trials", "4"],
+    "table1": ["--trials", "5"],
+}
+
+
 def test_rerun_is_byte_identical(tmp_path):
-    out = tmp_path / "d"
-    args = ["ofdm-sweep", "--pc", "1", "--n", "1,2", "--trials", "20", "--seed", "7", "--out", str(out)]
-    assert main(args) == 0
-    first = read_all_bytes(out)
-    assert main(args) == 0
-    second = read_all_bytes(out)
-    assert first == second
+    for command, flags in SMALL_RUNS.items():
+        out = tmp_path / command
+        args = [command, *flags, "--seed", "7", "--out", str(out)]
+        assert main(args) == 0
+        first = read_all_bytes(out)
+        assert main(args) == 0
+        second = read_all_bytes(out)
+        assert first == second, command
 
 
 def test_manifest_digests_match_files(tmp_path):
@@ -126,27 +139,66 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["siso-ee-se", "--pc", "zero", "--out", str(tmp_path)]) == 1
     assert main(["siso-ee-se", "--pc", "-1", "--out", str(tmp_path)]) == 1
     assert main(["verify", "--objective", "gee", "--dims", "9"]) == 1
+    assert main(["verify", "--objective", "ee_siso", "--dims", "3"]) == 1
     assert main(["verify", "--objective", "gee", "--trials", "0"]) == 1
     assert "--trials must be >= 1, got 0" in capsys.readouterr().err
+    assert main(["verify", "--objective", "gee", "--seed", "-1", "--trials", "1"]) == 1
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
     assert main(["ofdm-sweep", "--n", "1.5", "--out", str(tmp_path)]) == 1
     assert "list of integers, got '1.5'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command, flag, value",
-    [
-        ("fairness", "--pc", "7,9"),
-        ("fairness", "--n", "5"),
-        ("siso-profiles", "--n", "5"),
-        ("siso-ee-se", "--n", "5"),
-        ("pc-sweep", "--n", "5"),
-        ("table1", "--n", "5"),
-    ],
-)
+# every (command, input) pair that experiments.READS leaves out
+UNREAD_INPUTS = [
+    ("fairness", "--pc", "7,9"),
+    ("fairness", "--n", "5"),
+    ("siso-profiles", "--n", "5"),
+    ("siso-ee-se", "--n", "5"),
+    ("pc-sweep", "--n", "5"),
+    ("table1", "--n", "5"),
+    ("table1", "--pc", "2"),
+    ("siso-ee-se", "--trials", "7"),
+    ("siso-ee-se", "--budget", "5"),
+    ("pc-sweep", "--trials", "7"),
+    ("pc-sweep", "--budget", "5"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_INPUTS)
 def test_flag_the_command_does_not_read_exits_1(tmp_path, capsys, command, flag, value):
-    rc = main([command, flag, value, "--trials", "2", "--out", str(tmp_path / "d")])
+    rc = main([command, flag, value, "--out", str(tmp_path / "d")])
     assert rc == 1
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", UNREAD_INPUTS)
+def test_config_key_the_command_does_not_read_exits_1(tmp_path, capsys, command, flag, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed=3\n{flag[2:]}={value}\n")
+    rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "d")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"{cfg}:2: {command} does not read key {flag[2:]!r}\n"
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["pc-sweep", "--pc", "1"], "pc_sweep needs at least two pc values, got (1.0,)"),
+        (["ofdm-sweep", "--n", "4,2"], "n values must be non-empty and strictly ascending, got (4, 2)"),
+        (["mimo-sweep", "--n", "2,2"], "n values must be non-empty and strictly ascending, got (2, 2)"),
+        (["siso-profiles", "--pc", "1,2"], "siso_profiles reads exactly one pc value, got (1.0, 2.0)"),
+        (["table1", "--pc", "2"], "unrecognized arguments: --pc 2"),
+    ],
+    ids=["pc-sweep-one-pc", "ofdm-sweep-descending-n", "mimo-sweep-repeated-n", "siso-profiles-two-pc", "table1-pc"],
+)
+def test_input_the_experiment_cannot_take_exits_1(tmp_path, capsys, args, message):
+    rc = main([*args, "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert message in err
+    assert "Traceback" not in err
     assert not (tmp_path / "d").exists()
 
 
@@ -199,25 +251,30 @@ def test_fairness_failure_names_trial_and_replay_command(tmp_path, monkeypatch, 
 
 def test_config_file_defaults_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment line\npc=1,2\ntrials=9\n")
+    cfg.write_text("# comment line\npc=1,2\nseed=9\n")
     out = tmp_path / "d"
     rc = main(["siso-ee-se", "--config", str(cfg), "--pc", "4", "--out", str(out)])
     assert rc == 0
     names = sorted(f.name for f in out.iterdir())
     assert names == ["manifest.txt", "siso_ee_se_pc4.csv"]
-    assert "pc: 4\n" in (out / "manifest.txt").read_text()
+    manifest = (out / "manifest.txt").read_text()
+    assert "pc: 4\n" in manifest
+    assert "seed: 9\n" in manifest
 
 
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("pc=zero\n")
     with pytest.raises(Exception) as err:
-        load_config(str(bad))
+        load_config(str(bad), "siso-ee-se")
     assert ":1:" in str(err.value)
+    bad.write_text("seed=2\nunits=furlongs\n")
+    with pytest.raises(Exception, match=":2: bad value for 'units': 'furlongs'"):
+        load_config(str(bad), "siso-ee-se")
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("mystery=1\n")
     with pytest.raises(Exception) as err:
-        load_config(str(unknown))
+        load_config(str(unknown), "siso-ee-se")
     assert "unknown key" in str(err.value)
     assert main(["siso-ee-se", "--config", str(unknown), "--out", str(tmp_path / "d")]) == 1
 
@@ -225,7 +282,7 @@ def test_config_file_errors(tmp_path):
 def test_empty_config_gives_defaults(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("")
-    assert load_config(str(cfg)) == {}
+    assert load_config(str(cfg), "siso-ee-se") == {}
 
 
 def test_help_exits_zero(capsys):

@@ -29,6 +29,39 @@ def test_spec_validation():
         run(default_spec("table1", pc_values=(2.0,)))
 
 
+@pytest.mark.parametrize(
+    "experiment, field, value",
+    [
+        ("siso_ee_se", "trials", 7),
+        ("siso_ee_se", "budget", 5.0),
+        ("pc_sweep", "n_values", (5,)),
+        ("fairness", "pc_values", (1.0, 2.0)),
+        ("table1", "pc_values", (2.0,)),
+        ("siso_profiles", "n_values", (3,)),
+    ],
+)
+def test_default_spec_refuses_an_input_the_experiment_does_not_read(experiment, field, value):
+    assert field not in experiments.READS[experiment]
+    with pytest.raises(ValueError, match=f"{experiment} does not read {field}"):
+        default_spec(experiment, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides, match",
+    [
+        ("siso_profiles", {"pc_values": (1.0, 2.0)}, "exactly one pc value"),
+        ("pc_sweep", {"pc_values": (1.0,)}, "at least two pc values"),
+        ("siso_ee_se", {"pc_values": ()}, "at least one pc value"),
+        ("ofdm_scaling", {"pc_values": (1.0,), "n_values": ()}, "n values"),
+        ("mimo_scaling", {"pc_values": (1.0,), "n_values": (4, 2)}, "n values"),
+        ("table1", {"pc_values": (2.0,)}, "pc = 1 W"),
+    ],
+)
+def test_spec_checks_what_each_experiment_needs_of_its_inputs(experiment, overrides, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentSpec(experiment, **overrides)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_spec_rejects_non_finite_budget_and_pc(bad):
     with pytest.raises(ValueError, match="budget"):
