@@ -22,14 +22,13 @@ from .allocator import (
 from .channel import FadingSpec, draw_gain_rows, draw_gains, draw_matrix, matrices_from_uniforms, rng_for, stream_uniforms
 from .errors import InfeasibleError, NumericalError, PowerControlError
 from .experiments import CurveSet, ExperimentSpec, default_spec, run
-from .metrics import EeSePoint, MultiLinkReport, evaluate, jain_index, trace_ee_se
+from .metrics import MultiLinkReport, evaluate, jain_index, trace_ee_se
 from .numerics import bisect, lambert_w0, svd_gains
 from .oracle import GridSpec, grid_argmax
 
 __all__ = [
     "Allocation",
     "CurveSet",
-    "EeSePoint",
     "ExperimentSpec",
     "FadingSpec",
     "GeeProblem",

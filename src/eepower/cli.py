@@ -16,6 +16,7 @@ import hashlib
 import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,20 +25,10 @@ from . import __version__
 from .allocator import GeeProblem, LinkConfig, eepa, ee_of, gee_dinkelbach, wmee_maxmin, wpa, wpee_ascent, wsee_ascent
 from .channel import rng_for
 from .errors import PowerControlError
-from .experiments import INPUTS, READS, default_spec, fairness_summary, run
+from .experiments import EXPERIMENTS, ExperimentSpec, default_spec, run
 from .oracle import OBJECTIVES, GridSpec, grid_argmax
 
 _LN2 = math.log(2.0)
-
-COMMANDS = {
-    "siso-profiles": "siso_profiles",
-    "siso-ee-se": "siso_ee_se",
-    "pc-sweep": "pc_sweep",
-    "ofdm-sweep": "ofdm_scaling",
-    "mimo-sweep": "mimo_scaling",
-    "fairness": "fairness",
-    "table1": "table1",
-}
 
 # objective-value shortfall tolerated when a solver is compared against the
 # grid oracle; grids are listed as (p_max, steps, budget per dimension)
@@ -81,8 +72,8 @@ def _list_of(kind: type):
 
 # every option of an experiment command, by its flag and config-key name, as
 # argparse keywords; dest is the ExperimentSpec field or run setting it sets.
-# An input (experiments.INPUTS) is offered only by the commands whose
-# experiment reads it (experiments.READS); seed, units and out by all.
+# A field is offered only by the commands whose experiment reads it
+# (experiments.EXPERIMENTS); the run settings seed, units and out by all.
 _OPTIONS = {
     "pc": {
         "dest": "pc_values",
@@ -99,18 +90,23 @@ _OPTIONS = {
 }
 
 
+def _experiment_of(command: str) -> str:
+    return next(name for name, entry in EXPERIMENTS.items() if entry.command == command)
+
+
 def _command_options(command: str) -> dict:
     """The entries of _OPTIONS that `command` offers as flags and config keys."""
-    reads = READS[COMMANDS[command]]
-    return {name: kw for name, kw in _OPTIONS.items() if kw["dest"] in reads or kw["dest"] not in INPUTS}
+    reads = EXPERIMENTS[_experiment_of(command)].reads
+    spec_fields = {f.name for f in fields(ExperimentSpec)}
+    return {name: kw for name, kw in _OPTIONS.items() if kw["dest"] in reads or kw["dest"] not in spec_fields}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="eepower", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name, description=f"run the {COMMANDS[name]} experiment")
-        for flag, kw in _command_options(name).items():
+    for name, entry in EXPERIMENTS.items():
+        p = sub.add_parser(entry.command, description=f"run the {name} experiment")
+        for flag, kw in _command_options(entry.command).items():
             p.add_argument(f"--{flag}", **kw)
         p.add_argument("--config", help="key=value config file; flags take precedence")
     v = sub.add_parser("verify", description="compare a solver against the grid oracle")
@@ -163,7 +159,9 @@ def load_config(path: str, command: str) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            _reject(parser, args.command, extras)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -188,21 +186,29 @@ def console_main() -> None:
     sys.exit(main())
 
 
+def _reject(parser: _Parser, command: str | None, extras: list[str]):
+    """UsageError for the arguments `command` has no option for: an option
+    of another command is refused as one this command does not read, the
+    same way a config key is; anything else gets argparse's message."""
+    for arg in extras:
+        flag = arg.partition("=")[0]
+        if command and flag.startswith("--") and flag[2:] in _OPTIONS:
+            raise UsageError(f"eepower {command}: {command} does not read {flag}")
+    parser.error(f"unrecognized arguments: {' '.join(extras)}")
+
+
 def _cmd_experiment(args) -> int:
-    experiment = COMMANDS[args.command]
     options = load_config(args.config, args.command) if args.config else {}
     options.update((k, v) for k, v in vars(args).items() if v is not None and k not in ("command", "config"))
     units = options.pop("units", "bits")
     outdir = Path(options.pop("out", "out"))
     try:
-        spec = default_spec(experiment, **options)
+        spec = default_spec(_experiment_of(args.command), **options)
     except ValueError as exc:
         raise UsageError(f"eepower {args.command}: {exc}")
 
     started = time.perf_counter()
     curves = run(spec)
-    if experiment == "fairness":
-        curves.append(fairness_summary(curves[0], spec.trials))
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     for curve in curves:
@@ -241,9 +247,11 @@ def _render_csv(curve, units: str) -> bytes:
 
 
 def _render_manifest(command: str, spec, units: str, written) -> bytes:
-    def fmt_list(values):
-        return ",".join(format(v, "g") for v in values) if values else "-"
-
+    """The run's header, each field its experiment reads at the value in
+    effect (named by its flag where it has one), the units and a digest per
+    written file."""
+    names = {kw["dest"]: name for name, kw in _OPTIONS.items()}
+    reads = EXPERIMENTS[spec.experiment].reads
     lines = [
         f"command: {command}",
         f"version: {__version__}",
@@ -251,19 +259,22 @@ def _render_manifest(command: str, spec, units: str, written) -> bytes:
         f"seed: {spec.fading.seed}",
         f"fading: {spec.fading.kind}",
         f"mean_gain: {format(spec.fading.mean_gain, 'g')}",
-        f"pc: {fmt_list(spec.pc_values)}",
-        f"n: {fmt_list(spec.n_values)}",
-        f"trials: {spec.trials}",
-        f"budget: {format(spec.budget, 'g') if spec.budget is not None else '-'}",
-        f"units: {units}",
-        f"gamma_points: {spec.gamma_points}",
-        f"gamma_range: {fmt_list(spec.gamma_range)}",
-        f"links: {spec.links}",
-        f"pc_range: {fmt_list(spec.pc_range)}",
     ]
+    for field in fields(spec):
+        if field.name in reads:
+            lines.append(f"{names.get(field.name, field.name)}: {_manifest_value(getattr(spec, field.name))}")
+    lines.append(f"units: {units}")
     for name, digest in written:
         lines.append(f"file: {name} sha256={digest}")
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _manifest_value(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, tuple):
+        return ",".join(format(v, "g") for v in value)
+    return str(value) if isinstance(value, int) else format(value, "g")
 
 
 def _cmd_verify(args) -> int:

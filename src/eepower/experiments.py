@@ -6,12 +6,19 @@ dimension-gain summary table.
 Every run is a pure function of its spec (seed included): trials draw from
 per-trial substreams, and aggregation is plain numpy reductions over arrays
 held in trial order, so reruns are bit-identical.
+
+Each experiment is declared once, in EXPERIMENTS at the end of this module:
+its CLI command, its runner, the spec fields the runner reads and its
+defaults. default_spec, run, the spec checks, the CLI and the run manifest
+all follow that record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -19,7 +26,6 @@ from .allocator import (
     GeeProblem,
     LinkConfig,
     ee_of,
-    eepa,
     gee_dinkelbach,
     gee_dinkelbach_rows,
     se_of,
@@ -38,51 +44,6 @@ from .numerics import svd_gains
 from .channel import draw_matrix  # noqa: F401
 from .numerics import bisect  # noqa: F401
 
-DEFAULT_TRIALS = {
-    "siso_profiles": 10_000,
-    "siso_ee_se": 1,
-    "pc_sweep": 1,
-    "ofdm_scaling": 10_000,
-    "mimo_scaling": 1_000,
-    "fairness": 200,
-    "table1": 1_000,
-}
-
-DEFAULT_PC = {
-    "siso_profiles": (1.0,),
-    "siso_ee_se": (1.0,),
-    "pc_sweep": (1.0, 2.0),
-    "ofdm_scaling": (1.0, 2.0),
-    "mimo_scaling": (1.0, 2.0),
-    "fairness": (1.0,),
-    "table1": (1.0,),
-}
-
-DEFAULT_N = {
-    "ofdm_scaling": (1, 2, 4, 8, 16, 32, 64),
-    "mimo_scaling": (1, 2, 4, 8, 16, 32),
-}
-
-# the run inputs, as ExperimentSpec fields, and the ones each experiment
-# reads: default_spec refuses an override of any other, and the CLI offers a
-# flag and a config key for these only, so a manifest never records an input
-# that did not shape its data
-INPUTS = ("pc_values", "n_values", "trials", "budget")
-READS = {
-    "siso_profiles": ("pc_values", "trials", "budget"),
-    "siso_ee_se": ("pc_values",),
-    "pc_sweep": ("pc_values",),
-    "ofdm_scaling": ("pc_values", "n_values", "trials", "budget"),
-    "mimo_scaling": ("pc_values", "n_values", "trials", "budget"),
-    "fairness": ("trials", "budget"),
-    "table1": ("trials", "budget"),
-}
-EXPERIMENTS = tuple(READS)
-
-# mean power budget for the water-filling profile comparison
-DEFAULT_WPA_BUDGET = 1.0
-# total power budget shared by the links of one fairness instance
-DEFAULT_FAIRNESS_BUDGET = 2.0
 # dimension-gain table rows: (subcarrier count, antenna count) per row
 TABLE1_OFDM_N = (16, 64)
 TABLE1_MIMO_N = (4, 32)
@@ -109,8 +70,9 @@ class ExperimentSpec:
     pc_range: tuple[float, float] = (0.25, 2.0)
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
+        entry = _entry(self.experiment)
+        if self.budget is None:  # the experiment's own budget is the one in effect
+            object.__setattr__(self, "budget", entry.budget)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not all(math.isfinite(pc) and pc > 0.0 for pc in self.pc_values):
@@ -126,7 +88,7 @@ class ExperimentSpec:
         if not (0.0 < self.pc_range[0] <= self.pc_range[1]):
             raise ValueError(f"bad pc_range {self.pc_range}")
         # what each experiment needs of the inputs it reads
-        reads, pcs, ns = READS[self.experiment], self.pc_values, self.n_values
+        reads, pcs, ns = entry.reads, self.pc_values, self.n_values
         if self.experiment == "siso_profiles" and len(pcs) != 1:
             raise ValueError(f"siso_profiles reads exactly one pc value, got {pcs}")
         if self.experiment == "pc_sweep" and len(pcs) < 2:
@@ -140,20 +102,21 @@ class ExperimentSpec:
 
 
 def default_spec(experiment: str, seed: int = 1, **overrides) -> ExperimentSpec:
-    """Spec with the documented defaults for the named experiment; an
-    override of an input the experiment does not read (see READS) is a
-    ValueError."""
-    unread = [f for f in INPUTS if f in overrides and f not in READS.get(experiment, INPUTS)]
+    """Spec with the registered defaults of the named experiment (see
+    EXPERIMENTS); an override of a field the experiment does not read is a
+    ValueError. Every experiment takes `fading`."""
+    entry = _entry(experiment)
+    unread = [f for f in overrides if f != "fading" and f not in entry.reads]
     if unread:
         raise ValueError(f"{experiment} does not read {', '.join(unread)}")
-    base = ExperimentSpec(
-        experiment=experiment,
-        fading=FadingSpec(seed=seed),
-        pc_values=DEFAULT_PC.get(experiment, (1.0,)),
-        n_values=DEFAULT_N.get(experiment, ()),
-        trials=DEFAULT_TRIALS.get(experiment, 1),
-    )
+    base = ExperimentSpec(experiment, FadingSpec(seed=seed), entry.pc_values, entry.n_values, entry.trials)
     return replace(base, **overrides) if overrides else base
+
+
+def _entry(experiment: str) -> Experiment:
+    if experiment not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r}; expected one of {tuple(EXPERIMENTS)}")
+    return EXPERIMENTS[experiment]
 
 
 @dataclass
@@ -185,17 +148,8 @@ class CurveSet:
 
 
 def run(spec: ExperimentSpec) -> list[CurveSet]:
-    """Dispatch to the pipeline named by spec.experiment."""
-    runner = {
-        "siso_profiles": run_siso_profiles,
-        "siso_ee_se": run_siso_ee_se,
-        "pc_sweep": run_siso_ee_se,
-        "ofdm_scaling": run_ofdm_scaling,
-        "mimo_scaling": run_mimo_scaling,
-        "fairness": run_fairness,
-        "table1": run_table1,
-    }[spec.experiment]
-    curves = runner(spec)
+    """Run the pipeline registered for spec.experiment."""
+    curves = EXPERIMENTS[spec.experiment].runner(spec)
     for c in curves:
         c.validate()
     return curves
@@ -210,30 +164,19 @@ def run_siso_profiles(spec: ExperimentSpec) -> list[CurveSet]:
     """Power profiles and per-gain SE/EE of the EE-optimal scheme vs water-filling.
 
     The water level is calibrated so that the mean power over `trials` seeded
-    fading draws equals the budget (default 1 W), mirroring a long-run average
-    power constraint.
+    fading draws equals the budget, mirroring a long-run average power
+    constraint.
     """
     pc = spec.pc_values[0]
     cfg = LinkConfig(pc)
-    budget = spec.budget if spec.budget is not None else DEFAULT_WPA_BUDGET
     sample = draw_gains(spec.fading, max(spec.trials, 2), stream=0)
-    level = float(water_level(sample, budget * sample.size))
+    level = float(water_level(sample, spec.budget * sample.size))
 
+    grid = _gamma_grid(spec)
     rows = []
-    for gamma in _gamma_grid(spec):
-        p_ee = eepa(gamma, cfg)
+    for gamma, p_ee, se_ee, ee_ee in zip(grid, *trace_ee_se(cfg, grid)):
         p_wf = max(0.0, level - 1.0 / gamma)
-        rows.append(
-            [
-                gamma,
-                p_ee,
-                p_wf,
-                se_of(gamma, p_ee),
-                se_of(gamma, p_wf),
-                ee_of(gamma, p_ee, cfg),
-                ee_of(gamma, p_wf, cfg),
-            ]
-        )
+        rows.append([gamma, p_ee, p_wf, se_ee, se_of(gamma, p_wf), ee_ee, ee_of(gamma, p_wf, cfg)])
     columns = [
         ("gamma", "1"),
         ("p_eepa", "W"),
@@ -247,44 +190,38 @@ def run_siso_profiles(spec: ExperimentSpec) -> list[CurveSet]:
 
 
 def run_siso_ee_se(spec: ExperimentSpec) -> list[CurveSet]:
-    """Parametric EE-SE curve per circuit power; the pc_sweep variant adds the
-    matched-SE EE ratio between consecutive pc values (linear interpolation on
-    the sampled curves over their common SE range)."""
-    sweep = spec.experiment == "pc_sweep"
+    """Parametric EE-SE curve per circuit power."""
     grid = _gamma_grid(spec)
+    columns = [("gamma", "1"), ("se", "nats_per_s_per_Hz"), ("ee", "nats_per_J")]
     curves = []
-    traced = []
     for pc in spec.pc_values:
-        points = trace_ee_se(LinkConfig(pc), grid)
-        se = np.array([pt.se for pt in points])
-        ee = np.array([pt.ee for pt in points])
-        traced.append((se, ee))
-        rows = [[g, s, e] for g, s, e in zip(grid, se, ee)]
-        curves.append(
+        _p, se, ee = trace_ee_se(LinkConfig(pc), grid)
+        curves.append(CurveSet(f"siso_ee_se_pc{pc:g}", columns, [[g, s, e] for g, s, e in zip(grid, se, ee)]))
+    return curves
+
+
+def run_pc_sweep(spec: ExperimentSpec) -> list[CurveSet]:
+    """The EE-SE curves of run_siso_ee_se plus the matched-SE EE ratio between
+    consecutive pc values (linear interpolation on the sampled curves over
+    their common SE range)."""
+    curves = run_siso_ee_se(spec)
+    ratios = []
+    for pc_a, pc_b, a, b in zip(spec.pc_values, spec.pc_values[1:], curves, curves[1:]):
+        se_a, ee_a, se_b, ee_b = a.column("se"), a.column("ee"), b.column("se"), b.column("ee")
+        lo = max(se_a[0], se_b[0])
+        hi = min(se_a[-1], se_b[-1])
+        mask = (se_a >= lo) & (se_a <= hi)
+        x = se_a[mask]
+        ratio = np.interp(x, se_b, ee_b) / ee_a[mask]
+        rows = [[s, r] for s, r in zip(x, ratio)]
+        ratios.append(
             CurveSet(
-                f"siso_ee_se_pc{pc:g}",
-                [("gamma", "1"), ("se", "nats_per_s_per_Hz"), ("ee", "nats_per_J")],
+                f"pc_ratio_pc{pc_a:g}_to_pc{pc_b:g}",
+                [("se_matched", "nats_per_s_per_Hz"), ("ee_ratio", "1")],
                 rows,
             )
         )
-    if sweep:
-        for (pc_a, (se_a, ee_a)), (pc_b, (se_b, ee_b)) in zip(
-            zip(spec.pc_values, traced), zip(spec.pc_values[1:], traced[1:])
-        ):
-            lo = max(se_a[0], se_b[0])
-            hi = min(se_a[-1], se_b[-1])
-            mask = (se_a >= lo) & (se_a <= hi)
-            x = se_a[mask]
-            ratio = np.interp(x, se_b, ee_b) / ee_a[mask]
-            rows = [[s, r] for s, r in zip(x, ratio)]
-            curves.append(
-                CurveSet(
-                    f"pc_ratio_pc{pc_a:g}_to_pc{pc_b:g}",
-                    [("se_matched", "nats_per_s_per_Hz"), ("ee_ratio", "1")],
-                    rows,
-                )
-            )
-    return curves
+    return curves + ratios
 
 
 def _scaling_stats(spec: ExperimentSpec, tech: str, ns, pcs):
@@ -333,9 +270,9 @@ def _solve_trials(spec: ExperimentSpec, tech: str, n: int, pc: float, gains: np.
 
 def _replayable(exc: PowerControlError, spec: ExperimentSpec, trial: int, instance: str, replay: str):
     """exc again for the failing trial, its message prefixed with the
-    instance and ending in the eepower command (plus the run's --budget) that
-    replays it."""
-    if spec.budget is not None:
+    instance and ending in the eepower command (plus the run's --budget, unless
+    it is the experiment's default) that replays it."""
+    if spec.budget != EXPERIMENTS[spec.experiment].budget:
         replay += f" --budget {spec.budget!r}"
     return type(exc)(f"{instance}: {exc}; replay: {replay}", row=trial)
 
@@ -346,7 +283,10 @@ def _stderr(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _scaling_curves(spec: ExperimentSpec, tech: str) -> list[CurveSet]:
+def run_scaling(spec: ExperimentSpec, tech: str) -> list[CurveSet]:
+    """Mean optimized global EE and total SE versus subcarrier count (`tech`
+    "ofdm") or antenna count ("mimo": square arrays, eigen-channels from the
+    SVD of each drawn matrix), one curve per pc value."""
     ns = list(spec.n_values)
     stats = _scaling_stats(spec, tech, ns, spec.pc_values)
     columns = [
@@ -363,25 +303,14 @@ def _scaling_curves(spec: ExperimentSpec, tech: str) -> list[CurveSet]:
     return curves
 
 
-def run_ofdm_scaling(spec: ExperimentSpec) -> list[CurveSet]:
-    """Mean optimized global EE and total SE versus subcarrier count."""
-    return _scaling_curves(spec, "ofdm")
-
-
-def run_mimo_scaling(spec: ExperimentSpec) -> list[CurveSet]:
-    """Mean optimized global EE and total SE versus antenna count (square
-    arrays, eigen-channels from the SVD of each drawn matrix)."""
-    return _scaling_curves(spec, "mimo")
-
-
 def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
     """Per-trial Jain fairness of the per-link EEs under each aggregate
     objective, plus the per-trial minimum EE for the global and max-min
-    solvers. Links draw independent gains and heterogeneous circuit powers;
-    all four objectives share one total power budget. A solver error is
-    re-raised naming the trial, seed and budget and the command that
-    replays it."""
-    budget = spec.budget if spec.budget is not None else DEFAULT_FAIRNESS_BUDGET
+    solvers, then a one-row summary: the trial count and the median Jain
+    index per objective. Links draw independent gains and heterogeneous
+    circuit powers; all four objectives share one total power budget. A
+    solver error is re-raised naming the trial, seed and budget and the
+    command that replays it."""
     lo, hi = spec.pc_range
     rows = []
     for t in range(spec.trials):
@@ -391,16 +320,16 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
         cfgs = [LinkConfig(pc) for pc in pcs]
 
         try:
-            gee_alloc = gee_dinkelbach(GeeProblem(gains, float(pcs.sum()), budget), _DINKELBACH_TOL)
-            wsee_alloc = wsee_ascent(gains, cfgs, budget)
-            wpee_alloc = wpee_ascent(gains, cfgs, budget)
-            wmee_alloc = wmee_maxmin(gains, cfgs, budget)
+            gee_alloc = gee_dinkelbach(GeeProblem(gains, float(pcs.sum()), spec.budget), _DINKELBACH_TOL)
+            wsee_alloc = wsee_ascent(gains, cfgs, spec.budget)
+            wpee_alloc = wpee_ascent(gains, cfgs, spec.budget)
+            wmee_alloc = wmee_maxmin(gains, cfgs, spec.budget)
         except PowerControlError as exc:
             raise _replayable(
                 exc,
                 spec,
                 t,
-                f"fairness trial {t} (seed={spec.fading.seed}, budget={budget!r})",
+                f"fairness trial {t} (seed={spec.fading.seed}, budget={spec.budget!r})",
                 f"eepower fairness --seed {spec.fading.seed} --trials {t + 1}",
             ) from exc
 
@@ -433,7 +362,10 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
         ("min_ee_gee", "nats_per_J"),
         ("min_ee_wmee", "nats_per_J"),
     ]
-    return [CurveSet("fairness_trials", columns, rows)]
+    curve = CurveSet("fairness_trials", columns, rows)
+    medians = fairness_medians(curve)
+    summary_columns = [("trials", "1")] + [(f"median_jain_{name}", "1") for name in medians]
+    return [curve, CurveSet("fairness_summary", summary_columns, [[float(spec.trials), *medians.values()]])]
 
 
 def fairness_medians(curve: CurveSet) -> dict[str, float]:
@@ -442,13 +374,6 @@ def fairness_medians(curve: CurveSet) -> dict[str, float]:
         name: float(np.median(curve.column(f"jain_{name}")))
         for name in ("gee", "wsee", "wpee", "wmee")
     }
-
-
-def fairness_summary(curve: CurveSet, trials: int) -> CurveSet:
-    """One row: the trial count and the median Jain index per objective."""
-    medians = fairness_medians(curve)
-    columns = [("trials", "1")] + [(f"median_jain_{name}", "1") for name in medians]
-    return CurveSet("fairness_summary", columns, [[float(trials), *medians.values()]])
 
 
 def run_table1(spec: ExperimentSpec) -> list[CurveSet]:
@@ -494,3 +419,53 @@ def run_table1(spec: ExperimentSpec) -> list[CurveSet]:
         ("siso_ee_mimo", "nats_per_J"),
     ]
     return [CurveSet("table1", columns, rows)]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: the CLI command that runs it, its runner, every
+    ExperimentSpec field the runner reads, and its defaults for the run
+    inputs. default_spec and the CLI refuse a field outside `reads`, and the
+    manifest lists exactly those fields."""
+
+    command: str
+    runner: Callable[[ExperimentSpec], list[CurveSet]]
+    reads: tuple[str, ...]
+    trials: int = 1
+    pc_values: tuple[float, ...] = (1.0,)
+    n_values: tuple[int, ...] = ()
+    budget: float | None = None
+
+
+_GAMMA_GRID = ("gamma_points", "gamma_range")
+_SCALING = ("pc_values", "n_values", "trials", "budget")
+
+# every experiment, by name; the only place its command, inputs and defaults
+# are declared. siso_profiles' budget is the mean power of the water-filling
+# profile, fairness' the total power the links of one instance share; the
+# scaling pipelines and table1 read an optional total transmit power cap.
+EXPERIMENTS = {
+    "siso_profiles": Experiment(
+        "siso-profiles", run_siso_profiles, ("pc_values", "trials", "budget", *_GAMMA_GRID), trials=10_000, budget=1.0
+    ),
+    "siso_ee_se": Experiment("siso-ee-se", run_siso_ee_se, ("pc_values", *_GAMMA_GRID)),
+    "pc_sweep": Experiment("pc-sweep", run_pc_sweep, ("pc_values", *_GAMMA_GRID), pc_values=(1.0, 2.0)),
+    "ofdm_scaling": Experiment(
+        "ofdm-sweep",
+        partial(run_scaling, tech="ofdm"),
+        _SCALING,
+        trials=10_000,
+        pc_values=(1.0, 2.0),
+        n_values=(1, 2, 4, 8, 16, 32, 64),
+    ),
+    "mimo_scaling": Experiment(
+        "mimo-sweep",
+        partial(run_scaling, tech="mimo"),
+        _SCALING,
+        trials=1_000,
+        pc_values=(1.0, 2.0),
+        n_values=(1, 2, 4, 8, 16, 32),
+    ),
+    "fairness": Experiment("fairness", run_fairness, ("trials", "budget", "links", "pc_range"), trials=200, budget=2.0),
+    "table1": Experiment("table1", run_table1, ("trials", "budget"), trials=1_000),
+}

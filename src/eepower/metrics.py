@@ -12,14 +12,6 @@ import numpy as np
 from .allocator import LinkConfig, ee_of, eepa, se_of
 
 
-@dataclass(frozen=True)
-class EeSePoint:
-    """One point of an EE-SE curve: spectral efficiency and energy efficiency."""
-
-    se: float
-    ee: float
-
-
 @dataclass
 class MultiLinkReport:
     """Aggregate EE metrics and fairness for one multi-link allocation."""
@@ -66,14 +58,15 @@ def evaluate(gains, cfgs, powers) -> MultiLinkReport:
     )
 
 
-def trace_ee_se(cfg: LinkConfig, gamma_grid) -> list[EeSePoint]:
-    """(SE, EE) at the EE-optimal power for each gain in the grid.
+def trace_ee_se(cfg: LinkConfig, gamma_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """EE-optimal power, SE and EE at that power, one array entry per gain in
+    the grid.
 
     A pure pointwise map: an ascending gain grid yields the parametric EE-SE
     curve, along which both coordinates increase together.
     """
-    points = []
-    for gamma in np.asarray(gamma_grid, dtype=float):
-        p = eepa(gamma, cfg)
-        points.append(EeSePoint(se_of(gamma, p), ee_of(gamma, p, cfg)))
-    return points
+    gammas = np.asarray(gamma_grid, dtype=float)
+    p = np.array([eepa(gamma, cfg) for gamma in gammas])
+    se = np.array([se_of(gamma, x) for gamma, x in zip(gammas, p)])
+    ee = np.array([ee_of(gamma, x, cfg) for gamma, x in zip(gammas, p)])
+    return p, se, ee

@@ -67,9 +67,7 @@ def test_criterion_3_no_tradeoff_curve():
     grid = np.logspace(-2, 2, 200)
     violations = 0
     for pc in (0.25, 0.5, 1.0, 2.0):
-        points = trace_ee_se(LinkConfig(pc), grid)
-        se = np.array([pt.se for pt in points])
-        ee = np.array([pt.ee for pt in points])
+        _p, se, ee = trace_ee_se(LinkConfig(pc), grid)
         violations += int(np.sum(np.diff(se) <= 0.0)) + int(np.sum(np.diff(ee) <= 0.0))
     elapsed = time.perf_counter() - started
     ok = violations == 0 and elapsed < 5.0
@@ -184,7 +182,7 @@ def test_criterion_7_dimension_gain_table():
 
 def test_criterion_8_fairness_ordering():
     started = time.perf_counter()
-    (curve,) = run(default_spec("fairness", seed=1, trials=200, links=4, pc_range=(0.25, 2.0)))
+    curve, _summary = run(default_spec("fairness", seed=1, trials=200, links=4, pc_range=(0.25, 2.0)))
     med = fairness_medians(curve)
     ordering = med["wmee"] >= med["wpee"] >= med["wsee"] >= med["gee"]
     protects = bool(np.all(curve.column("min_ee_wmee") >= curve.column("min_ee_gee") - 1e-9))

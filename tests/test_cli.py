@@ -46,6 +46,32 @@ def test_rerun_is_byte_identical(tmp_path):
         assert first == second, command
 
 
+# the manifest's parameter lines: exactly the fields each experiment reads,
+# at the values in effect for SMALL_RUNS (a budget left unset shows the
+# experiment's own)
+MANIFEST_PARAMETERS = {
+    "siso-profiles": ["pc: 1", "trials: 50", "budget: 1", "gamma_points: 200", "gamma_range: 0.01,100"],
+    "siso-ee-se": ["pc: 1,2", "gamma_points: 200", "gamma_range: 0.01,100"],
+    "pc-sweep": ["pc: 1,2", "gamma_points: 200", "gamma_range: 0.01,100"],
+    "ofdm-sweep": ["pc: 1", "n: 1,2", "trials: 20", "budget: -"],
+    "mimo-sweep": ["pc: 1", "n: 1,2", "trials: 5", "budget: 3"],
+    "fairness": ["trials: 4", "budget: 2", "links: 4", "pc_range: 0.25,2"],
+    "table1": ["trials: 5", "budget: -"],
+}
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_manifest_lists_exactly_the_fields_the_experiment_reads(tmp_path, command):
+    out = tmp_path / "d"
+    assert main([command, *SMALL_RUNS[command], "--seed", "7", "--out", str(out)]) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    header = ["command", "version", "experiment", "seed", "fading", "mean_gain"]
+    assert [line.split(":")[0] for line in lines[:6]] == header
+    units = lines.index("units: bits")
+    assert lines[6:units] == MANIFEST_PARAMETERS[command]
+    assert all(line.startswith("file: ") for line in lines[units + 1 :])
+
+
 def test_manifest_digests_match_files(tmp_path):
     import hashlib
 
@@ -135,6 +161,7 @@ def test_verify_failure_names_worst_trial_and_replay_command(monkeypatch, capsys
 def test_usage_errors_exit_1(tmp_path, capsys):
     assert main(["no-such-command"]) == 1
     assert main(["siso-ee-se", "--bogus-flag", "1"]) == 1
+    assert "eepower: error: unrecognized arguments: --bogus-flag 1\n" in capsys.readouterr().err
     assert main([]) == 1
     assert main(["siso-ee-se", "--pc", "zero", "--out", str(tmp_path)]) == 1
     assert main(["siso-ee-se", "--pc", "-1", "--out", str(tmp_path)]) == 1
@@ -148,7 +175,7 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "list of integers, got '1.5'" in capsys.readouterr().err
 
 
-# every (command, input) pair that experiments.READS leaves out
+# every (command, flag) pair whose spec field the experiment does not read
 UNREAD_INPUTS = [
     ("fairness", "--pc", "7,9"),
     ("fairness", "--n", "5"),
@@ -168,7 +195,7 @@ UNREAD_INPUTS = [
 def test_flag_the_command_does_not_read_exits_1(tmp_path, capsys, command, flag, value):
     rc = main([command, flag, value, "--out", str(tmp_path / "d")])
     assert rc == 1
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"eepower {command}: {command} does not read {flag}\n"
     assert not (tmp_path / "d").exists()
 
 
@@ -189,7 +216,7 @@ def test_config_key_the_command_does_not_read_exits_1(tmp_path, capsys, command,
         (["ofdm-sweep", "--n", "4,2"], "n values must be non-empty and strictly ascending, got (4, 2)"),
         (["mimo-sweep", "--n", "2,2"], "n values must be non-empty and strictly ascending, got (2, 2)"),
         (["siso-profiles", "--pc", "1,2"], "siso_profiles reads exactly one pc value, got (1.0, 2.0)"),
-        (["table1", "--pc", "2"], "unrecognized arguments: --pc 2"),
+        (["table1", "--pc", "2"], "eepower table1: table1 does not read --pc"),
     ],
     ids=["pc-sweep-one-pc", "ofdm-sweep-descending-n", "mimo-sweep-repeated-n", "siso-profiles-two-pc", "table1-pc"],
 )

@@ -38,10 +38,13 @@ def test_spec_validation():
         ("fairness", "pc_values", (1.0, 2.0)),
         ("table1", "pc_values", (2.0,)),
         ("siso_profiles", "n_values", (3,)),
+        ("fairness", "gamma_points", 50),
+        ("siso_ee_se", "links", 3),
+        ("siso_ee_se", "pc_range", (0.5, 1.0)),
     ],
 )
 def test_default_spec_refuses_an_input_the_experiment_does_not_read(experiment, field, value):
-    assert field not in experiments.READS[experiment]
+    assert field not in experiments.EXPERIMENTS[experiment].reads
     with pytest.raises(ValueError, match=f"{experiment} does not read {field}"):
         default_spec(experiment, **{field: value})
 
@@ -187,18 +190,21 @@ def test_fairness_identical_links_fully_fair():
         fading=FadingSpec(kind="deterministic", mean_gain=1.0, seed=2),
         pc_range=(1.0, 1.0),
     )
-    (curve,) = run(spec)
+    curve, _summary = run(spec)
     for name in ("jain_gee", "jain_wsee", "jain_wpee", "jain_wmee"):
         np.testing.assert_allclose(curve.column(name), 1.0, atol=1e-6)
 
 
 def test_fairness_maxmin_protects_weakest_link():
     spec = default_spec("fairness", seed=4, trials=40, links=3)
-    (curve,) = run(spec)
+    curve, summary = run(spec)
     assert np.all(curve.column("min_ee_wmee") >= curve.column("min_ee_gee") - 1e-9)
     med = fairness_medians(curve)
     assert med["wmee"] >= med["gee"]
     assert set(med) == {"gee", "wsee", "wpee", "wmee"}
+    # the run's second curve is the one-row summary of the first
+    assert summary.label == "fairness_summary"
+    assert summary.rows == [[40.0, med["gee"], med["wsee"], med["wpee"], med["wmee"]]]
 
 
 def test_table1_all_gains_at_least_one():

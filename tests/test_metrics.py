@@ -87,17 +87,16 @@ def test_n_wmee_below_wsee_for_unit_weights():
 
 
 def test_trace_single_point():
-    points = trace_ee_se(LinkConfig(1.0), [1.0])
-    assert len(points) == 1
-    assert points[0].se == pytest.approx(1.0, abs=1e-12)
-    assert points[0].ee == pytest.approx(1.0 / E, abs=1e-12)
+    p, se, ee = trace_ee_se(LinkConfig(1.0), [1.0])
+    assert len(p) == len(se) == len(ee) == 1
+    assert p[0] == pytest.approx(E - 1.0, abs=1e-12)
+    assert se[0] == pytest.approx(1.0, abs=1e-12)
+    assert ee[0] == pytest.approx(1.0 / E, abs=1e-12)
 
 
 def test_trace_jointly_increasing():
     grid = np.logspace(-2, 2, 100)
-    points = trace_ee_se(LinkConfig(1.0), grid)
-    se = [pt.se for pt in points]
-    ee = [pt.ee for pt in points]
+    _p, se, ee = trace_ee_se(LinkConfig(1.0), grid)
     assert all(b > a for a, b in zip(se, se[1:]))
     assert all(b > a for a, b in zip(ee, ee[1:]))
 
@@ -106,15 +105,14 @@ def test_trace_reversed_grid_maps_pointwise():
     grid = np.logspace(-1, 1, 20)
     fwd = trace_ee_se(LinkConfig(0.5), grid)
     rev = trace_ee_se(LinkConfig(0.5), grid[::-1])
-    assert [(p.se, p.ee) for p in rev] == [(p.se, p.ee) for p in fwd][::-1]
+    for a, b in zip(fwd, rev):
+        assert b.tolist() == a.tolist()[::-1]
 
 
 @pytest.mark.parametrize("pc", [0.25, 1.0, 4.0])
 def test_trace_no_tradeoff_over_wide_grid(pc):
     grid = np.logspace(-2, 4, 120)
-    points = trace_ee_se(LinkConfig(pc), grid)
-    se = np.array([pt.se for pt in points])
-    ee = np.array([pt.ee for pt in points])
+    _p, se, ee = trace_ee_se(LinkConfig(pc), grid)
     assert np.all(np.diff(se) > 0.0)
     assert np.all(np.diff(ee) > 0.0)
 
@@ -122,7 +120,8 @@ def test_trace_no_tradeoff_over_wide_grid(pc):
 def test_trace_matches_eepa_pointwise():
     cfg = LinkConfig(2.0)
     grid = np.logspace(-1, 1, 10)
-    points = trace_ee_se(cfg, grid)
-    for gamma, pt in zip(grid, points):
+    p_trace, se, _ee = trace_ee_se(cfg, grid)
+    for gamma, p_t, se_t in zip(grid, p_trace, se):
         p = eepa(gamma, cfg)
-        assert pt.se == pytest.approx(math.log1p(gamma * p), abs=1e-14)
+        assert p_t == p
+        assert se_t == pytest.approx(math.log1p(gamma * p), abs=1e-14)
