@@ -93,8 +93,6 @@ class ExperimentSpec:
             raise ValueError(f"siso_profiles reads exactly one pc value, got {pcs}")
         if self.experiment == "pc_sweep" and len(pcs) < 2:
             raise ValueError(f"pc_sweep needs at least two pc values, got {pcs}")
-        if self.experiment == "table1" and pcs != (1.0,):
-            raise ValueError(f"the gain table is defined at pc = 1 W only, got {pcs}")
         if "pc_values" in reads and not pcs:
             raise ValueError("need at least one pc value")
         if "n_values" in reads and (not ns or any(b <= a for a, b in zip(ns, ns[1:]))):

@@ -57,12 +57,22 @@ def test_default_spec_refuses_an_input_the_experiment_does_not_read(experiment, 
         ("siso_ee_se", {"pc_values": ()}, "at least one pc value"),
         ("ofdm_scaling", {"pc_values": (1.0,), "n_values": ()}, "n values"),
         ("mimo_scaling", {"pc_values": (1.0,), "n_values": (4, 2)}, "n values"),
-        ("table1", {"pc_values": (2.0,)}, "pc = 1 W"),
     ],
 )
 def test_spec_checks_what_each_experiment_needs_of_its_inputs(experiment, overrides, match):
     with pytest.raises(ValueError, match=match):
         ExperimentSpec(experiment, **overrides)
+
+
+def test_table1_spec_builds_without_pc_values():
+    # table1 runs at 1 W whatever pc_values holds, so a spec left at the
+    # field's default () builds and gives the default spec's table
+    spec = ExperimentSpec("table1", trials=5)
+    assert spec.pc_values == ()
+    (table,) = run(spec)
+    (expected,) = run(default_spec("table1", trials=5))
+    assert table.columns == expected.columns
+    assert table.rows == expected.rows
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

@@ -66,10 +66,23 @@ def grid_instances(draw):
     max_examples=150, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(grid_instances())
-# blocks of 131 rows of the first axis, the last one short
+# blocks of 131 rows, the last one short
 @example(("wsee", [0.3, 2.0], [LinkConfig(1.0), LinkConfig(0.5, weight=1.5)], GridSpec(0.0, 2.0, 1000), 1.5, oracle._BLOCK))
 # the best power sum rounds differently as p0 + (p1 + p2)
 @example(("gee", [2.8, 2.3, 2.1], [LinkConfig(1.1)] * 3, GridSpec(0.0, 1.0, 20), None, 3 * 20**2))
+# the budget's slack is the grid sum 2.4 + 1.2 to the last bit, and the
+# searchsorted estimate of row 2.4's feasible prefix stops one point short
+@example(("wsee", [0.28, 1.33], [LinkConfig(1.0)] * 2, GridSpec(0.0, 3.0, 6), 3.5999999999953998, oracle._BLOCK))
+# the best values of rows 2 and 1 differ in the last ulp (the diagonal
+# optimum sits halfway between grid points), so the row holding the maximum
+# has a surrogate within rounding of zero
+@example(("gee", [0.83, 0.83], [LinkConfig(2.0394982822031116)] * 2, GridSpec(0.0, 4.0, 4), None, oracle._BLOCK))
+# every value is 0, so every row is a candidate, one row per block
+@example(("gee", [0.0, 0.0, 0.0], [LinkConfig(1.0)] * 3, GridSpec(0.1, 1.0, 5), 2.0, 5))
+# a zero-gain first link makes every value 0
+@example(("wpee", [0.0, 1.5, 0.7], [LinkConfig(1.0), LinkConfig(0.5), LinkConfig(2.0)], GridSpec(0.0, 1.0, 9), 1.5, oracle._BLOCK))
+# the first link sets the minimum, so the last axis ties along most of a row
+@example(("wmee", [0.05, 40.0], [LinkConfig(1.0)] * 2, GridSpec(0.0, 2.0, 41), None, oracle._BLOCK))
 def test_grid_argmax_is_bitwise_the_per_point_search(case):
     objective, gains, cfgs, grid, budget, block = case
     with mock.patch.object(oracle, "_BLOCK", block):
@@ -82,6 +95,32 @@ def test_grid_argmax_is_bitwise_the_per_point_search(case):
     value, powers = reference_argmax(objective, gains, cfgs, grid, budget)
     assert alloc.objective == value
     np.testing.assert_array_equal(alloc.powers, powers)
+
+
+@pytest.mark.parametrize(
+    "objective, gains, grid, budget",
+    [("gee", [0.7, 2.4], GridSpec(0.0, 4.0, 2001), None), ("sumrate", [0.7, 2.4], GridSpec(0.0, 1.0, 2001), 1.0)],
+    ids=["gee", "sumrate"],
+)
+def test_verify_size_grid_is_bitwise_the_per_point_search(objective, gains, grid, budget):
+    # the grid `eepower verify --dims 2` searches
+    cfgs = [LinkConfig(1.3), LinkConfig(0.8)]
+    alloc = grid_argmax(objective, gains, cfgs, grid, budget)
+    value, powers = reference_argmax(objective, gains, cfgs, grid, budget)
+    assert alloc.objective == value
+    np.testing.assert_array_equal(alloc.powers, powers)
+
+
+def test_gain_that_overflows_on_the_grid_is_rejected():
+    cfgs = [LinkConfig(1.0)] * 2
+    for objective in ("wpee", "sumrate", "wsee", "gee"):
+        with pytest.raises(ValueError, match="gain of link 0 overflows"):
+            grid_argmax(objective, [1e308, 0.5], cfgs, GridSpec(0.0, 10.0, 11))
+    with pytest.raises(ValueError, match="gain of link 1 overflows"):
+        grid_argmax("sumrate", [0.5, 1e300], cfgs, GridSpec(0.0, 1e10, 11), budget=1.0)
+    # the largest gain whose product with p_max is finite is searched
+    alloc = grid_argmax("sumrate", [0.5, 1.7e308], cfgs, GridSpec(0.0, 1.0, 11))
+    assert math.isfinite(alloc.objective)
 
 
 def test_grid_spec_validation():
