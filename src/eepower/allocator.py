@@ -39,6 +39,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # no total-power cap bounds it.
 _FREE_LEVEL_SCALE = 1e3
 _DINKELBACH_MAX_ITER = 1000
+# a Dinkelbach row stops once its residual is at most this fraction of its rate
+_DINKELBACH_TOL = 1e-12
 
 
 def _check_positive(name: str, value, optional: bool = False) -> None:
@@ -171,16 +173,16 @@ def water_level(gains, total):
     return np.take_along_axis(levels, active[..., None] - 1, axis=-1)[..., 0]
 
 
-def gee_dinkelbach(prob: GeeProblem, tol: float) -> Allocation:
+def gee_dinkelbach(prob: GeeProblem) -> Allocation:
     """Maximize the global EE  sum_i ln(1 + g_i p_i) / (pc + sum_i p_i).
 
     The one-row call of `gee_dinkelbach_rows`.
     """
-    powers, objective = gee_dinkelbach_rows(prob.gains[None, :], prob.pc, tol, prob.p_max_total)
+    powers, objective = gee_dinkelbach_rows(prob.gains[None, :], prob.pc, prob.p_max_total)
     return Allocation(powers[0], float(objective[0]))
 
 
-def gee_dinkelbach_rows(gains, pc: float, tol: float, p_max_total: float | None = None):
+def gee_dinkelbach_rows(gains, pc: float, p_max_total: float | None = None):
     """Global-EE maximization for every row of a (rows, n) gain array.
 
     Row r solves max sum_i ln(1 + g_ri p_ri) / (pc + sum_i p_ri); the circuit
@@ -189,9 +191,9 @@ def gee_dinkelbach_rows(gains, pc: float, tol: float, p_max_total: float | None 
     max R(p) - eta * sum(p) is water-filling with level 1/eta (cut back to the
     cap-saturating level when that overshoots the cap); eta is then refreshed
     to the achieved ratio. A row stops once R - eta_prev * (pc + sum p) <=
-    tol * R (relative to its rate R) and leaves the working set. The first
-    subproblem (eta = 0) uses either the cap-saturating level or a large
-    fallback level of 1e3 / min positive gain.
+    _DINKELBACH_TOL * R (relative to its rate R) and leaves the working set.
+    The first subproblem (eta = 0) uses either the cap-saturating level or a
+    large fallback level of 1e3 / min positive gain.
 
     Returns (powers, objective) of shapes (rows, n) and (rows,). Errors name
     the first failing row in the message and in the error's `row`.
@@ -203,8 +205,6 @@ def gee_dinkelbach_rows(gains, pc: float, tol: float, p_max_total: float | None 
         raise ValueError("gains must be finite and non-negative")
     _check_positive("circuit power", pc)
     _check_positive("p_max_total", p_max_total, optional=True)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     dead = ~np.any(g > 0.0, axis=1)
     if dead.any():
         row = int(np.argmax(dead))
@@ -230,7 +230,7 @@ def gee_dinkelbach_rows(gains, pc: float, tol: float, p_max_total: float | None 
             p[over] = np.maximum(0.0, first[rows[over], None] - inv_w[over])
         rate = np.log1p(g_w * p).sum(axis=1)
         total = pc + p.sum(axis=1)
-        done = rate - eta * total <= tol * rate
+        done = rate - eta * total <= _DINKELBACH_TOL * rate
         powers[rows[done]] = p[done]
         objective[rows[done]] = rate[done] / total[done]
         going = ~done

@@ -30,19 +30,18 @@ from .oracle import OBJECTIVES, GridSpec, grid_argmax
 
 _LN2 = math.log(2.0)
 
-# objective-value shortfall tolerated when a solver is compared against the
-# grid oracle; grids are listed as (p_max, steps, budget per dimension)
-VERIFY_TOL = {
-    "ee_siso": 1e-6,
-    "gee": 2e-3,
-    "wsee": 1e-3,
-    "wpee": 1e-3,
-    "wmee": 1e-2,
-    "sumrate": 1e-3,
+# per objective: the objective-value shortfall tolerated when its solver is
+# compared against the grid oracle, and the oracle's points per axis by
+# dimension, which are also the dimensions verify offers; 301 keeps dims 3
+# within the oracle's point limit
+VERIFY = {
+    "ee_siso": (1e-6, {1: 40_001}),
+    "gee": (2e-3, {1: 40_001, 2: 2001, 3: 301}),
+    "wsee": (1e-3, {1: 40_001, 2: 1001, 3: 301}),
+    "wpee": (1e-3, {1: 40_001, 2: 1001, 3: 301}),
+    "wmee": (1e-2, {1: 40_001, 2: 1001, 3: 301}),
+    "sumrate": (1e-3, {1: 40_001, 2: 2001, 3: 301}),
 }
-# oracle points per axis for the gee and sumrate checks, by dimension; 301
-# keeps dims 3 within the oracle's point limit
-_VERIFY_STEPS = {1: 40_001, 2: 2001, 3: 301}
 
 
 class UsageError(Exception):
@@ -73,7 +72,7 @@ def _list_of(kind: type):
 # every option of an experiment command, by its flag and config-key name, as
 # argparse keywords; dest is the ExperimentSpec field or run setting it sets.
 # A field is offered only by the commands whose experiment reads it
-# (experiments.EXPERIMENTS); the run settings seed, units and out by all.
+# (experiments.EXPERIMENTS); the run settings units and out by all.
 _OPTIONS = {
     "pc": {
         "dest": "pc_values",
@@ -252,14 +251,7 @@ def _render_manifest(command: str, spec, units: str, written) -> bytes:
     written file."""
     names = {kw["dest"]: name for name, kw in _OPTIONS.items()}
     reads = EXPERIMENTS[spec.experiment].reads
-    lines = [
-        f"command: {command}",
-        f"version: {__version__}",
-        f"experiment: {spec.experiment}",
-        f"seed: {spec.fading.seed}",
-        f"fading: {spec.fading.kind}",
-        f"mean_gain: {format(spec.fading.mean_gain, 'g')}",
-    ]
+    lines = [f"command: {command}", f"version: {__version__}", f"experiment: {spec.experiment}"]
     for field in fields(spec):
         if field.name in reads:
             lines.append(f"{names.get(field.name, field.name)}: {_manifest_value(getattr(spec, field.name))}")
@@ -270,17 +262,23 @@ def _render_manifest(command: str, spec, units: str, written) -> bytes:
 
 
 def _manifest_value(value) -> str:
+    """value as a manifest entry: "-" for None, a tuple comma-separated, an
+    int in full, and a float in `g` form when that reads back as the same
+    float (repr otherwise), so a run replays from its manifest."""
     if value is None:
         return "-"
     if isinstance(value, tuple):
-        return ",".join(format(v, "g") for v in value)
-    return str(value) if isinstance(value, int) else format(value, "g")
+        return ",".join(_manifest_value(v) for v in value)
+    if isinstance(value, int):
+        return str(value)
+    short = format(value, "g")
+    return short if float(short) == value else repr(value)
 
 
 def _cmd_verify(args) -> int:
-    top = 1 if args.objective == "ee_siso" else 3
-    dims = min(2, top) if args.dims is None else args.dims
-    if not 1 <= dims <= top:
+    tol, steps = VERIFY[args.objective]
+    dims = min(2, max(steps)) if args.dims is None else args.dims
+    if dims not in steps:
         raise UsageError(f"verify: --dims must be 1..3 (1 for ee_siso), got {dims} for {args.objective}")
     if args.trials < 1:
         raise UsageError(f"verify: --trials must be >= 1, got {args.trials}")
@@ -296,7 +294,6 @@ def _cmd_verify(args) -> int:
         shortfall = _verify_instance(args.objective, gains, cfgs)
         if shortfall > worst:
             worst, worst_trial = shortfall, (i, gains, pcs)
-    tol = VERIFY_TOL[args.objective]
     status = "ok" if worst <= tol else "FAIL"
     print(f"verify {args.objective}: max objective shortfall {worst:.3e} (tolerance {tol:.1e}) {status}")
     if worst <= tol:
@@ -313,25 +310,24 @@ def _cmd_verify(args) -> int:
 
 def _verify_instance(objective: str, gains, cfgs) -> float:
     dims = len(gains)
+    steps = VERIFY[objective][1][dims]
     if objective == "ee_siso":
         cfg = cfgs[0]
         p = eepa(gains[0], cfg)
         solver_obj = ee_of(gains[0], p, cfg)
-        grid = GridSpec(0.0, max(4.0, 3.0 * p + 1.0), 40_001)
+        grid = GridSpec(0.0, max(4.0, 3.0 * p + 1.0), steps)
         oracle = grid_argmax("ee_siso", gains, cfgs, grid)
     elif objective == "gee":
         prob = GeeProblem(gains, cfgs[0].pc)
-        alloc = gee_dinkelbach(prob, 1e-12)
+        alloc = gee_dinkelbach(prob)
         solver_obj = alloc.objective
         top = max(4.0, 1.5 * float(alloc.powers.max()) + 1.0)
-        steps = _VERIFY_STEPS[dims]
         oracle = grid_argmax("gee", gains, cfgs, GridSpec(0.0, top, steps))
     elif objective == "sumrate":
         p_avg = 0.5
         alloc = wpa(gains, p_avg)
         solver_obj = alloc.objective
         budget = p_avg * dims
-        steps = _VERIFY_STEPS[dims]
         oracle = grid_argmax("sumrate", gains, cfgs, GridSpec(0.0, budget, steps), budget=budget)
     else:
         budget = 0.75 * dims
@@ -342,7 +338,6 @@ def _verify_instance(objective: str, gains, cfgs) -> float:
         else:
             alloc = wmee_maxmin(gains, cfgs, budget)
         solver_obj = alloc.objective
-        steps = {1: 40_001, 2: 1001, 3: 301}[dims]
         oracle = grid_argmax(objective, gains, cfgs, GridSpec(0.0, budget, steps), budget=budget)
     return max(0.0, oracle.objective - solver_obj)
 

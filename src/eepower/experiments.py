@@ -10,7 +10,10 @@ held in trial order, so reruns are bit-identical.
 Each experiment is declared once, in EXPERIMENTS at the end of this module:
 its CLI command, its runner, the spec fields the runner reads and its
 defaults. default_spec, run, the spec checks, the CLI and the run manifest
-all follow that record.
+all follow that record. What no command sets is fixed here as a module
+constant: the gain grid of the curves, the fairness instances, the table1
+dimension counts, and the fading model (unit-mean Rayleigh, seeded by the
+spec).
 """
 
 from __future__ import annotations
@@ -47,8 +50,14 @@ from .numerics import bisect  # noqa: F401
 # dimension-gain table rows: (subcarrier count, antenna count) per row
 TABLE1_OFDM_N = (16, 64)
 TABLE1_MIMO_N = (4, 32)
+# channel gains at which the SISO profiles and EE-SE curves are traced
+GAMMA_GRID = np.logspace(math.log10(1e-2), math.log10(1e2), 200)
+GAMMA_GRID.flags.writeable = False
+# fairness instances: the link count, and the range the per-link circuit
+# powers (W) are drawn from uniformly
+FAIRNESS_LINKS = 4
+FAIRNESS_PC_RANGE = (0.25, 2.0)
 
-_DINKELBACH_TOL = 1e-12
 # auxiliary per-trial stream tag (heterogeneous circuit powers etc.), kept
 # distinct from the channel stream key space
 _AUX_STREAM = 1
@@ -56,23 +65,23 @@ _AUX_STREAM = 1
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Full description of one experiment run."""
+    """One experiment run: the experiment's name and the inputs a command can
+    set. Each experiment reads only some of them (its `reads` in
+    EXPERIMENTS); the seed is that of the fading draws."""
 
     experiment: str
-    fading: FadingSpec = FadingSpec()
+    seed: int = 1
     pc_values: tuple[float, ...] = ()
     n_values: tuple[int, ...] = ()
     trials: int = 1
     budget: float | None = None
-    gamma_points: int = 200
-    gamma_range: tuple[float, float] = (1e-2, 1e2)
-    links: int = 4
-    pc_range: tuple[float, float] = (0.25, 2.0)
 
     def __post_init__(self) -> None:
         entry = _entry(self.experiment)
         if self.budget is None:  # the experiment's own budget is the one in effect
             object.__setattr__(self, "budget", entry.budget)
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not all(math.isfinite(pc) and pc > 0.0 for pc in self.pc_values):
@@ -81,14 +90,13 @@ class ExperimentSpec:
             raise ValueError("n values must be >= 1")
         if self.budget is not None and not (math.isfinite(self.budget) and self.budget > 0.0):
             raise ValueError(f"budget must be positive and finite, got {self.budget}")
-        if self.gamma_points < 2 or self.gamma_range[0] <= 0.0 or self.gamma_range[1] <= self.gamma_range[0]:
-            raise ValueError("gamma grid must have >= 2 points over a positive increasing range")
-        if self.links < 2:
-            raise ValueError(f"fairness needs >= 2 links, got {self.links}")
-        if not (0.0 < self.pc_range[0] <= self.pc_range[1]):
-            raise ValueError(f"bad pc_range {self.pc_range}")
         # what each experiment needs of the inputs it reads
         reads, pcs, ns = entry.reads, self.pc_values, self.n_values
+        # each pc value names its own files (pc{pc:g})
+        clash = [(a, b) for k, b in enumerate(pcs) for a in pcs[:k] if f"{a:g}" == f"{b:g}"]
+        if clash:
+            a, b = clash[0]
+            raise ValueError(f"pc values {a!r} and {b!r} would write the same files (label pc{a:g})")
         if self.experiment == "siso_profiles" and len(pcs) != 1:
             raise ValueError(f"siso_profiles reads exactly one pc value, got {pcs}")
         if self.experiment == "pc_sweep" and len(pcs) < 2:
@@ -99,15 +107,15 @@ class ExperimentSpec:
             raise ValueError(f"n values must be non-empty and strictly ascending, got {ns}")
 
 
-def default_spec(experiment: str, seed: int = 1, **overrides) -> ExperimentSpec:
+def default_spec(experiment: str, **overrides) -> ExperimentSpec:
     """Spec with the registered defaults of the named experiment (see
-    EXPERIMENTS); an override of a field the experiment does not read is a
-    ValueError. Every experiment takes `fading`."""
+    EXPERIMENTS), seed 1 where it draws; an override of a field the
+    experiment does not read is a ValueError."""
     entry = _entry(experiment)
-    unread = [f for f in overrides if f != "fading" and f not in entry.reads]
+    unread = [f for f in overrides if f not in entry.reads]
     if unread:
         raise ValueError(f"{experiment} does not read {', '.join(unread)}")
-    base = ExperimentSpec(experiment, FadingSpec(seed=seed), entry.pc_values, entry.n_values, entry.trials)
+    base = ExperimentSpec(experiment, pc_values=entry.pc_values, n_values=entry.n_values, trials=entry.trials)
     return replace(base, **overrides) if overrides else base
 
 
@@ -153,11 +161,6 @@ def run(spec: ExperimentSpec) -> list[CurveSet]:
     return curves
 
 
-def _gamma_grid(spec: ExperimentSpec) -> np.ndarray:
-    lo, hi = spec.gamma_range
-    return np.logspace(math.log10(lo), math.log10(hi), spec.gamma_points)
-
-
 def run_siso_profiles(spec: ExperimentSpec) -> list[CurveSet]:
     """Power profiles and per-gain SE/EE of the EE-optimal scheme vs water-filling.
 
@@ -167,12 +170,11 @@ def run_siso_profiles(spec: ExperimentSpec) -> list[CurveSet]:
     """
     pc = spec.pc_values[0]
     cfg = LinkConfig(pc)
-    sample = draw_gains(spec.fading, max(spec.trials, 2), stream=0)
+    sample = draw_gains(FadingSpec(seed=spec.seed), max(spec.trials, 2), stream=0)
     level = float(water_level(sample, spec.budget * sample.size))
 
-    grid = _gamma_grid(spec)
     rows = []
-    for gamma, p_ee, se_ee, ee_ee in zip(grid, *trace_ee_se(cfg, grid)):
+    for gamma, p_ee, se_ee, ee_ee in zip(GAMMA_GRID, *trace_ee_se(cfg, GAMMA_GRID)):
         p_wf = max(0.0, level - 1.0 / gamma)
         rows.append([gamma, p_ee, p_wf, se_ee, se_of(gamma, p_wf), ee_ee, ee_of(gamma, p_wf, cfg)])
     columns = [
@@ -189,12 +191,11 @@ def run_siso_profiles(spec: ExperimentSpec) -> list[CurveSet]:
 
 def run_siso_ee_se(spec: ExperimentSpec) -> list[CurveSet]:
     """Parametric EE-SE curve per circuit power."""
-    grid = _gamma_grid(spec)
     columns = [("gamma", "1"), ("se", "nats_per_s_per_Hz"), ("ee", "nats_per_J")]
     curves = []
     for pc in spec.pc_values:
-        _p, se, ee = trace_ee_se(LinkConfig(pc), grid)
-        curves.append(CurveSet(f"siso_ee_se_pc{pc:g}", columns, [[g, s, e] for g, s, e in zip(grid, se, ee)]))
+        _p, se, ee = trace_ee_se(LinkConfig(pc), GAMMA_GRID)
+        curves.append(CurveSet(f"siso_ee_se_pc{pc:g}", columns, [[g, s, e] for g, s, e in zip(GAMMA_GRID, se, ee)]))
     return curves
 
 
@@ -235,13 +236,14 @@ def _scaling_stats(spec: ExperimentSpec, tech: str, ns, pcs):
     values equal per-(n, trial) draw_gains / draw_matrix calls. Each n is
     then solved for all trials at once.
     """
+    fading = FadingSpec(seed=spec.seed)
     if tech == "ofdm":
-        block = draw_gain_rows(spec.fading, spec.trials, max(ns))
+        block = draw_gain_rows(fading, spec.trials, max(ns))
     else:
-        block = stream_uniforms(spec.fading, spec.trials, 2 * max(ns) ** 2)
+        block = stream_uniforms(fading, spec.trials, 2 * max(ns) ** 2)
     stats: dict[tuple[float, int], tuple[float, float, float, float]] = {}
     for n in ns:
-        gains = block[:, :n] if tech == "ofdm" else svd_gains(matrices_from_uniforms(spec.fading, block, n, n))
+        gains = block[:, :n] if tech == "ofdm" else svd_gains(matrices_from_uniforms(fading, block, n, n))
         for pc in pcs:
             powers, ee = _solve_trials(spec, tech, n, pc, gains)
             se = np.log1p(gains * powers).sum(axis=1)
@@ -253,7 +255,7 @@ def _solve_trials(spec: ExperimentSpec, tech: str, n: int, pc: float, gains: np.
     """Dinkelbach over the (trials, n) gains; a solver error is re-raised
     naming the trial, n, pc and seed and the one command that replays it."""
     try:
-        return gee_dinkelbach_rows(gains, pc * n if tech == "mimo" else pc, _DINKELBACH_TOL, spec.budget)
+        return gee_dinkelbach_rows(gains, pc * n if tech == "mimo" else pc, spec.budget)
     except PowerControlError as exc:
         if exc.row is None:
             raise
@@ -261,8 +263,8 @@ def _solve_trials(spec: ExperimentSpec, tech: str, n: int, pc: float, gains: np.
             exc,
             spec,
             exc.row,
-            f"{tech} trial {exc.row} (n={n}, pc={pc!r}, seed={spec.fading.seed})",
-            f"eepower {tech}-sweep --seed {spec.fading.seed} --n {n} --pc {pc!r} --trials {exc.row + 1}",
+            f"{tech} trial {exc.row} (n={n}, pc={pc!r}, seed={spec.seed})",
+            f"eepower {tech}-sweep --seed {spec.seed} --n {n} --pc {pc!r} --trials {exc.row + 1}",
         ) from exc
 
 
@@ -305,20 +307,21 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
     """Per-trial Jain fairness of the per-link EEs under each aggregate
     objective, plus the per-trial minimum EE for the global and max-min
     solvers, then a one-row summary: the trial count and the median Jain
-    index per objective. Links draw independent gains and heterogeneous
-    circuit powers; all four objectives share one total power budget. A
-    solver error is re-raised naming the trial, seed and budget and the
-    command that replays it."""
-    lo, hi = spec.pc_range
+    index per objective. FAIRNESS_LINKS links draw independent gains and
+    circuit powers uniform over FAIRNESS_PC_RANGE; all four objectives share
+    one total power budget. A solver error is re-raised naming the trial,
+    seed and budget and the command that replays it."""
+    fading = FadingSpec(seed=spec.seed)
+    lo, hi = FAIRNESS_PC_RANGE
     rows = []
     for t in range(spec.trials):
-        gains = draw_gains(spec.fading, spec.links, stream=t)
-        u = rng_for(spec.fading.seed, t, _AUX_STREAM).random(spec.links)
+        gains = draw_gains(fading, FAIRNESS_LINKS, stream=t)
+        u = rng_for(spec.seed, t, _AUX_STREAM).random(FAIRNESS_LINKS)
         pcs = lo + (hi - lo) * u
         cfgs = [LinkConfig(pc) for pc in pcs]
 
         try:
-            gee_alloc = gee_dinkelbach(GeeProblem(gains, float(pcs.sum()), spec.budget), _DINKELBACH_TOL)
+            gee_alloc = gee_dinkelbach(GeeProblem(gains, float(pcs.sum()), spec.budget))
             wsee_alloc = wsee_ascent(gains, cfgs, spec.budget)
             wpee_alloc = wpee_ascent(gains, cfgs, spec.budget)
             wmee_alloc = wmee_maxmin(gains, cfgs, spec.budget)
@@ -327,8 +330,8 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
                 exc,
                 spec,
                 t,
-                f"fairness trial {t} (seed={spec.fading.seed}, budget={spec.budget!r})",
-                f"eepower fairness --seed {spec.fading.seed} --trials {t + 1}",
+                f"fairness trial {t} (seed={spec.seed}, budget={spec.budget!r})",
+                f"eepower fairness --seed {spec.seed} --trials {t + 1}",
             ) from exc
 
         reports = {
@@ -435,8 +438,7 @@ class Experiment:
     budget: float | None = None
 
 
-_GAMMA_GRID = ("gamma_points", "gamma_range")
-_SCALING = ("pc_values", "n_values", "trials", "budget")
+_SCALING = ("seed", "pc_values", "n_values", "trials", "budget")
 
 # every experiment, by name; the only place its command, inputs and defaults
 # are declared. siso_profiles' budget is the mean power of the water-filling
@@ -444,10 +446,10 @@ _SCALING = ("pc_values", "n_values", "trials", "budget")
 # scaling pipelines and table1 read an optional total transmit power cap.
 EXPERIMENTS = {
     "siso_profiles": Experiment(
-        "siso-profiles", run_siso_profiles, ("pc_values", "trials", "budget", *_GAMMA_GRID), trials=10_000, budget=1.0
+        "siso-profiles", run_siso_profiles, ("seed", "pc_values", "trials", "budget"), trials=10_000, budget=1.0
     ),
-    "siso_ee_se": Experiment("siso-ee-se", run_siso_ee_se, ("pc_values", *_GAMMA_GRID)),
-    "pc_sweep": Experiment("pc-sweep", run_pc_sweep, ("pc_values", *_GAMMA_GRID), pc_values=(1.0, 2.0)),
+    "siso_ee_se": Experiment("siso-ee-se", run_siso_ee_se, ("pc_values",)),
+    "pc_sweep": Experiment("pc-sweep", run_pc_sweep, ("pc_values",), pc_values=(1.0, 2.0)),
     "ofdm_scaling": Experiment(
         "ofdm-sweep",
         partial(run_scaling, tech="ofdm"),
@@ -464,6 +466,6 @@ EXPERIMENTS = {
         pc_values=(1.0, 2.0),
         n_values=(1, 2, 4, 8, 16, 32),
     ),
-    "fairness": Experiment("fairness", run_fairness, ("trials", "budget", "links", "pc_range"), trials=200, budget=2.0),
-    "table1": Experiment("table1", run_table1, ("trials", "budget"), trials=1_000),
+    "fairness": Experiment("fairness", run_fairness, ("seed", "trials", "budget"), trials=200, budget=2.0),
+    "table1": Experiment("table1", run_table1, ("seed", "trials", "budget"), trials=1_000),
 }

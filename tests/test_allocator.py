@@ -22,6 +22,7 @@ from eepower.allocator import (
     wsee_ascent,
 )
 from eepower.errors import InfeasibleError, NumericalError
+from eepower.metrics import evaluate
 from eepower.oracle import GridSpec, grid_argmax
 
 E = math.e
@@ -198,14 +199,14 @@ def test_water_level_matches_bisection_rowwise():
 
 
 def test_dinkelbach_single_dimension_equals_eepa():
-    alloc = gee_dinkelbach(GeeProblem([1.0], 1.0), 1e-12)
+    alloc = gee_dinkelbach(GeeProblem([1.0], 1.0))
     assert abs(alloc.powers[0] - (E - 1.0)) <= 1e-8
     assert alloc.objective == pytest.approx(1.0 / E, abs=1e-10)
 
 
 def test_dinkelbach_symmetric_gains_closed_form():
     n, gamma, pc = 4, 1.5, 2.0
-    alloc = gee_dinkelbach(GeeProblem([gamma] * n, pc), 1e-12)
+    alloc = gee_dinkelbach(GeeProblem([gamma] * n, pc))
     expected = eepa(gamma, LinkConfig(pc / n))
     np.testing.assert_allclose(alloc.powers, expected, atol=1e-8)
     # cross-check against a scalar grid over the symmetric power
@@ -216,7 +217,7 @@ def test_dinkelbach_symmetric_gains_closed_form():
 
 
 def test_dinkelbach_two_gains_vs_grid(oracle_gee_two_gains):
-    alloc = gee_dinkelbach(GeeProblem([1.0, 2.0], 1.0), 1e-12)
+    alloc = gee_dinkelbach(GeeProblem([1.0, 2.0], 1.0))
     best_powers, best_val = oracle_gee_two_gains
     np.testing.assert_allclose(alloc.powers, best_powers, atol=2e-3)
     assert alloc.objective >= best_val - 2e-3
@@ -239,7 +240,7 @@ def oracle_gee_two_gains():
 
 
 def test_dinkelbach_budget_cap_binds():
-    alloc = gee_dinkelbach(GeeProblem([1.0, 2.0], 1.0, p_max_total=0.5), 1e-12)
+    alloc = gee_dinkelbach(GeeProblem([1.0, 2.0], 1.0, p_max_total=0.5))
     assert alloc.powers.sum() == pytest.approx(0.5, rel=1e-9)
     # capped point must beat every feasible grid point
     axis = np.arange(0.0, 0.5 + 5e-4, 1e-3)
@@ -253,7 +254,7 @@ def test_dinkelbach_budget_cap_binds():
 
 
 def test_dinkelbach_zero_gain_dimension_gets_no_power():
-    alloc = gee_dinkelbach(GeeProblem([0.0, 1.0], 1.0), 1e-12)
+    alloc = gee_dinkelbach(GeeProblem([0.0, 1.0], 1.0))
     assert alloc.powers[0] == 0.0
     assert alloc.powers[1] > 0.0
 
@@ -263,8 +264,6 @@ def test_gee_problem_validation():
         GeeProblem([0.0, 0.0], 1.0)
     with pytest.raises(ValueError):
         GeeProblem([1.0], 0.0)
-    with pytest.raises(ValueError):
-        gee_dinkelbach(GeeProblem([1.0], 1.0), 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -272,7 +271,7 @@ def test_gee_problem_rejects_non_finite_cap(bad):
     with pytest.raises(ValueError, match="p_max_total"):
         GeeProblem([1.0, 2.0], 1.0, p_max_total=bad)
     with pytest.raises(ValueError, match="p_max_total"):
-        gee_dinkelbach_rows([[1.0, 2.0]], 1.0, 1e-12, p_max_total=bad)
+        gee_dinkelbach_rows([[1.0, 2.0]], 1.0, p_max_total=bad)
 
 
 @pytest.mark.parametrize("cap", [None, 0.3, 5.0])
@@ -284,10 +283,10 @@ def test_dinkelbach_rows_equal_one_row_calls(cap, pc, n):
     if n > 1:
         gains[3, 0] = 0.0
         gains[4, 1:] = 0.0
-    powers, objective = gee_dinkelbach_rows(gains, pc, 1e-12, cap)
+    powers, objective = gee_dinkelbach_rows(gains, pc, cap)
     assert powers.shape == (25, n) and objective.shape == (25,)
     for r in range(25):
-        alone = gee_dinkelbach(GeeProblem(gains[r], pc, cap), 1e-12)
+        alone = gee_dinkelbach(GeeProblem(gains[r], pc, cap))
         assert np.all(powers[r] == alone.powers)
         assert objective[r] == alone.objective
         assert np.all(powers[r][gains[r] == 0.0] == 0.0)
@@ -298,18 +297,18 @@ def test_dinkelbach_rows_equal_one_row_calls(cap, pc, n):
 def test_dinkelbach_rows_name_the_failing_row(monkeypatch):
     gains = np.array([[1.0, 2.0], [0.5, 0.0], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(InfeasibleError, match="row 2") as err:
-        gee_dinkelbach_rows(gains, 1.0, 1e-12)
+        gee_dinkelbach_rows(gains, 1.0)
     assert err.value.row == 2
     monkeypatch.setattr(allocator, "_DINKELBACH_MAX_ITER", 1)
     with pytest.raises(NumericalError, match="row 0") as err:
-        gee_dinkelbach_rows(gains[:2], 1.0, 1e-12)
+        gee_dinkelbach_rows(gains[:2], 1.0)
     assert err.value.row == 0
 
 
 def test_dinkelbach_stop_is_relative_at_tiny_gain():
     # at g pc = 1e-15 the optimum is about sqrt(2 pc / g); the rate there is
     # about 4.5e-8 nats, so a stop on an absolute 1e-12 residual ends far off
-    alloc = gee_dinkelbach(GeeProblem([1e-15], 1.0), 1e-12)
+    alloc = gee_dinkelbach(GeeProblem([1e-15], 1.0))
     assert alloc.powers[0] == pytest.approx(math.sqrt(2.0 / 1e-15), rel=1e-5)
 
 
@@ -324,6 +323,23 @@ def test_wmee_identical_links_binding_budget():
     cfgs = [LinkConfig(1.0), LinkConfig(1.0)]
     alloc = wmee_maxmin([1.0, 1.0], cfgs, 1.0)
     np.testing.assert_allclose(alloc.powers, [0.5, 0.5], atol=1e-6)
+
+
+def test_identical_links_fully_fair_under_every_solver():
+    # equal gains and circuit powers: each of the four objectives gives every
+    # link the same EE, so Jain's index is 1, whether the budget binds or not
+    for links in (2, 3, 4):
+        gains = np.ones(links)
+        cfgs = [LinkConfig(1.0)] * links
+        for budget in (2.0, 100.0):
+            solved = [
+                gee_dinkelbach(GeeProblem(gains, float(links), budget)),
+                wsee_ascent(gains, cfgs, budget),
+                wpee_ascent(gains, cfgs, budget),
+                wmee_maxmin(gains, cfgs, budget),
+            ]
+            for alloc in solved:
+                assert evaluate(gains, cfgs, alloc.powers).jain == pytest.approx(1.0, abs=1e-6)
 
 
 def test_wmee_vs_grid_search():

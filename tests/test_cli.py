@@ -1,10 +1,12 @@
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eepower import experiments
-from eepower.cli import load_config, main
+from eepower.cli import build_parser, load_config, main
 from eepower.errors import NumericalError
 
 
@@ -14,31 +16,31 @@ def read_all_bytes(directory):
 
 def test_siso_ee_se_writes_curves_and_manifest(tmp_path):
     out = tmp_path / "d"
-    rc = main(["siso-ee-se", "--pc", "1,2", "--seed", "42", "--out", str(out)])
+    rc = main(["siso-ee-se", "--pc", "1,2", "--out", str(out)])
     assert rc == 0
     names = sorted(f.name for f in out.iterdir())
     assert names == ["manifest.txt", "siso_ee_se_pc1.csv", "siso_ee_se_pc2.csv"]
     manifest = (out / "manifest.txt").read_text()
-    assert "seed: 42" in manifest
+    assert "seed:" not in manifest  # the curves draw nothing
     assert manifest.count("sha256=") == 2
 
 
 # every experiment command at small trials, with only the flags it reads
 SMALL_RUNS = {
-    "siso-profiles": ["--trials", "50"],
+    "siso-profiles": ["--trials", "50", "--seed", "7"],
     "siso-ee-se": ["--pc", "1,2"],
     "pc-sweep": ["--pc", "1,2"],
-    "ofdm-sweep": ["--pc", "1", "--n", "1,2", "--trials", "20"],
-    "mimo-sweep": ["--pc", "1", "--n", "1,2", "--trials", "5", "--budget", "3"],
-    "fairness": ["--trials", "4"],
-    "table1": ["--trials", "5"],
+    "ofdm-sweep": ["--pc", "1", "--n", "1,2", "--trials", "20", "--seed", "7"],
+    "mimo-sweep": ["--pc", "1", "--n", "1,2", "--trials", "5", "--budget", "3", "--seed", "7"],
+    "fairness": ["--trials", "4", "--seed", "7"],
+    "table1": ["--trials", "5", "--seed", "7"],
 }
 
 
 def test_rerun_is_byte_identical(tmp_path):
     for command, flags in SMALL_RUNS.items():
         out = tmp_path / command
-        args = [command, *flags, "--seed", "7", "--out", str(out)]
+        args = [command, *flags, "--out", str(out)]
         assert main(args) == 0
         first = read_all_bytes(out)
         assert main(args) == 0
@@ -50,26 +52,33 @@ def test_rerun_is_byte_identical(tmp_path):
 # at the values in effect for SMALL_RUNS (a budget left unset shows the
 # experiment's own)
 MANIFEST_PARAMETERS = {
-    "siso-profiles": ["pc: 1", "trials: 50", "budget: 1", "gamma_points: 200", "gamma_range: 0.01,100"],
-    "siso-ee-se": ["pc: 1,2", "gamma_points: 200", "gamma_range: 0.01,100"],
-    "pc-sweep": ["pc: 1,2", "gamma_points: 200", "gamma_range: 0.01,100"],
-    "ofdm-sweep": ["pc: 1", "n: 1,2", "trials: 20", "budget: -"],
-    "mimo-sweep": ["pc: 1", "n: 1,2", "trials: 5", "budget: 3"],
-    "fairness": ["trials: 4", "budget: 2", "links: 4", "pc_range: 0.25,2"],
-    "table1": ["trials: 5", "budget: -"],
+    "siso-profiles": ["seed: 7", "pc: 1", "trials: 50", "budget: 1"],
+    "siso-ee-se": ["pc: 1,2"],
+    "pc-sweep": ["pc: 1,2"],
+    "ofdm-sweep": ["seed: 7", "pc: 1", "n: 1,2", "trials: 20", "budget: -"],
+    "mimo-sweep": ["seed: 7", "pc: 1", "n: 1,2", "trials: 5", "budget: 3"],
+    "fairness": ["seed: 7", "trials: 4", "budget: 2"],
+    "table1": ["seed: 7", "trials: 5", "budget: -"],
 }
 
 
 @pytest.mark.parametrize("command", SMALL_RUNS)
 def test_manifest_lists_exactly_the_fields_the_experiment_reads(tmp_path, command):
     out = tmp_path / "d"
-    assert main([command, *SMALL_RUNS[command], "--seed", "7", "--out", str(out)]) == 0
+    assert main([command, *SMALL_RUNS[command], "--out", str(out)]) == 0
     lines = (out / "manifest.txt").read_text().splitlines()
-    header = ["command", "version", "experiment", "seed", "fading", "mean_gain"]
-    assert [line.split(":")[0] for line in lines[:6]] == header
+    assert [line.split(":")[0] for line in lines[:3]] == ["command", "version", "experiment"]
     units = lines.index("units: bits")
-    assert lines[6:units] == MANIFEST_PARAMETERS[command]
+    assert lines[3:units] == MANIFEST_PARAMETERS[command]
     assert all(line.startswith("file: ") for line in lines[units + 1 :])
+
+
+def test_manifest_records_floats_that_g_would_round_in_full(tmp_path):
+    out = tmp_path / "d"
+    flags = ["--trials", "2", "--n", "1", "--pc", "0.5,1.0000001", "--budget", "2.0000001"]
+    assert main(["ofdm-sweep", *flags, "--out", str(out)]) == 0
+    lines = (out / "manifest.txt").read_text().splitlines()
+    assert lines[3:8] == ["seed: 1", "pc: 0.5,1.0000001", "n: 1", "trials: 2", "budget: 2.0000001"]
 
 
 def test_manifest_digests_match_files(tmp_path):
@@ -108,7 +117,7 @@ def test_units_conversion(tmp_path):
 
 def test_csv_values_have_12_significant_digits(tmp_path):
     out = tmp_path / "d"
-    assert main(["siso-ee-se", "--pc", "1", "--seed", "1", "--out", str(out)]) == 0
+    assert main(["siso-ee-se", "--pc", "1", "--out", str(out)]) == 0
     line = (out / "siso_ee_se_pc1.csv").read_text().splitlines()[5]
     for cell in line.split(",")[1:]:
         mantissa = cell.lstrip("-0.").replace(".", "").split("e")[0]
@@ -173,6 +182,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "--seed must be >= 0, got -1" in capsys.readouterr().err
     assert main(["ofdm-sweep", "--n", "1.5", "--out", str(tmp_path)]) == 1
     assert "list of integers, got '1.5'" in capsys.readouterr().err
+    assert main(["fairness", "--seed", "-1", "--out", str(tmp_path / "d")]) == 1
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 # every (command, flag) pair whose spec field the experiment does not read
@@ -188,6 +199,8 @@ UNREAD_INPUTS = [
     ("siso-ee-se", "--budget", "5"),
     ("pc-sweep", "--trials", "7"),
     ("pc-sweep", "--budget", "5"),
+    ("siso-ee-se", "--seed", "3"),
+    ("pc-sweep", "--seed", "3"),
 ]
 
 
@@ -202,7 +215,7 @@ def test_flag_the_command_does_not_read_exits_1(tmp_path, capsys, command, flag,
 @pytest.mark.parametrize("command, flag, value", UNREAD_INPUTS)
 def test_config_key_the_command_does_not_read_exits_1(tmp_path, capsys, command, flag, value):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"seed=3\n{flag[2:]}={value}\n")
+    cfg.write_text(f"units=bits\n{flag[2:]}={value}\n")
     rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "d")])
     assert rc == 1
     assert capsys.readouterr().err == f"{cfg}:2: {command} does not read key {flag[2:]!r}\n"
@@ -217,8 +230,21 @@ def test_config_key_the_command_does_not_read_exits_1(tmp_path, capsys, command,
         (["mimo-sweep", "--n", "2,2"], "n values must be non-empty and strictly ascending, got (2, 2)"),
         (["siso-profiles", "--pc", "1,2"], "siso_profiles reads exactly one pc value, got (1.0, 2.0)"),
         (["table1", "--pc", "2"], "eepower table1: table1 does not read --pc"),
+        (
+            ["ofdm-sweep", "--trials", "3", "--n", "1,2", "--pc", "1,1.0000001"],
+            "pc values 1.0 and 1.0000001 would write the same files (label pc1)",
+        ),
+        (["pc-sweep", "--pc", "1,1.0000001,2"], "pc values 1.0 and 1.0000001 would write the same files (label pc1)"),
     ],
-    ids=["pc-sweep-one-pc", "ofdm-sweep-descending-n", "mimo-sweep-repeated-n", "siso-profiles-two-pc", "table1-pc"],
+    ids=[
+        "pc-sweep-one-pc",
+        "ofdm-sweep-descending-n",
+        "mimo-sweep-repeated-n",
+        "siso-profiles-two-pc",
+        "table1-pc",
+        "ofdm-sweep-pc-label-clash",
+        "pc-sweep-pc-label-clash",
+    ],
 )
 def test_input_the_experiment_cannot_take_exits_1(tmp_path, capsys, args, message):
     rc = main([*args, "--out", str(tmp_path / "d")])
@@ -278,7 +304,7 @@ def test_fairness_failure_names_trial_and_replay_command(tmp_path, monkeypatch, 
 
 def test_config_file_defaults_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment line\npc=1,2\nseed=9\n")
+    cfg.write_text("# comment line\npc=1,2\nunits=nats\n")
     out = tmp_path / "d"
     rc = main(["siso-ee-se", "--config", str(cfg), "--pc", "4", "--out", str(out)])
     assert rc == 0
@@ -286,7 +312,7 @@ def test_config_file_defaults_and_flag_precedence(tmp_path):
     assert names == ["manifest.txt", "siso_ee_se_pc4.csv"]
     manifest = (out / "manifest.txt").read_text()
     assert "pc: 4\n" in manifest
-    assert "seed: 9\n" in manifest
+    assert "units: nats\n" in manifest
 
 
 def test_config_file_errors(tmp_path):
@@ -295,7 +321,7 @@ def test_config_file_errors(tmp_path):
     with pytest.raises(Exception) as err:
         load_config(str(bad), "siso-ee-se")
     assert ":1:" in str(err.value)
-    bad.write_text("seed=2\nunits=furlongs\n")
+    bad.write_text("pc=2\nunits=furlongs\n")
     with pytest.raises(Exception, match=":2: bad value for 'units': 'furlongs'"):
         load_config(str(bad), "siso-ee-se")
     unknown = tmp_path / "unknown.cfg"
@@ -315,3 +341,16 @@ def test_empty_config_gives_defaults(tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("eepower ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines(), ids=lambda line: line.split()[1])
+def test_readme_cli_example_parses(line):
+    # each example is parsed with the real flags, not run
+    args = build_parser().parse_args(shlex.split(line)[1:])
+    assert args.command == shlex.split(line)[1]

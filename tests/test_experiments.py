@@ -23,8 +23,8 @@ def test_spec_validation():
         default_spec("nonsense")
     with pytest.raises(ValueError):
         default_spec("ofdm_scaling", trials=0)
-    with pytest.raises(ValueError):
-        default_spec("fairness", links=1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        default_spec("fairness", seed=-1)
     with pytest.raises(ValueError):
         run(default_spec("table1", pc_values=(2.0,)))
 
@@ -38,6 +38,10 @@ def test_spec_validation():
         ("fairness", "pc_values", (1.0, 2.0)),
         ("table1", "pc_values", (2.0,)),
         ("siso_profiles", "n_values", (3,)),
+        ("siso_ee_se", "seed", 3),
+        ("pc_sweep", "seed", 3),
+        # the gain grid and the fairness instances are fixed, so their old
+        # field names are refused the same way
         ("fairness", "gamma_points", 50),
         ("siso_ee_se", "links", 3),
         ("siso_ee_se", "pc_range", (0.5, 1.0)),
@@ -57,6 +61,7 @@ def test_default_spec_refuses_an_input_the_experiment_does_not_read(experiment, 
         ("siso_ee_se", {"pc_values": ()}, "at least one pc value"),
         ("ofdm_scaling", {"pc_values": (1.0,), "n_values": ()}, "n values"),
         ("mimo_scaling", {"pc_values": (1.0,), "n_values": (4, 2)}, "n values"),
+        ("siso_ee_se", {"pc_values": (2.0, 2.0)}, "pc values 2.0 and 2.0 would write the same files"),
     ],
 )
 def test_spec_checks_what_each_experiment_needs_of_its_inputs(experiment, overrides, match):
@@ -93,7 +98,7 @@ def test_curveset_validation():
 
 
 def test_siso_profiles_shapes_and_claims():
-    spec = default_spec("siso_profiles", seed=1, trials=2000, gamma_points=120)
+    spec = default_spec("siso_profiles", seed=1, trials=2000)
     (curve,) = run(spec)
     gamma = curve.column("gamma")
     p_ee = curve.column("p_eepa")
@@ -119,7 +124,7 @@ def test_siso_profiles_budget_calibration():
     (curve,) = run(spec)
     # recompute the empirical mean power of the water-filling rule over the
     # calibration sample
-    sample = draw_gains(spec.fading, spec.trials, stream=0)
+    sample = draw_gains(FadingSpec(seed=spec.seed), spec.trials, stream=0)
     p_wf = curve.column("p_wpa")
     gamma = curve.column("gamma")
     level = p_wf[-1] + 1.0 / gamma[-1]
@@ -128,14 +133,14 @@ def test_siso_profiles_budget_calibration():
 
 
 def test_siso_ee_se_curves_monotone():
-    spec = default_spec("siso_ee_se", seed=1, pc_values=(0.5,), gamma_points=80)
+    spec = default_spec("siso_ee_se", pc_values=(0.5,))
     (curve,) = run(spec)
     assert np.all(np.diff(curve.column("se")) > 0)
     assert np.all(np.diff(curve.column("ee")) > 0)
 
 
 def test_pc_sweep_ratio_is_half():
-    spec = default_spec("pc_sweep", seed=1)
+    spec = default_spec("pc_sweep")
     curves = run(spec)
     assert [c.label for c in curves] == [
         "siso_ee_se_pc1",
@@ -162,7 +167,7 @@ def test_ofdm_scaling_monotone_and_reduces_to_siso():
     cfg = LinkConfig(1.0)
     direct = []
     for t in range(spec.trials):
-        g = draw_gains(spec.fading, 1, stream=t)[0]
+        g = draw_gains(FadingSpec(seed=spec.seed), 1, stream=t)[0]
         direct.append(ee_of(g, eepa(g, cfg), cfg))
     assert abs(ee[0] - np.mean(direct)) < 1e-8
 
@@ -175,7 +180,7 @@ def test_mimo_scaling_monotone_and_reduces_to_siso():
     cfg = LinkConfig(1.0)
     direct = []
     for t in range(spec.trials):
-        g = abs(draw_matrix(spec.fading, 1, 1, stream=t)[0, 0]) ** 2
+        g = abs(draw_matrix(FadingSpec(seed=spec.seed), 1, 1, stream=t)[0, 0]) ** 2
         direct.append(ee_of(g, eepa(g, cfg), cfg))
     assert abs(ee[0] - np.mean(direct)) < 1e-8
 
@@ -191,22 +196,8 @@ def test_lower_pc_gives_uniformly_higher_ee():
     assert np.all(low.column("ee_mean") > high.column("ee_mean"))
 
 
-def test_fairness_identical_links_fully_fair():
-    spec = default_spec(
-        "fairness",
-        seed=2,
-        trials=5,
-        links=3,
-        fading=FadingSpec(kind="deterministic", mean_gain=1.0, seed=2),
-        pc_range=(1.0, 1.0),
-    )
-    curve, _summary = run(spec)
-    for name in ("jain_gee", "jain_wsee", "jain_wpee", "jain_wmee"):
-        np.testing.assert_allclose(curve.column(name), 1.0, atol=1e-6)
-
-
 def test_fairness_maxmin_protects_weakest_link():
-    spec = default_spec("fairness", seed=4, trials=40, links=3)
+    spec = default_spec("fairness", seed=4, trials=40)
     curve, summary = run(spec)
     assert np.all(curve.column("min_ee_wmee") >= curve.column("min_ee_gee") - 1e-9)
     med = fairness_medians(curve)
@@ -231,7 +222,7 @@ def test_runs_are_bit_reproducible():
     a = run(spec)[0]
     b = run(spec)[0]
     assert a.rows == b.rows
-    spec = default_spec("fairness", seed=11, trials=10, links=3)
+    spec = default_spec("fairness", seed=11, trials=10)
     a = run(spec)[0]
     b = run(spec)[0]
     assert a.rows == b.rows
@@ -249,17 +240,18 @@ def test_doubling_trials_is_statistically_stable():
 def _per_trial_loop(spec, tech):
     # reference: one draw and one solve per (n, trial, pc), as a plain loop
     rows = {pc: [] for pc in spec.pc_values}
+    fading = FadingSpec(seed=spec.seed)
     for n in spec.n_values:
         ee = {pc: [] for pc in spec.pc_values}
         se = {pc: [] for pc in spec.pc_values}
         for t in range(spec.trials):
             if tech == "ofdm":
-                gains = draw_gains(spec.fading, n, stream=t)
+                gains = draw_gains(fading, n, stream=t)
             else:
-                gains = svd_gains(draw_matrix(spec.fading, n, n, stream=t))
+                gains = svd_gains(draw_matrix(fading, n, n, stream=t))
             for pc in spec.pc_values:
                 pc_total = pc * n if tech == "mimo" else pc
-                alloc = gee_dinkelbach(GeeProblem(gains, pc_total, spec.budget), 1e-12)
+                alloc = gee_dinkelbach(GeeProblem(gains, pc_total, spec.budget))
                 ee[pc].append(alloc.objective)
                 se[pc].append(float(np.log1p(gains * alloc.powers).sum()))
         for pc in spec.pc_values:
