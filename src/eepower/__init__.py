@@ -19,7 +19,7 @@ from .allocator import (
     wpee_ascent,
     wsee_ascent,
 )
-from .channel import FadingSpec, draw_gain_rows, draw_gains, draw_matrix, matrices_from_uniforms, rng_for, stream_uniforms
+from .channel import draw_gain_rows, draw_gains, draw_matrix, matrices_from_uniforms, rng_for, stream_uniforms
 from .errors import InfeasibleError, NumericalError, PowerControlError
 from .experiments import CurveSet, ExperimentSpec, default_spec, run
 from .metrics import MultiLinkReport, evaluate, jain_index, trace_ee_se
@@ -30,7 +30,6 @@ __all__ = [
     "Allocation",
     "CurveSet",
     "ExperimentSpec",
-    "FadingSpec",
     "GeeProblem",
     "GridSpec",
     "InfeasibleError",

@@ -11,9 +11,9 @@ Each experiment is declared once, in EXPERIMENTS at the end of this module:
 its CLI command, its runner, the spec fields the runner reads and its
 defaults. default_spec, run, the spec checks, the CLI and the run manifest
 all follow that record. What no command sets is fixed here as a module
-constant: the gain grid of the curves, the fairness instances, the table1
-dimension counts, and the fading model (unit-mean Rayleigh, seeded by the
-spec).
+constant: the gain grid of the curves, the fairness instances and the table1
+dimension counts. Every draw is unit-mean Rayleigh (eepower.channel) from
+the spec's seed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .allocator import (
     wpee_ascent,
     wsee_ascent,
 )
-from .channel import FadingSpec, draw_gain_rows, draw_gains, matrices_from_uniforms, rng_for, stream_uniforms
+from .channel import draw_gain_rows, draw_gains, matrices_from_uniforms, rng_for, stream_uniforms
 from .errors import PowerControlError
 from .metrics import evaluate, trace_ee_se
 from .numerics import svd_gains
@@ -164,13 +164,13 @@ def run(spec: ExperimentSpec) -> list[CurveSet]:
 def run_siso_profiles(spec: ExperimentSpec) -> list[CurveSet]:
     """Power profiles and per-gain SE/EE of the EE-optimal scheme vs water-filling.
 
-    The water level is calibrated so that the mean power over `trials` seeded
-    fading draws equals the budget, mirroring a long-run average power
-    constraint.
+    The water level is calibrated so that the mean power over exactly
+    `trials` seeded fading draws (stream 0) equals the budget, mirroring a
+    long-run average power constraint.
     """
     pc = spec.pc_values[0]
     cfg = LinkConfig(pc)
-    sample = draw_gains(FadingSpec(seed=spec.seed), max(spec.trials, 2), stream=0)
+    sample = draw_gains(spec.seed, spec.trials, stream=0)
     level = float(water_level(sample, spec.budget * sample.size))
 
     rows = []
@@ -236,14 +236,13 @@ def _scaling_stats(spec: ExperimentSpec, tech: str, ns, pcs):
     values equal per-(n, trial) draw_gains / draw_matrix calls. Each n is
     then solved for all trials at once.
     """
-    fading = FadingSpec(seed=spec.seed)
     if tech == "ofdm":
-        block = draw_gain_rows(fading, spec.trials, max(ns))
+        block = draw_gain_rows(spec.seed, spec.trials, max(ns))
     else:
-        block = stream_uniforms(fading, spec.trials, 2 * max(ns) ** 2)
+        block = stream_uniforms(spec.seed, spec.trials, 2 * max(ns) ** 2)
     stats: dict[tuple[float, int], tuple[float, float, float, float]] = {}
     for n in ns:
-        gains = block[:, :n] if tech == "ofdm" else svd_gains(matrices_from_uniforms(fading, block, n, n))
+        gains = block[:, :n] if tech == "ofdm" else svd_gains(matrices_from_uniforms(block, n, n))
         for pc in pcs:
             powers, ee = _solve_trials(spec, tech, n, pc, gains)
             se = np.log1p(gains * powers).sum(axis=1)
@@ -311,11 +310,10 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
     circuit powers uniform over FAIRNESS_PC_RANGE; all four objectives share
     one total power budget. A solver error is re-raised naming the trial,
     seed and budget and the command that replays it."""
-    fading = FadingSpec(seed=spec.seed)
     lo, hi = FAIRNESS_PC_RANGE
     rows = []
     for t in range(spec.trials):
-        gains = draw_gains(fading, FAIRNESS_LINKS, stream=t)
+        gains = draw_gains(spec.seed, FAIRNESS_LINKS, stream=t)
         u = rng_for(spec.seed, t, _AUX_STREAM).random(FAIRNESS_LINKS)
         pcs = lo + (hi - lo) * u
         cfgs = [LinkConfig(pc) for pc in pcs]

@@ -1,9 +1,10 @@
 """Scalar and small-matrix numerical kernels.
 
-Self-contained building blocks used by the allocation solvers: the principal
-branch of the Lambert W function, a plain bisection root finder, and the
-squared singular values of stacks of complex matrices (the eigen-channel
-power gains of MIMO links).
+Self-contained building blocks: the principal branch of the Lambert W
+function (used by the allocation solvers), the squared singular values of
+stacks of complex matrices (the eigen-channel power gains of MIMO links), and
+a plain bisection root finder that no solver calls; it is kept public for
+its tests and for the benchmark tracer, which wraps it.
 """
 
 from __future__ import annotations

@@ -48,6 +48,16 @@ def test_rerun_is_byte_identical(tmp_path):
         assert first == second, command
 
 
+def test_siso_profiles_calibrates_on_exactly_the_trials_it_records(tmp_path):
+    # the water level comes from exactly --trials draws, so 1 and 2 differ
+    csvs = []
+    for trials in ("1", "2"):
+        out = tmp_path / trials
+        assert main(["siso-profiles", "--trials", trials, "--out", str(out)]) == 0
+        csvs.append((out / "siso_profiles_pc1.csv").read_bytes())
+    assert csvs[0] != csvs[1]
+
+
 # the manifest's parameter lines: exactly the fields each experiment reads,
 # at the values in effect for SMALL_RUNS (a budget left unset shows the
 # experiment's own)

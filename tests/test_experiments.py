@@ -5,7 +5,7 @@ import pytest
 
 from eepower import allocator, experiments
 from eepower.allocator import GeeProblem, LinkConfig, ee_of, eepa, gee_dinkelbach
-from eepower.channel import FadingSpec, draw_gains, draw_matrix
+from eepower.channel import draw_gains, draw_matrix
 from eepower.errors import InfeasibleError, NumericalError
 from eepower.numerics import svd_gains
 from eepower.experiments import (
@@ -124,7 +124,7 @@ def test_siso_profiles_budget_calibration():
     (curve,) = run(spec)
     # recompute the empirical mean power of the water-filling rule over the
     # calibration sample
-    sample = draw_gains(FadingSpec(seed=spec.seed), spec.trials, stream=0)
+    sample = draw_gains(spec.seed, spec.trials, stream=0)
     p_wf = curve.column("p_wpa")
     gamma = curve.column("gamma")
     level = p_wf[-1] + 1.0 / gamma[-1]
@@ -167,7 +167,7 @@ def test_ofdm_scaling_monotone_and_reduces_to_siso():
     cfg = LinkConfig(1.0)
     direct = []
     for t in range(spec.trials):
-        g = draw_gains(FadingSpec(seed=spec.seed), 1, stream=t)[0]
+        g = draw_gains(spec.seed, 1, stream=t)[0]
         direct.append(ee_of(g, eepa(g, cfg), cfg))
     assert abs(ee[0] - np.mean(direct)) < 1e-8
 
@@ -180,7 +180,7 @@ def test_mimo_scaling_monotone_and_reduces_to_siso():
     cfg = LinkConfig(1.0)
     direct = []
     for t in range(spec.trials):
-        g = abs(draw_matrix(FadingSpec(seed=spec.seed), 1, 1, stream=t)[0, 0]) ** 2
+        g = abs(draw_matrix(spec.seed, 1, 1, stream=t)[0, 0]) ** 2
         direct.append(ee_of(g, eepa(g, cfg), cfg))
     assert abs(ee[0] - np.mean(direct)) < 1e-8
 
@@ -240,15 +240,14 @@ def test_doubling_trials_is_statistically_stable():
 def _per_trial_loop(spec, tech):
     # reference: one draw and one solve per (n, trial, pc), as a plain loop
     rows = {pc: [] for pc in spec.pc_values}
-    fading = FadingSpec(seed=spec.seed)
     for n in spec.n_values:
         ee = {pc: [] for pc in spec.pc_values}
         se = {pc: [] for pc in spec.pc_values}
         for t in range(spec.trials):
             if tech == "ofdm":
-                gains = draw_gains(fading, n, stream=t)
+                gains = draw_gains(spec.seed, n, stream=t)
             else:
-                gains = svd_gains(draw_matrix(fading, n, n, stream=t))
+                gains = svd_gains(draw_matrix(spec.seed, n, n, stream=t))
             for pc in spec.pc_values:
                 pc_total = pc * n if tech == "mimo" else pc
                 alloc = gee_dinkelbach(GeeProblem(gains, pc_total, spec.budget))
