@@ -11,7 +11,7 @@ from .allocator import (
     ee_of,
     eepa,
     gee_dinkelbach,
-    gee_dinkelbach_rows,
+    gee_rows,
     se_of,
     water_level,
     wmee_maxmin,
@@ -20,7 +20,7 @@ from .allocator import (
     wsee_ascent,
 )
 from .channel import draw_gain_rows, draw_gains, draw_matrix, matrices_from_uniforms, rng_for, stream_uniforms
-from .errors import InfeasibleError, NumericalError, PowerControlError
+from .errors import InfeasibleError, PowerControlError
 from .experiments import CurveSet, ExperimentSpec, default_spec, run
 from .metrics import MultiLinkReport, evaluate, jain_index, trace_ee_se
 from .numerics import bisect, lambert_w0, svd_gains
@@ -35,7 +35,6 @@ __all__ = [
     "InfeasibleError",
     "LinkConfig",
     "MultiLinkReport",
-    "NumericalError",
     "PowerControlError",
     "bisect",
     "default_spec",
@@ -46,7 +45,7 @@ __all__ = [
     "eepa",
     "evaluate",
     "gee_dinkelbach",
-    "gee_dinkelbach_rows",
+    "gee_rows",
     "grid_argmax",
     "jain_index",
     "lambert_w0",

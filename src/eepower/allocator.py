@@ -1,18 +1,18 @@
 """Power-allocation schemes.
 
 Covers the classic water-filling allocation (rate-optimal under an average
-power budget), the closed-form single-link energy-efficiency optimum, a
-Dinkelbach solver for the global-EE ratio over parallel channels, and
-budgeted multi-link solvers for the sum, product, and max-min weighted-EE
-objectives.
+power budget), the closed-form single-link energy-efficiency optimum, the
+closed-form global-EE optimum over parallel channels, and budgeted
+multi-link solvers for the sum, product, and max-min weighted-EE objectives.
 
 Water-filling levels come from one exact sort-and-threshold rule
-(`water_level`), and the Dinkelbach solver runs on a (rows, n) gain array
-with one price per row (`gee_dinkelbach_rows`); `gee_dinkelbach` is its
-one-row call. The Lambert W function gives both a link's EE peak (`eepa`)
-and its power at a given EE level (`_rising_power`), so `wmee_maxmin`
-bisects only on the common level; the sum and product solvers start from
-the per-link peaks and only trade power between pairs of links.
+(`water_level`). The global-EE optimum is water-filling at a Lambert-W level
+found without iteration, for every row of a (rows, n) gain array at once
+(`gee_rows`); `gee_dinkelbach` is its one-row call, and at one link it is
+`eepa`'s formula. The Lambert W function also gives a link's power at a
+given EE level (`_rising_power`), so `wmee_maxmin` bisects only on the
+common level; the sum and product solvers start from the per-link peaks and
+only trade power between pairs of links.
 
 Conventions: rates are in nats (natural log); converting to bits is a
 reporting concern, never a solver concern. Noise power is normalized to 1,
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, NumericalError
-from .numerics import lambert_w0
+from .errors import InfeasibleError
+from .numerics import lambert_w0, lambert_w0_offset
 
 # Unused here: perfbench/child.py wraps this name on this module when it
 # traces a run, so it must stay importable from it.
@@ -35,20 +35,13 @@ from .numerics import bisect  # noqa: F401
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Water level used for the very first Dinkelbach subproblem (price zero) when
-# no total-power cap bounds it.
-_FREE_LEVEL_SCALE = 1e3
-_DINKELBACH_MAX_ITER = 1000
-# a Dinkelbach row stops once its residual is at most this fraction of its rate
-_DINKELBACH_TOL = 1e-12
-
 
 def _check_positive(name: str, value, optional: bool = False) -> None:
-    """ValueError naming `name` unless value is positive and finite (or None
-    when the parameter is optional)."""
+    """ValueError naming `name` unless value (a number or an array) is
+    positive and finite throughout (or None when the parameter is optional)."""
     if optional and value is None:
         return
-    if not (math.isfinite(value) and value > 0.0):
+    if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
@@ -79,7 +72,7 @@ class Allocation:
 
 @dataclass
 class GeeProblem:
-    """Global-EE maximization instance: parallel gains sharing one circuit power."""
+    """Global-EE maximization instance (`gee_dinkelbach` checks its values)."""
 
     gains: np.ndarray
     pc: float
@@ -89,12 +82,6 @@ class GeeProblem:
         self.gains = np.asarray(self.gains, dtype=float)
         if self.gains.ndim != 1 or self.gains.size < 1:
             raise ValueError("gains must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(self.gains)) or np.any(self.gains < 0.0):
-            raise ValueError("gains must be finite and non-negative")
-        if not np.any(self.gains > 0.0):
-            raise InfeasibleError("at least one gain must be positive")
-        _check_positive("circuit power", self.pc)
-        _check_positive("p_max_total", self.p_max_total, optional=True)
 
 
 def se_of(gamma: float, p: float) -> float:
@@ -176,24 +163,26 @@ def water_level(gains, total):
 def gee_dinkelbach(prob: GeeProblem) -> Allocation:
     """Maximize the global EE  sum_i ln(1 + g_i p_i) / (pc + sum_i p_i).
 
-    The one-row call of `gee_dinkelbach_rows`.
+    The one-row call of `gee_rows`.
     """
-    powers, objective = gee_dinkelbach_rows(prob.gains[None, :], prob.pc, prob.p_max_total)
+    powers, objective = gee_rows(prob.gains[None, :], prob.pc, prob.p_max_total)
     return Allocation(powers[0], float(objective[0]))
 
 
-def gee_dinkelbach_rows(gains, pc: float, p_max_total: float | None = None):
+def gee_rows(gains, pc, p_max_total: float | None = None):
     """Global-EE maximization for every row of a (rows, n) gain array.
 
-    Row r solves max sum_i ln(1 + g_ri p_ri) / (pc + sum_i p_ri); the circuit
-    power pc and the optional total-power cap are shared by all rows.
-    Dinkelbach iteration, one price eta per row: at price eta the subproblem
-    max R(p) - eta * sum(p) is water-filling with level 1/eta (cut back to the
-    cap-saturating level when that overshoots the cap); eta is then refreshed
-    to the achieved ratio. A row stops once R - eta_prev * (pc + sum p) <=
-    _DINKELBACH_TOL * R (relative to its rate R) and leaves the working set.
-    The first subproblem (eta = 0) uses either the cap-saturating level or a
-    large fallback level of 1e3 / min positive gain.
+    Row r solves max sum_i ln(1 + g_ri p_ri) / (pc_r + sum_i p_ri), with one
+    circuit power pc for all rows or one per row and an optional shared cap.
+    The optimum is water-filling at the level w where R(w) = (pc + P(w)) / w
+    (Miao, Himayat & Li, IEEE TCOM 2010). With the floors s = 1/g sorted
+    ascending and delta_j = s_j / s_1 - 1, R - (pc + P) / w rises in w, so
+    the active links are the k floors where it is negative. With m the mean
+    of log1p(delta) over them, w = s_1 exp(m + v), v = 1 + W0(-1/e + d) and
+    d = (pc / s_1 - sum delta + k expm1(m)) / (k e e^m); the powers are
+    s_1 (expm1(m + v) - delta_i), w - s_i without its cancellation (none for
+    a zero gain, whose floor is infinite). The EE is unimodal in the total
+    power, so a row over the cap is cut back to `water_level(g, cap)`.
 
     Returns (powers, objective) of shapes (rows, n) and (rows,). Errors name
     the first failing row in the message and in the error's `row`.
@@ -210,37 +199,33 @@ def gee_dinkelbach_rows(gains, pc: float, p_max_total: float | None = None):
         row = int(np.argmax(dead))
         raise InfeasibleError(f"row {row}: at least one gain must be positive", row=row)
 
-    # level at price zero; with a cap it is also the level a row is cut back to
-    if p_max_total is None:
-        first = _FREE_LEVEL_SCALE / np.where(g > 0.0, g, np.inf).min(axis=1)
-    else:
-        first = water_level(g, p_max_total)
-    powers = np.empty_like(g)
-    objective = np.empty(g.shape[0])
-    # working set: rows still iterating, with their gains, floors and price
-    rows = np.arange(g.shape[0])
-    g_w, inv_w, eta = g, _inverse(g), np.zeros(g.shape[0])
-    for _ in range(_DINKELBACH_MAX_ITER):
-        level = first[rows]
-        priced = eta > 0.0
-        level[priced] = 1.0 / eta[priced]
-        p = np.maximum(0.0, level[:, None] - inv_w)
-        if p_max_total is not None:
-            over = p.sum(axis=1) > p_max_total * (1.0 + 1e-12)
-            p[over] = np.maximum(0.0, first[rows[over], None] - inv_w[over])
-        rate = np.log1p(g_w * p).sum(axis=1)
-        total = pc + p.sum(axis=1)
-        done = rate - eta * total <= _DINKELBACH_TOL * rate
-        powers[rows[done]] = p[done]
-        objective[rows[done]] = rate[done] / total[done]
-        going = ~done
-        if not going.any():
-            return powers, objective
-        rows, g_w, inv_w, eta = rows[going], g_w[going], inv_w[going], (rate / total)[going]
-    row = int(rows[0])
-    raise NumericalError(
-        f"row {row}: gee_dinkelbach: no convergence after {_DINKELBACH_MAX_ITER} iterations", row=row
-    )
+    inv = _inverse(g)
+    s1 = inv.min(axis=1, keepdims=True)
+    scaled_pc = pc / s1[:, 0]
+    delta = np.sort(inv, axis=1) / s1 - 1.0
+    cum_delta = np.cumsum(delta, axis=1)
+    j = np.arange(1, g.shape[1] + 1)
+    # R - (pc + P) / w at w = s_j is j logs - cum_log - spill, formed in an
+    # order that keeps few (rows, n) arrays alive; an infinite floor gives NaN,
+    # which never counts
+    with np.errstate(invalid="ignore"):
+        spill = (j * delta + scaled_pc[:, None] - cum_delta) / (1.0 + delta)
+        logs = np.log1p(delta)
+        del delta
+        cum_log = np.cumsum(logs, axis=1)
+        logs *= j
+        k = np.count_nonzero(logs - cum_log < spill, axis=1)
+    del logs, spill
+    m = np.take_along_axis(cum_log, k[:, None] - 1, axis=1)[:, 0] / k
+    sum_delta = np.take_along_axis(cum_delta, k[:, None] - 1, axis=1)[:, 0]
+    del cum_log, cum_delta
+    d = (scaled_pc - sum_delta + k * np.expm1(m)) / (k * math.e * np.exp(m))
+    rise = np.expm1(m + lambert_w0_offset(d))
+    powers = np.maximum(0.0, s1 * (rise[:, None] - (inv / s1 - 1.0)))
+    if p_max_total is not None:
+        over = powers.sum(axis=1) > p_max_total
+        powers[over] = np.maximum(0.0, water_level(g[over], p_max_total)[:, None] - inv[over])
+    return powers, np.log1p(g * powers).sum(axis=1) / (pc + powers.sum(axis=1))
 
 
 def wmee_maxmin(gains, cfgs, p_total: float) -> Allocation:

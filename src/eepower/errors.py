@@ -16,6 +16,3 @@ class PowerControlError(Exception):
 class InfeasibleError(PowerControlError):
     """The requested allocation problem has no usable solution."""
 
-
-class NumericalError(PowerControlError):
-    """An iterative method failed to converge."""

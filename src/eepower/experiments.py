@@ -25,18 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .allocator import (
-    GeeProblem,
-    LinkConfig,
-    ee_of,
-    gee_dinkelbach,
-    gee_dinkelbach_rows,
-    se_of,
-    water_level,
-    wmee_maxmin,
-    wpee_ascent,
-    wsee_ascent,
-)
+from .allocator import LinkConfig, ee_of, gee_rows, se_of, water_level, wmee_maxmin, wpee_ascent, wsee_ascent
 from .channel import draw_gain_rows, draw_gains, matrices_from_uniforms, rng_for, stream_uniforms
 from .errors import PowerControlError
 from .metrics import evaluate, trace_ee_se
@@ -44,6 +33,7 @@ from .numerics import svd_gains
 
 # Unused here: perfbench/child.py wraps these names on this module when it
 # traces a run, so they must stay importable from it.
+from .allocator import GeeProblem, gee_dinkelbach  # noqa: F401
 from .channel import draw_matrix  # noqa: F401
 from .numerics import bisect  # noqa: F401
 
@@ -251,10 +241,11 @@ def _scaling_stats(spec: ExperimentSpec, tech: str, ns, pcs):
 
 
 def _solve_trials(spec: ExperimentSpec, tech: str, n: int, pc: float, gains: np.ndarray):
-    """Dinkelbach over the (trials, n) gains; a solver error is re-raised
-    naming the trial, n, pc and seed and the one command that replays it."""
+    """The global-EE optimum of every trial's row of the (trials, n) gains, in
+    one closed-form `gee_rows` call; a solver error is re-raised naming the
+    trial, n, pc and seed and the one command that replays it."""
     try:
-        return gee_dinkelbach_rows(gains, pc * n if tech == "mimo" else pc, spec.budget)
+        return gee_rows(gains, pc * n if tech == "mimo" else pc, spec.budget)
     except PowerControlError as exc:
         if exc.row is None:
             raise
@@ -309,38 +300,32 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
     index per objective. FAIRNESS_LINKS links draw independent gains and
     circuit powers uniform over FAIRNESS_PC_RANGE; all four objectives share
     one total power budget. A solver error is re-raised naming the trial,
-    seed and budget and the command that replays it."""
+    seed and budget and the command that replays it. The global EE of all
+    trials is one `gee_rows` call, with pc the sum of each trial's pcs."""
     lo, hi = FAIRNESS_PC_RANGE
+    gains = np.array([draw_gains(spec.seed, FAIRNESS_LINKS, stream=t) for t in range(spec.trials)])
+    u = np.array([rng_for(spec.seed, t, _AUX_STREAM).random(FAIRNESS_LINKS) for t in range(spec.trials)])
+    pcs = lo + (hi - lo) * u
+
+    def replayable(exc: PowerControlError, t: int) -> PowerControlError:
+        instance = f"fairness trial {t} (seed={spec.seed}, budget={spec.budget!r})"
+        return _replayable(exc, spec, t, instance, f"eepower fairness --seed {spec.seed} --trials {t + 1}")
+
+    try:
+        gee_powers = gee_rows(gains, pcs.sum(axis=1), spec.budget)[0]
+    except PowerControlError as exc:
+        raise replayable(exc, exc.row) from exc
     rows = []
     for t in range(spec.trials):
-        gains = draw_gains(spec.seed, FAIRNESS_LINKS, stream=t)
-        u = rng_for(spec.seed, t, _AUX_STREAM).random(FAIRNESS_LINKS)
-        pcs = lo + (hi - lo) * u
-        cfgs = [LinkConfig(pc) for pc in pcs]
-
+        cfgs = [LinkConfig(pc) for pc in pcs[t]]
         try:
-            gee_alloc = gee_dinkelbach(GeeProblem(gains, float(pcs.sum()), spec.budget))
-            wsee_alloc = wsee_ascent(gains, cfgs, spec.budget)
-            wpee_alloc = wpee_ascent(gains, cfgs, spec.budget)
-            wmee_alloc = wmee_maxmin(gains, cfgs, spec.budget)
+            powers = {"gee": gee_powers[t]} | {
+                name: solve(gains[t], cfgs, spec.budget).powers
+                for name, solve in (("wsee", wsee_ascent), ("wpee", wpee_ascent), ("wmee", wmee_maxmin))
+            }
         except PowerControlError as exc:
-            raise _replayable(
-                exc,
-                spec,
-                t,
-                f"fairness trial {t} (seed={spec.seed}, budget={spec.budget!r})",
-                f"eepower fairness --seed {spec.seed} --trials {t + 1}",
-            ) from exc
-
-        reports = {
-            name: evaluate(gains, cfgs, alloc.powers)
-            for name, alloc in (
-                ("gee", gee_alloc),
-                ("wsee", wsee_alloc),
-                ("wpee", wpee_alloc),
-                ("wmee", wmee_alloc),
-            )
-        }
+            raise replayable(exc, t) from exc
+        reports = {name: evaluate(gains[t], cfgs, p) for name, p in powers.items()}
         rows.append(
             [
                 float(t),

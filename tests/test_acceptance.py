@@ -111,7 +111,7 @@ def test_criterion_5_dinkelbach_vs_oracle():
     ok = worst_shortfall <= 2e-3 and worst_power_gap <= 2 * step and elapsed < 60.0
     report(
         5,
-        "dinkelbach vs oracle",
+        "closed-form gee vs oracle",
         ok,
         f"max shortfall {worst_shortfall:.2e}, max power gap {worst_power_gap:.2e}, {elapsed:.1f}s",
     )

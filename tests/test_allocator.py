@@ -13,7 +13,7 @@ from eepower.allocator import (
     ee_of,
     eepa,
     gee_dinkelbach,
-    gee_dinkelbach_rows,
+    gee_rows,
     se_of,
     water_level,
     wmee_maxmin,
@@ -21,7 +21,7 @@ from eepower.allocator import (
     wpee_ascent,
     wsee_ascent,
 )
-from eepower.errors import InfeasibleError, NumericalError
+from eepower.errors import InfeasibleError
 from eepower.metrics import evaluate
 from eepower.oracle import GridSpec, grid_argmax
 
@@ -260,22 +260,29 @@ def test_dinkelbach_zero_gain_dimension_gets_no_power():
 
 
 def test_gee_problem_validation():
-    with pytest.raises(InfeasibleError):
-        GeeProblem([0.0, 0.0], 1.0)
-    with pytest.raises(ValueError):
-        GeeProblem([1.0], 0.0)
+    # GeeProblem checks only the shape; gee_rows checks the values when solving
+    with pytest.raises(ValueError, match="1-D"):
+        GeeProblem([[1.0, 2.0]], 1.0)
+    with pytest.raises(InfeasibleError, match="^row 0: at least one gain must be positive$"):
+        gee_dinkelbach(GeeProblem([0.0, 0.0], 1.0))
+    with pytest.raises(ValueError, match="circuit power must be positive and finite, got 0.0"):
+        gee_dinkelbach(GeeProblem([1.0], 0.0))
+    with pytest.raises(ValueError, match="gains must be finite and non-negative"):
+        gee_dinkelbach(GeeProblem([1.0, -2.0], 1.0))
+    with pytest.raises(ValueError, match="circuit power"):
+        gee_rows([[1.0], [2.0]], [1.0, math.nan])
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_gee_problem_rejects_non_finite_cap(bad):
     with pytest.raises(ValueError, match="p_max_total"):
-        GeeProblem([1.0, 2.0], 1.0, p_max_total=bad)
+        gee_dinkelbach(GeeProblem([1.0, 2.0], 1.0, p_max_total=bad))
     with pytest.raises(ValueError, match="p_max_total"):
-        gee_dinkelbach_rows([[1.0, 2.0]], 1.0, p_max_total=bad)
+        gee_rows([[1.0, 2.0]], 1.0, p_max_total=bad)
 
 
 @pytest.mark.parametrize("cap", [None, 0.3, 5.0])
-@pytest.mark.parametrize("pc", [0.2, 3.0])
+@pytest.mark.parametrize("pc", [0.2, 3.0, "per-row"])
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_dinkelbach_rows_equal_one_row_calls(cap, pc, n):
     rng = np.random.default_rng(31 + n)
@@ -283,10 +290,11 @@ def test_dinkelbach_rows_equal_one_row_calls(cap, pc, n):
     if n > 1:
         gains[3, 0] = 0.0
         gains[4, 1:] = 0.0
-    powers, objective = gee_dinkelbach_rows(gains, pc, cap)
+    pcs = 10.0 ** rng.uniform(-1, 1, size=25) if pc == "per-row" else np.full(25, pc)
+    powers, objective = gee_rows(gains, pcs if pc == "per-row" else pc, cap)
     assert powers.shape == (25, n) and objective.shape == (25,)
     for r in range(25):
-        alone = gee_dinkelbach(GeeProblem(gains[r], pc, cap))
+        alone = gee_dinkelbach(GeeProblem(gains[r], pcs[r], cap))
         assert np.all(powers[r] == alone.powers)
         assert objective[r] == alone.objective
         assert np.all(powers[r][gains[r] == 0.0] == 0.0)
@@ -294,20 +302,137 @@ def test_dinkelbach_rows_equal_one_row_calls(cap, pc, n):
             assert powers[r].sum() <= cap * (1.0 + 1e-12)
 
 
-def test_dinkelbach_rows_name_the_failing_row(monkeypatch):
+def test_dinkelbach_rows_name_the_failing_row():
     gains = np.array([[1.0, 2.0], [0.5, 0.0], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(InfeasibleError, match="row 2") as err:
-        gee_dinkelbach_rows(gains, 1.0)
+        gee_rows(gains, 1.0)
     assert err.value.row == 2
-    monkeypatch.setattr(allocator, "_DINKELBACH_MAX_ITER", 1)
-    with pytest.raises(NumericalError, match="row 0") as err:
-        gee_dinkelbach_rows(gains[:2], 1.0)
-    assert err.value.row == 0
+
+
+def dinkelbach_reference(gains, pc, cap=None):
+    """The iterative GEE solver that gee_rows replaced, kept as a reference:
+    Dinkelbach iteration with one price eta per row. At price eta the
+    subproblem is water-filling at level 1/eta (cut back to the cap-saturating
+    level when that overshoots the cap); eta is then refreshed to the achieved
+    ratio, until the residual R - eta (pc + sum p) is at most 1e-12 R."""
+    g = np.asarray(gains, dtype=float)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / g
+    # level of the first subproblem (price zero)
+    first = 1e3 / np.where(g > 0.0, g, np.inf).min(axis=1) if cap is None else water_level(g, cap)
+    powers = np.empty_like(g)
+    objective = np.empty(g.shape[0])
+    rows = np.arange(g.shape[0])
+    g_w, inv_w, eta = g, inv, np.zeros(g.shape[0])
+    for _ in range(1000):
+        level = first[rows]
+        priced = eta > 0.0
+        level[priced] = 1.0 / eta[priced]
+        p = np.maximum(0.0, level[:, None] - inv_w)
+        if cap is not None:
+            over = p.sum(axis=1) > cap * (1.0 + 1e-12)
+            p[over] = np.maximum(0.0, first[rows[over], None] - inv_w[over])
+        rate = np.log1p(g_w * p).sum(axis=1)
+        total = pc + p.sum(axis=1)
+        done = rate - eta * total <= 1e-12 * rate
+        powers[rows[done]] = p[done]
+        objective[rows[done]] = rate[done] / total[done]
+        if done.all():
+            return powers, objective
+        going = ~done
+        rows, g_w, inv_w, eta = rows[going], g_w[going], inv_w[going], (rate / total)[going]
+    raise AssertionError("reference Dinkelbach did not converge")
+
+
+@st.composite
+def gee_instances(draw):
+    n = draw(st.integers(1, 64))
+    gains = 10.0 ** np.array(draw(st.lists(st.floats(-15.0, 15.0), min_size=n, max_size=n)))
+    pc = 10.0 ** draw(st.floats(-3.0, 3.0))
+    cap = draw(st.none() | st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+    return gains, pc, cap
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(gee_instances())
+@example((np.array([0.0, 1e-15, 1.0]), 1e-3, None))
+@example((np.array([2.0, 0.0, 2.0, 2.0]), 1.0, 0.5))
+def test_gee_rows_matches_the_dinkelbach_reference(case):
+    gains, pc, cap = case
+    powers, objective = gee_rows(gains[None, :], pc, cap)
+    ref_powers, ref_objective = dinkelbach_reference(gains[None, :], pc, cap)
+    assert objective[0] == pytest.approx(ref_objective[0], rel=1e-14)
+    assert np.all(powers >= 0.0) and np.all(powers[0][gains == 0.0] == 0.0)
+    if cap is not None:
+        assert powers.sum() <= cap * (1.0 + 1e-12)
+
+
+def test_gee_rows_single_dimension_equals_eepa():
+    # at one link the closed form is eepa's, over the range where eepa's own
+    # offset (g pc - 1) / e keeps its digits
+    products = np.logspace(-3, 15, 181)
+    for pc in (1e-2, 1.0, 1e2):
+        gains = products / pc
+        powers, _ = gee_rows(gains[:, None], pc)
+        expected = [eepa(g, LinkConfig(pc)) for g in gains]
+        np.testing.assert_allclose(powers[:, 0], expected, rtol=1e-13, atol=0.0)
+
+
+# gain shapes of the rate pins: one link; a pair of near-equal floors that
+# share the water at tiny g pc; a zero gain and spread floors
+GEE_RATE_SHAPES = ((1.0,), (1.0, 0.9999999, 0.7, 0.2), (1.0, 0.999, 0.5, 1e-3, 0.0))
+# (exponent e, shape index, optimal rate in nats) for gains 10**e * shape at
+# pc = 1: the rate sum ln(w / s_i) over the active floors at the exact EE
+# water level w, computed once with mpmath at 60 digits
+GEE_RATE_PINS = [
+    (-12, 0, 1.4142128957068605e-06),
+    (-12, 1, 1.9974977202384437e-06),
+    (-12, 2, 1.4142128957068605e-06),
+    (-9, 0, 4.472069289699367e-05),
+    (-9, 1, 6.32448059099235e-05),
+    (-9, 2, 4.472069289699367e-05),
+    (-6, 0, 0.001413547327508972),
+    (-6, 1, 0.0019993335862646924),
+    (-6, 2, 0.001730684848363777),
+    (-3, 0, 0.04406804698305576),
+    (-3, 1, 0.06258839100749643),
+    (-3, 2, 0.06256514876285017),
+    (0, 0, 1.0),
+    (0, 1, 1.8272946623186934),
+    (0, 2, 1.605862772879261),
+    (3, 0, 5.4205016039429275),
+    (3, 1, 15.769130732271254),
+    (3, 2, 13.084185779686596),
+    (6, 0, 11.467257505719829),
+    (6, 1, 39.066868492609636),
+    (6, 2, 34.04529671667377),
+    (9, 0, 17.896178371455584),
+    (9, 1, 64.51536139691908),
+    (9, 2, 59.244109494951786),
+    (12, 0, 24.47508161419619),
+    (12, 1, 90.70779629755744),
+    (12, 2, 85.3282097412002),
+    (15, 0, 31.133150484201245),
+    (15, 1, 117.26989880017655),
+    (15, 2, 111.83094395203564),
+]
+
+
+@pytest.mark.parametrize("exponent, shape, exact", GEE_RATE_PINS)
+def test_gee_rate_is_no_worse_than_the_dinkelbach_reference(exponent, shape, exact):
+    # the Dinkelbach stop leaves up to 4e-7 relative rate error at g pc =
+    # 1e-12; the closed form is at least as close everywhere, up to 4 ulp
+    gains = 10.0 ** exponent * np.array(GEE_RATE_SHAPES[shape])
+    powers, _ = gee_rows(gains[None, :], 1.0)
+    ref_powers, _ = dinkelbach_reference(gains[None, :], 1.0)
+    error = abs(float(np.log1p(gains * powers[0]).sum()) - exact) / exact
+    ref_error = abs(float(np.log1p(gains * ref_powers[0]).sum()) - exact) / exact
+    assert error <= max(ref_error, 4 * np.finfo(float).eps)
 
 
 def test_dinkelbach_stop_is_relative_at_tiny_gain():
-    # at g pc = 1e-15 the optimum is about sqrt(2 pc / g); the rate there is
-    # about 4.5e-8 nats, so a stop on an absolute 1e-12 residual ends far off
+    # at g pc = 1e-15 the optimum is about sqrt(2 pc / g) and the rate about
+    # 4.5e-8 nats, so an absolute accuracy of 1e-12 would end far off
     alloc = gee_dinkelbach(GeeProblem([1e-15], 1.0))
     assert alloc.powers[0] == pytest.approx(math.sqrt(2.0 / 1e-15), rel=1e-5)
 

@@ -7,7 +7,7 @@ import pytest
 
 from eepower import experiments
 from eepower.cli import build_parser, load_config, main
-from eepower.errors import NumericalError
+from eepower.errors import InfeasibleError
 
 
 def read_all_bytes(directory):
@@ -279,7 +279,7 @@ def test_non_finite_parameter_exits_1_naming_it(tmp_path, capsys, flag, bad, nam
 
 def test_numerical_errors_exit_2(tmp_path, monkeypatch):
     def boom(spec):
-        raise NumericalError("synthetic failure")
+        raise InfeasibleError("synthetic failure")
 
     monkeypatch.setattr("eepower.cli.run", boom)
     rc = main(["siso-ee-se", "--pc", "1", "--out", str(tmp_path / "d")])
@@ -294,7 +294,7 @@ def test_fairness_failure_names_trial_and_replay_command(tmp_path, monkeypatch, 
     def fail_on_trial_2(gains, cfgs, p_total):
         calls.append(p_total)
         if len(calls) == 3:
-            raise NumericalError("synthetic failure")
+            raise InfeasibleError("synthetic failure")
         return solve(gains, cfgs, p_total)
 
     monkeypatch.setattr(experiments, "wsee_ascent", fail_on_trial_2)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from eepower import allocator, experiments
+from eepower import experiments
 from eepower.allocator import GeeProblem, LinkConfig, ee_of, eepa, gee_dinkelbach
 from eepower.channel import draw_gains, draw_matrix
-from eepower.errors import InfeasibleError, NumericalError
+from eepower.errors import InfeasibleError
 from eepower.numerics import svd_gains
 from eepower.experiments import (
     CurveSet,
@@ -289,10 +289,27 @@ def test_scaling_errors_name_trial_n_pc_and_seed(monkeypatch):
     assert "eepower ofdm-sweep --seed 3 --n 1 --pc 2.0 --trials 3" in message
     assert err.value.row == 2
 
-    monkeypatch.setattr(allocator, "_DINKELBACH_MAX_ITER", 1)
+    # a zero matrix has no positive eigen-channel gain
+    monkeypatch.setattr(experiments, "stream_uniforms", _zero_row(experiments.stream_uniforms, 1))
     spec = default_spec("mimo_scaling", seed=4, trials=3, n_values=(2,), pc_values=(1.0,), budget=1.5)
-    with pytest.raises(NumericalError) as err:
+    with pytest.raises(InfeasibleError) as err:
         run(spec)
     message = str(err.value)
-    assert "mimo trial 0 (n=2, pc=1.0, seed=4)" in message
-    assert "eepower mimo-sweep --seed 4 --n 2 --pc 1.0 --trials 1 --budget 1.5" in message
+    assert "mimo trial 1 (n=2, pc=1.0, seed=4)" in message
+    assert "eepower mimo-sweep --seed 4 --n 2 --pc 1.0 --trials 2 --budget 1.5" in message
+    assert err.value.row == 1
+
+
+def test_fairness_gee_failure_names_trial_and_seed(monkeypatch):
+    # the global EE of all trials is one gee_rows call; its failing row is
+    # still reported as the trial, with the command that replays it
+    def dead_trial_2(seed, n, stream):
+        return np.zeros(n) if stream == 2 else draw_gains(seed, n, stream)
+
+    monkeypatch.setattr(experiments, "draw_gains", dead_trial_2)
+    with pytest.raises(InfeasibleError) as err:
+        run(default_spec("fairness", seed=5, trials=4))
+    message = str(err.value)
+    assert message.startswith("fairness trial 2 (seed=5, budget=2.0): row 2: at least one gain must be positive")
+    assert message.endswith("; replay: eepower fairness --seed 5 --trials 3")
+    assert err.value.row == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eepower.numerics import bisect, lambert_w0, svd_gains
+from eepower.numerics import bisect, lambert_w0, lambert_w0_offset, svd_gains
 
 INV_E = math.exp(-1.0)
 
@@ -54,6 +54,61 @@ def test_lambert_nondecreasing():
     xs = np.concatenate([[-INV_E], -INV_E + np.logspace(-12, 6, 2_000)])
     ws = [lambert_w0(x) for x in xs]
     assert all(b >= a for a, b in zip(ws, ws[1:]))
+
+
+# (d, 1 + W0(-1/e + d)), computed once with mpmath at 340 digits, so that
+# -1/e + d keeps every digit of d down to 1e-300
+W_OFFSET_PINS = [
+    (1e-300, 2.3316439815971243e-150),
+    (1e-200, 2.331643981597124e-100),
+    (1e-100, 2.3316439815971244e-50),
+    (1e-30, 2.3316439815971225e-15),
+    (1e-16, 2.3316439634752455e-08),
+    (1e-10, 2.3316258599119286e-05),
+    (1e-07, 0.0007371494098766271),
+    (1e-06, 0.002329833727992111),
+    (1.8e-05, 0.009859855379639538),
+    (2e-05, 0.010391357408231352),
+    (0.0001, 0.023137134425578087),
+    (0.001, 0.07197984994543295),
+    (0.01, 0.21677080101870322),
+    (0.1, 0.6006175474602192),
+    (0.18, 0.761521554098765),
+    (0.2, 0.7936441879526912),
+    (0.5, 1.117476501748948),
+    (1.0, 1.4167039988177659),
+    (2.0, 1.7618654453880513),
+    (10.0, 2.7217577109761715),
+    (1000.0, 6.249293782013268),
+    (100000.0, 10.284568107521958),
+    (10000000000.0, 21.028685413269912),
+    (1e30, 65.90463377004612),
+    (1e100, 225.8431064451185),
+    (1e200, 455.398045033714),
+    (1e300, 685.2472086297608),
+]
+
+
+def test_lambert_offset_matches_mpmath_pins():
+    # the pins straddle the series/Halley switch at p = sqrt(2 e d) = 1e-2
+    # (d = 1.84e-5) and the switch of the Halley start at p = 1 (d = 0.184)
+    d, expected = np.array(W_OFFSET_PINS).T
+    v = lambert_w0_offset(d)
+    np.testing.assert_allclose(v, expected, rtol=1e-13, atol=0.0)
+    for x, want in zip(d, v):
+        assert lambert_w0_offset(x) == want
+
+
+def test_lambert_offset_agrees_with_scalar_and_is_nondecreasing():
+    assert lambert_w0_offset(0.0) == 0.0
+    d = np.logspace(-12, 12, 2_001)
+    v = lambert_w0_offset(d)
+    assert np.all(np.diff(v) > 0.0)
+    # away from the branch point the scalar lambert_w0 keeps its digits
+    far = d >= 1e-3
+    scalar = np.array([1.0 + lambert_w0(x - INV_E) for x in d[far]])
+    np.testing.assert_allclose(v[far], scalar, rtol=1e-13)
+    assert lambert_w0_offset(d.reshape(3, 667)).shape == (3, 667)
 
 
 def test_bisect_linear():
