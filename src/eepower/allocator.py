@@ -192,7 +192,14 @@ def gee_rows(gains, pc, p_max_total: float | None = None):
         raise ValueError(f"gains must be a non-empty (rows, n) array, got shape {g.shape}")
     if not np.all(np.isfinite(g)) or np.any(g < 0.0):
         raise ValueError("gains must be finite and non-negative")
-    _check_positive("circuit power", pc)
+    if np.ndim(pc) == 0:
+        _check_positive("circuit power", pc)
+    else:
+        pcs = np.asarray(pc, dtype=float)
+        bad = ~(np.isfinite(pcs) & (pcs > 0.0))
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"row {row}: circuit power must be positive and finite, got {pcs[row]}")
     _check_positive("p_max_total", p_max_total, optional=True)
     dead = ~np.any(g > 0.0, axis=1)
     if dead.any():

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .allocator import LinkConfig, ee_of, gee_rows, se_of, water_level, wmee_maxmin, wpee_ascent, wsee_ascent
-from .channel import draw_gain_rows, draw_gains, matrices_from_uniforms, rng_for, stream_uniforms
+from .channel import draw_gain_rows, draw_gains, matrices_from_uniforms, stream_uniforms
 from .errors import PowerControlError
 from .metrics import evaluate, trace_ee_se
 from .numerics import svd_gains
@@ -34,7 +34,7 @@ from .numerics import svd_gains
 # Unused here: perfbench/child.py wraps these names on this module when it
 # traces a run, so they must stay importable from it.
 from .allocator import GeeProblem, gee_dinkelbach  # noqa: F401
-from .channel import draw_matrix  # noqa: F401
+from .channel import draw_matrix, rng_for  # noqa: F401
 from .numerics import bisect  # noqa: F401
 
 # dimension-gain table rows: (subcarrier count, antenna count) per row
@@ -303,8 +303,8 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
     seed and budget and the command that replays it. The global EE of all
     trials is one `gee_rows` call, with pc the sum of each trial's pcs."""
     lo, hi = FAIRNESS_PC_RANGE
-    gains = np.array([draw_gains(spec.seed, FAIRNESS_LINKS, stream=t) for t in range(spec.trials)])
-    u = np.array([rng_for(spec.seed, t, _AUX_STREAM).random(FAIRNESS_LINKS) for t in range(spec.trials)])
+    gains = draw_gain_rows(spec.seed, spec.trials, FAIRNESS_LINKS)
+    u = stream_uniforms(spec.seed, spec.trials, FAIRNESS_LINKS, _AUX_STREAM)
     pcs = lo + (hi - lo) * u
 
     def replayable(exc: PowerControlError, t: int) -> PowerControlError:

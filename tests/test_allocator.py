@@ -273,6 +273,15 @@ def test_gee_problem_validation():
         gee_rows([[1.0], [2.0]], [1.0, math.nan])
 
 
+def test_gee_rows_names_the_first_bad_per_row_circuit_power():
+    with pytest.raises(ValueError, match=r"^row 1: circuit power must be positive and finite, got nan$"):
+        gee_rows([[1.0], [2.0]], [1.0, math.nan])
+    pcs = np.ones(3000)
+    pcs[[1234, 2999]] = -1.0
+    with pytest.raises(ValueError, match=r"^row 1234: circuit power must be positive and finite, got -1.0$"):
+        gee_rows(np.ones((3000, 2)), pcs)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_gee_problem_rejects_non_finite_cap(bad):
     with pytest.raises(ValueError, match="p_max_total"):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eepower.channel import (
+    _pcg64_states,
     draw_gain_rows,
     draw_gains,
     draw_matrix,
@@ -83,6 +86,48 @@ def test_uniform_block_matrices_equal_per_stream_draws():
     assert np.all(matrices_from_uniforms(block, 3, 7)[2] == draw_matrix(21, 3, 7, stream=2))
     with pytest.raises(ValueError):
         matrices_from_uniforms(block, 9, 9)
+
+
+_SEED_EDGES = (0, 2**32 - 1, 2**32, 2**64 + 5, 2**130)
+
+
+def _per_stream_rows(seed, trials, size, key):
+    return np.stack([rng_for(seed, t, *key).random(size) for t in range(trials)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.one_of(st.sampled_from(_SEED_EDGES), st.integers(0, 2**140)),
+    trials=st.integers(1, 600),
+    size=st.integers(1, 2048),
+    key=st.lists(st.integers(0, 2**70), max_size=1),
+)
+@example(seed=0, trials=1, size=1, key=[])
+@example(seed=2**32 - 1, trials=600, size=3, key=[1])
+@example(seed=2**32, trials=600, size=2048, key=[])
+@example(seed=2**64 + 5, trials=17, size=64, key=[2**32])
+@example(seed=2**130, trials=300, size=8, key=[0])
+def test_stream_block_equals_per_stream_generators(seed, trials, size, key):
+    block = stream_uniforms(seed, trials, size, *key)
+    assert np.array_equal(block, _per_stream_rows(seed, trials, size, key))
+
+
+@pytest.mark.parametrize("seed", _SEED_EDGES)
+@pytest.mark.parametrize("key", [(), (1,), (7, 2**33)])
+def test_block_seeding_derives_each_streams_pcg64_state(seed, key):
+    states = []
+    for t in range(4):
+        state = rng_for(seed, t, *key).bit_generator.state["state"]
+        states.append((state["state"], state["inc"]))
+    assert _pcg64_states(seed, 4, *key) == states
+
+
+def test_stream_block_rejects_a_negative_seed_as_rng_for_does():
+    with pytest.raises(ValueError) as single:
+        rng_for(-1)
+    with pytest.raises(ValueError) as block:
+        stream_uniforms(-1, 2, 3)
+    assert str(block.value) == str(single.value) == "seed must be a non-negative integer, got -1"
 
 
 def test_rng_for_is_deterministic_per_key():

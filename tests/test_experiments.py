@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from eepower import experiments
-from eepower.allocator import GeeProblem, LinkConfig, ee_of, eepa, gee_dinkelbach
-from eepower.channel import draw_gains, draw_matrix
+from eepower.allocator import GeeProblem, LinkConfig, ee_of, eepa, gee_dinkelbach, wsee_ascent
+from eepower.channel import draw_gains, draw_matrix, rng_for
 from eepower.errors import InfeasibleError
 from eepower.numerics import svd_gains
 from eepower.experiments import (
@@ -228,6 +228,27 @@ def test_runs_are_bit_reproducible():
     assert a.rows == b.rows
 
 
+def test_fairness_block_draws_equal_per_trial_draws(monkeypatch):
+    # run_fairness draws its gains and circuit powers as per-trial blocks;
+    # each trial's link configs must be those of its own streams
+    spec = default_spec("fairness", seed=7, trials=6)
+    seen = []
+
+    def record(gains, cfgs, budget):
+        seen.append((gains, [cfg.pc for cfg in cfgs]))
+        return wsee_ascent(gains, cfgs, budget)
+
+    monkeypatch.setattr(experiments, "wsee_ascent", record)
+    run(spec)
+    lo, hi = experiments.FAIRNESS_PC_RANGE
+    links = experiments.FAIRNESS_LINKS
+    assert len(seen) == spec.trials
+    for t, (gains, pcs) in enumerate(seen):
+        assert np.array_equal(gains, draw_gains(spec.seed, links, stream=t))
+        u = rng_for(spec.seed, t, experiments._AUX_STREAM).random(links)
+        assert pcs == list(lo + (hi - lo) * u)
+
+
 def test_doubling_trials_is_statistically_stable():
     base = default_spec("ofdm_scaling", seed=13, trials=150, n_values=(4,), pc_values=(1.0,))
     doubled = default_spec("ofdm_scaling", seed=13, trials=300, n_values=(4,), pc_values=(1.0,))
@@ -303,10 +324,7 @@ def test_scaling_errors_name_trial_n_pc_and_seed(monkeypatch):
 def test_fairness_gee_failure_names_trial_and_seed(monkeypatch):
     # the global EE of all trials is one gee_rows call; its failing row is
     # still reported as the trial, with the command that replays it
-    def dead_trial_2(seed, n, stream):
-        return np.zeros(n) if stream == 2 else draw_gains(seed, n, stream)
-
-    monkeypatch.setattr(experiments, "draw_gains", dead_trial_2)
+    monkeypatch.setattr(experiments, "draw_gain_rows", _zero_row(experiments.draw_gain_rows, 2))
     with pytest.raises(InfeasibleError) as err:
         run(default_spec("fairness", seed=5, trials=4))
     message = str(err.value)
