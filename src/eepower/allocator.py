@@ -10,9 +10,9 @@ Water-filling levels come from one exact sort-and-threshold rule
 found without iteration, for every row of a (rows, n) gain array at once
 (`gee_rows`); `gee_dinkelbach` is its one-row call, and at one link it is
 `eepa`'s formula. The Lambert W function also gives a link's power at a
-given EE level (`_rising_power`), so `wmee_maxmin` bisects only on the
-common level; the sum and product solvers start from the per-link peaks and
-only trade power between pairs of links.
+given EE level, so the max-min solver bisects only on each row's common
+level (`wmee_rows`); the sum and product solvers start from the per-link
+peaks and only trade power between pairs of links.
 
 Conventions: rates are in nats (natural log); converting to bits is a
 reporting concern, never a solver concern. Noise power is normalized to 1,
@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .numerics import lambert_w0, lambert_w0_offset
+from .numerics import lambert_w0_from_offset, lambert_w0_offset
 
-# Unused here: perfbench/child.py wraps this name on this module when it
-# traces a run, so it must stay importable from it.
-from .numerics import bisect  # noqa: F401
+# Unused here: perfbench/child.py wraps these names on this module when it
+# traces a run, so they must stay importable from it.
+from .numerics import bisect, lambert_w0  # noqa: F401
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -96,26 +96,26 @@ def ee_of(gamma: float, p: float, cfg: LinkConfig) -> float:
     return se_of(gamma, p) / (cfg.pc + p)
 
 
-def eepa(gamma: float, cfg: LinkConfig) -> float:
-    """Transmit power maximizing the link energy efficiency.
+def eepa(gamma, cfg: LinkConfig):
+    """Transmit power maximizing the link energy efficiency, per gain in
+    gamma (a number or an array).
 
     Closed form: (exp(1 + W((gamma * pc - 1) / e)) - 1) / gamma with W the
-    principal Lambert branch. The EE is pseudo-concave in the power, so when
-    a cap is present the capped optimum is simply the clipped value. A zero
-    gain yields zero power.
+    principal Lambert branch, as expm1(v) / gamma with v = 1 + W at the offset
+    gamma * pc / e from the branch point, where no digit cancels. The EE is
+    pseudo-concave in the power, so a cap clips it. A zero gain gets 0 W.
     """
-    if gamma < 0.0 or not math.isfinite(gamma):
+    g = np.asarray(gamma, dtype=float)
+    if not np.all(np.isfinite(g)) or np.any(g < 0.0):
         raise ValueError(f"gain must be finite and non-negative, got {gamma}")
-    if not cfg.pc > 0.0:
-        raise ValueError(f"circuit power must be positive, got {cfg.pc}")
-    if gamma == 0.0:
-        return 0.0
-    arg = (gamma * cfg.pc - 1.0) / math.e
-    p = (math.exp(1.0 + lambert_w0(arg)) - 1.0) / gamma
-    p = max(p, 0.0)
-    if cfg.p_max is not None:
-        p = min(p, cfg.p_max)
-    return p
+    return _peaks(g, cfg.pc, cfg.p_max or math.inf)[()]
+
+
+def _peaks(g, pc, cap):
+    """`eepa`'s powers for gains, circuit powers and caps (inf for none)."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero gain's 0 / 0
+        p = np.where(g > 0.0, np.expm1(lambert_w0_offset(g * pc / math.e)) / g, 0.0)
+    return np.minimum(p, cap)
 
 
 def wpa(gains, p_avg: float) -> Allocation:
@@ -236,61 +236,75 @@ def gee_rows(gains, pc, p_max_total: float | None = None):
 
 
 def wmee_maxmin(gains, cfgs, p_total: float) -> Allocation:
-    """Maximize the minimum weighted link EE under a total power budget.
-
-    Bisection on the common level t: for each link the minimal power reaching
-    weight * EE = t sits on the rising branch of the (unimodal) EE curve and
-    has a Lambert-W closed form (`_rising_power`); t is feasible when those
-    powers fit the budget. The returned level is the feasible end of the
-    final bracket, so the powers never exceed the budget, and all weighted
-    EEs are equalized whenever the budget binds.
-    """
+    """Maximize the minimum weighted link EE under a total power budget: the
+    one-row call of `wmee_rows`, with the common level as the objective."""
     g, cfgs = _check_links(gains, cfgs, p_total)
-    n = g.size
-    peaks = np.array([eepa(g[i], cfgs[i]) for i in range(n)])
-    tops = np.array([cfgs[i].weight * ee_of(g[i], peaks[i], cfgs[i]) for i in range(n)])
-    t_hi = float(tops.min())
-    if t_hi <= 0.0:
-        return Allocation(np.zeros(n), 0.0)
-
-    def powers_at(t: float) -> np.ndarray:
-        if t <= 0.0:
-            return np.zeros(n)
-        return np.array([_rising_power(g[i], cfgs[i], t, peaks[i]) for i in range(n)])
-
-    p_hi = powers_at(t_hi)
-    if p_hi.sum() <= p_total:
-        return Allocation(p_hi, t_hi)
-    lo, hi = 0.0, t_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if powers_at(mid).sum() <= p_total:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * t_hi:
-            break
-    return Allocation(powers_at(lo), lo)
+    pc, weight, cap = np.array([[c.pc, c.weight, c.p_max or math.inf] for c in cfgs]).T
+    powers, level = wmee_rows(g[None, :], pc, weight, cap, p_total)
+    return Allocation(powers[0], float(level[0]))
 
 
-def _rising_power(gamma: float, cfg: LinkConfig, t: float, peak: float) -> float:
-    """Smallest p with weight * ln(1 + gamma p) = t (pc + p), clipped to [0, peak].
+def wmee_rows(gains, pc, weight, cap, budget: float):
+    """Max-min weighted link EE (Zappone & Jorswieck, FnT 2015) under a total
+    power budget, for every row of a (rows, n) gain array.
 
-    With a = t / weight, c = a / gamma and x = 1 + gamma p, the smaller root
-    of ln x = a pc + c (x - 1) is x = -W0(-c e^(a pc - c)) / c. As x - 1
-    cancels for small gamma p, y = gamma p takes one Newton step on
-    log1p(y) = a pc + c y, kept only at a positive slope and a step no larger
-    than that cancellation.
+    pc, weight and cap (inf for none) are per-link constants that broadcast
+    against the gains. Each row bisects its common level t below its lowest
+    capped peak EE, where t is feasible when the least powers reaching
+    weight * EE = t (`_rising_powers`) fit the budget, until its bracket is at
+    most 1e-13 of the top wide; it takes the feasible end, so the weighted EEs
+    are equal whenever the budget binds. A zero gain gives a zero level.
+
+    Returns (powers, level) of shapes (rows, n) and (rows,). A bad value
+    names the first row that holds it.
     """
-    a = t / cfg.weight
-    c = a / gamma
-    y = -lambert_w0(-c * math.exp(a * cfg.pc - c)) / c - 1.0
-    slope = 1.0 / (1.0 + y) - c
-    if slope > 0.0:
-        step = (math.log1p(y) - a * cfg.pc - c * y) / slope
-        if abs(step) <= 1e-12 * (1.0 + y):
-            y -= step
-    return min(max(y / gamma, 0.0), peak)
+    g = np.asarray(gains, dtype=float)
+    if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
+        raise ValueError(f"gains must be a non-empty (rows, n) array, got shape {g.shape}")
+    pc, weight, cap = (np.broadcast_to(np.asarray(v, dtype=float), g.shape) for v in (pc, weight, cap))
+    ok = np.isfinite(g) & np.isfinite(pc) & np.isfinite(weight) & (g >= 0.0) & (pc > 0.0) & (weight > 0.0) & (cap > 0.0)
+    if not ok.all():
+        r = int(np.argmax(~ok.all(axis=1)))
+        raise ValueError(f"row {r}: need finite g >= 0, pc, weight > 0, cap > 0: {g[r]}, {pc[r]}, {weight[r]}, {cap[r]}")
+    _check_positive("budget", budget)
+
+    peaks = _peaks(g, pc, cap)
+    t_hi = (weight * np.log1p(g * peaks) / (pc + peaks)).min(axis=1)
+    going = _rising_powers(g, pc, weight, peaks, t_hi).sum(axis=1) > budget
+    # a row whose top level fits is done at it
+    lo, hi = np.where(going, 0.0, t_hi), t_hi
+    for _ in range(200):
+        if not going.any():
+            break
+        mid = 0.5 * (lo + hi)
+        fits = _rising_powers(g, pc, weight, peaks, mid).sum(axis=1) <= budget
+        lo = np.where(going & fits, mid, lo)
+        hi = np.where(going & ~fits, mid, hi)
+        going &= hi - lo > 1e-13 * t_hi
+    return _rising_powers(g, pc, weight, peaks, lo), lo
+
+
+def _rising_powers(g, pc, weight, peaks, t):
+    """Smallest p with weight * ln(1 + g p) = t (pc + p) per link, clipped to
+    [0, peak], for (rows, n) link constants and the (rows,) levels t.
+
+    With a = t / weight, c = a / g and x = 1 + g p, the smaller root of
+    ln x = a pc + c (x - 1) is x = -W0(-c e^(a pc - c)) / c, the argument
+    also taken as -1/e + d, d = -expm1(ln c + 1 + a pc - c) / e. As x - 1
+    cancels for small g p, y = g p takes one Newton step on log1p(y) =
+    a pc + c y, kept at a positive slope if at most 1e-12 (1 + y) long.
+    """
+    a = t[:, None] / weight
+    # a zero level or a zero gain makes y NaN, which fmax takes to 0 W
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = a / g
+        rest = a * pc - c
+        d = np.maximum(-np.expm1(np.log(c) + 1.0 + rest) / math.e, 0.0)
+        y = -lambert_w0_from_offset(d, -c * np.exp(rest)) / c - 1.0
+        slope = 1.0 / (1.0 + y) - c
+        step = (np.log1p(y) - a * pc - c * y) / slope
+        y = np.where((slope > 0.0) & (np.abs(step) <= 1e-12 * (1.0 + y)), y - step, y)
+        return np.minimum(np.fmax(y / g, 0.0), peaks)
 
 
 def wsee_ascent(gains, cfgs, p_total: float) -> Allocation:
@@ -358,15 +372,12 @@ def _budget_ascent(gains, cfgs, p_total: float, log_terms: bool) -> Allocation:
     if log_terms and np.any(g == 0.0):
         raise InfeasibleError("product objective is degenerate when a link has zero gain")
     n = g.size
-    peaks = np.array([eepa(g[i], cfgs[i]) for i in range(n)])
-    caps = np.array([c.p_max if c.p_max is not None else math.inf for c in cfgs])
     # the sweeps evaluate thousands of terms per instance, so they run on
     # Python floats with each link's constants read once; a term is
     # w * (log1p(g x) / (pc + x)) at the clamped power x, the operations of
     # w * ee_of(g, max(p, 0), cfg), so every value is ee_of's to the bit
-    gs, cap = g.tolist(), caps.tolist()
-    pcs = [c.pc for c in cfgs]
-    ws = [c.weight for c in cfgs]
+    pc, weight, caps = np.array([[c.pc, c.weight, c.p_max or math.inf] for c in cfgs]).T
+    gs, pcs, ws, cap = g.tolist(), pc.tolist(), weight.tolist(), caps.tolist()
     log, log1p, inf = math.log, math.log1p, math.inf
 
     def term(i: int, x: float) -> float:
@@ -389,7 +400,7 @@ def _budget_ascent(gains, cfgs, p_total: float, log_terms: bool) -> Allocation:
     # coordinate; scaled onto the budget face, each coordinate's best point
     # within its remaining budget is its current power, and only pairwise
     # transfers along the face can still raise the objective
-    p = np.minimum(peaks, caps)
+    p = _peaks(g, pc, caps)
     s = float(p.sum())
     if s <= p_total:
         obj = total(p.tolist())

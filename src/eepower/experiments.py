@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .allocator import LinkConfig, ee_of, gee_rows, se_of, water_level, wmee_maxmin, wpee_ascent, wsee_ascent
+from .allocator import LinkConfig, gee_rows, water_level, wmee_rows, wpee_ascent, wsee_ascent
 from .channel import draw_gain_rows, draw_gains, matrices_from_uniforms, stream_uniforms
 from .errors import PowerControlError
 from .metrics import evaluate, trace_ee_se
@@ -33,7 +33,7 @@ from .numerics import svd_gains
 
 # Unused here: perfbench/child.py wraps these names on this module when it
 # traces a run, so they must stay importable from it.
-from .allocator import GeeProblem, gee_dinkelbach  # noqa: F401
+from .allocator import GeeProblem, gee_dinkelbach, wmee_maxmin  # noqa: F401
 from .channel import draw_matrix, rng_for  # noqa: F401
 from .numerics import bisect  # noqa: F401
 
@@ -163,10 +163,10 @@ def run_siso_profiles(spec: ExperimentSpec) -> list[CurveSet]:
     sample = draw_gains(spec.seed, spec.trials, stream=0)
     level = float(water_level(sample, spec.budget * sample.size))
 
-    rows = []
-    for gamma, p_ee, se_ee, ee_ee in zip(GAMMA_GRID, *trace_ee_se(cfg, GAMMA_GRID)):
-        p_wf = max(0.0, level - 1.0 / gamma)
-        rows.append([gamma, p_ee, p_wf, se_ee, se_of(gamma, p_wf), ee_ee, ee_of(gamma, p_wf, cfg)])
+    p_ee, se_ee, ee_ee = trace_ee_se(cfg, GAMMA_GRID)
+    p_wf = np.maximum(0.0, level - 1.0 / GAMMA_GRID)
+    se_wf = np.log1p(GAMMA_GRID * p_wf)
+    rows = np.column_stack([GAMMA_GRID, p_ee, p_wf, se_ee, se_wf, ee_ee, se_wf / (pc + p_wf)]).tolist()
     columns = [
         ("gamma", "1"),
         ("p_eepa", "W"),
@@ -300,8 +300,9 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
     index per objective. FAIRNESS_LINKS links draw independent gains and
     circuit powers uniform over FAIRNESS_PC_RANGE; all four objectives share
     one total power budget. A solver error is re-raised naming the trial,
-    seed and budget and the command that replays it. The global EE of all
-    trials is one `gee_rows` call, with pc the sum of each trial's pcs."""
+    seed and budget and the command that replays it. The global and max-min
+    EE of all trials are one `gee_rows` (pc: each trial's sum) and one
+    `wmee_rows` call."""
     lo, hi = FAIRNESS_PC_RANGE
     gains = draw_gain_rows(spec.seed, spec.trials, FAIRNESS_LINKS)
     u = stream_uniforms(spec.seed, spec.trials, FAIRNESS_LINKS, _AUX_STREAM)
@@ -313,15 +314,16 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
 
     try:
         gee_powers = gee_rows(gains, pcs.sum(axis=1), spec.budget)[0]
+        wmee_powers = wmee_rows(gains, pcs, 1.0, math.inf, spec.budget)[0]
     except PowerControlError as exc:
         raise replayable(exc, exc.row) from exc
     rows = []
     for t in range(spec.trials):
         cfgs = [LinkConfig(pc) for pc in pcs[t]]
         try:
-            powers = {"gee": gee_powers[t]} | {
+            powers = {"gee": gee_powers[t], "wmee": wmee_powers[t]} | {
                 name: solve(gains[t], cfgs, spec.budget).powers
-                for name, solve in (("wsee", wsee_ascent), ("wpee", wpee_ascent), ("wmee", wmee_maxmin))
+                for name, solve in (("wsee", wsee_ascent), ("wpee", wpee_ascent))
             }
         except PowerControlError as exc:
             raise replayable(exc, t) from exc

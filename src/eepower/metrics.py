@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import LinkConfig, ee_of, eepa, se_of
+from .allocator import LinkConfig, eepa
 
 
 @dataclass
@@ -66,7 +66,6 @@ def trace_ee_se(cfg: LinkConfig, gamma_grid) -> tuple[np.ndarray, np.ndarray, np
     curve, along which both coordinates increase together.
     """
     gammas = np.asarray(gamma_grid, dtype=float)
-    p = np.array([eepa(gamma, cfg) for gamma in gammas])
-    se = np.array([se_of(gamma, x) for gamma, x in zip(gammas, p)])
-    ee = np.array([ee_of(gamma, x, cfg) for gamma, x in zip(gammas, p)])
-    return p, se, ee
+    p = eepa(gammas, cfg)
+    se = np.log1p(gammas * p)
+    return p, se, se / (cfg.pc + p)

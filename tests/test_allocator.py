@@ -17,12 +17,14 @@ from eepower.allocator import (
     se_of,
     water_level,
     wmee_maxmin,
+    wmee_rows,
     wpa,
     wpee_ascent,
     wsee_ascent,
 )
 from eepower.errors import InfeasibleError
 from eepower.metrics import evaluate
+from eepower.numerics import lambert_w0
 from eepower.oracle import GridSpec, grid_argmax
 
 E = math.e
@@ -61,6 +63,49 @@ def test_eepa_closed_form_values():
     assert eepa(2.0, LinkConfig(0.5)) == pytest.approx((E - 1.0) / 2.0, abs=1e-12)
     assert eepa(1.0, LinkConfig(1.0, p_max=1.0)) == 1.0
     assert eepa(0.0, LinkConfig(1.0)) == 0.0
+
+
+# (g, eepa(g, LinkConfig(1.0))) for g pc from 1e-15 to 1e15: the closed form
+# (exp(1 + W((g pc - 1) / e)) - 1) / g, computed once with mpmath at 80 digits
+EEPA_PINS = [
+    (1e-15, 44721359.883329124),
+    (1e-13, 4472136.2883329002),
+    (1e-11, 447213.92883316706),
+    (1e-09, 44721.692882086881),
+    (1e-07, 4472.4692759117942),
+    (1e-05, 447.546804755203),
+    (0.001, 45.053465204434239),
+    (0.1, 4.7943271743322435),
+    (10.0, 0.71743646677248095),
+    (1000.0, 0.22499245278158663),
+    (100000.0, 0.11923070100485852),
+    (10000000.0, 0.079456115914256139),
+    (1000000000.0, 0.059184980184230442),
+    (100000000000.0, 0.047012171345452852),
+    (10000000000000.0, 0.038929292014180571),
+    (1000000000000000.0, 0.033186042080938965),
+]
+
+
+def test_eepa_matches_mpmath_pins():
+    gains, expected = np.array(EEPA_PINS).T
+    np.testing.assert_allclose(eepa(gains, LinkConfig(1.0)), expected, rtol=1e-12, atol=0.0)
+    for g, want in EEPA_PINS:
+        assert eepa(g, LinkConfig(1.0)) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_eepa_keeps_the_branch_point_offset():
+    # (g pc - 1) / e rounds onto -1/e here, which gave 0 W; the optimum is
+    # about sqrt(2 pc / g) (mpmath: 1.4142135623730953e15)
+    assert eepa(1e-30, LinkConfig(1.0)) == pytest.approx(1.4142135623730953e15, rel=1e-12, abs=0.0)
+
+
+def test_eepa_takes_a_gain_array():
+    gains = np.array([[0.0, 1.0], [2.0, 1e-30]])
+    p = eepa(gains, LinkConfig(0.5, p_max=1.0))
+    assert p.shape == (2, 2)
+    for g, want in zip(gains.ravel(), p.ravel()):
+        assert eepa(float(g), LinkConfig(0.5, p_max=1.0)) == want
 
 
 def test_eepa_rejects_bad_inputs():
@@ -106,11 +151,12 @@ def test_ee_unimodal_around_eepa():
 
 
 def test_eepa_scale_covariance():
+    # gains s g with circuit power pc / s give the powers eepa(g, pc) / s
     rng = np.random.default_rng(5)
     for _ in range(50):
         gamma = 10.0 ** rng.uniform(-1, 2)
         pc = 10.0 ** rng.uniform(-1, 1)
-        c = 10.0 ** rng.uniform(-1, 1)
+        c = 10.0 ** rng.uniform(-6, 6)
         lhs = eepa(c * gamma, LinkConfig(pc / c)) * c
         rhs = eepa(gamma, LinkConfig(pc))
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -377,14 +423,12 @@ def test_gee_rows_matches_the_dinkelbach_reference(case):
 
 
 def test_gee_rows_single_dimension_equals_eepa():
-    # at one link the closed form is eepa's, over the range where eepa's own
-    # offset (g pc - 1) / e keeps its digits
-    products = np.logspace(-3, 15, 181)
+    # at one link the closed form is eepa's, for g pc from 1e-15 to 1e15
+    products = np.logspace(-15, 15, 301)
     for pc in (1e-2, 1.0, 1e2):
         gains = products / pc
         powers, _ = gee_rows(gains[:, None], pc)
-        expected = [eepa(g, LinkConfig(pc)) for g in gains]
-        np.testing.assert_allclose(powers[:, 0], expected, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(powers[:, 0], eepa(gains, LinkConfig(pc)), rtol=1e-13, atol=0.0)
 
 
 # gain shapes of the rate pins: one link; a pair of near-equal floors that
@@ -519,6 +563,101 @@ def test_wmee_zero_gain_link_yields_zero_objective():
     alloc = wmee_maxmin([0.0, 1.0], [LinkConfig(1.0)] * 2, 1.0)
     assert alloc.objective == 0.0
     np.testing.assert_array_equal(alloc.powers, 0.0)
+
+
+def wmee_reference(gains, cfgs, p_total):
+    """The per-link max-min solver that wmee_rows replaced, kept as a
+    reference: bisection on the common level t with each link's power at t
+    from the scalar Lambert W (`rising_power_reference`). Returns (powers,
+    level)."""
+    g = np.asarray(gains, dtype=float)
+    n = g.size
+    peaks = np.array([eepa(g[i], cfgs[i]) for i in range(n)])
+    tops = np.array([cfgs[i].weight * ee_of(g[i], peaks[i], cfgs[i]) for i in range(n)])
+    t_hi = float(tops.min())
+    if t_hi <= 0.0:
+        return np.zeros(n), 0.0
+
+    def powers_at(t):
+        if t <= 0.0:
+            return np.zeros(n)
+        return np.array([rising_power_reference(g[i], cfgs[i], t, peaks[i]) for i in range(n)])
+
+    p_hi = powers_at(t_hi)
+    if p_hi.sum() <= p_total:
+        return p_hi, t_hi
+    lo, hi = 0.0, t_hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if powers_at(mid).sum() <= p_total:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-13 * t_hi:
+            break
+    return powers_at(lo), lo
+
+
+def rising_power_reference(gamma, cfg, t, peak):
+    """Smallest p with weight ln(1 + gamma p) = t (pc + p), clipped to [0,
+    peak]: x = 1 + gamma p = -W0(-c e^(a pc - c)) / c with a = t / weight and
+    c = a / gamma, then one guarded Newton step on log1p(y) = a pc + c y."""
+    a = t / cfg.weight
+    c = a / gamma
+    y = -lambert_w0(-c * math.exp(a * cfg.pc - c)) / c - 1.0
+    slope = 1.0 / (1.0 + y) - c
+    if slope > 0.0:
+        step = (math.log1p(y) - a * cfg.pc - c * y) / slope
+        if abs(step) <= 1e-12 * (1.0 + y):
+            y -= step
+    return min(max(y / gamma, 0.0), peak)
+
+
+@st.composite
+def wmee_batches(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 4))
+    exponent = st.floats(-6.0, 6.0)
+    gains = 10.0 ** np.array([[draw(exponent) for _ in range(n)] for _ in range(rows)])
+    if draw(st.booleans()):
+        gains[draw(st.integers(0, rows - 1)), draw(st.integers(0, n - 1))] = 0.0
+    pc = 10.0 ** np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(n)] for _ in range(rows)])
+    weight = np.array([[draw(st.floats(0.5, 2.0)) for _ in range(n)] for _ in range(rows)])
+    cap = 10.0 ** np.array([[draw(st.floats(-2.0, 2.0)) for _ in range(n)] for _ in range(rows)])
+    uncapped = np.array([[draw(st.booleans()) for _ in range(n)] for _ in range(rows)])
+    cap[uncapped] = math.inf
+    budget = 10.0 ** draw(st.floats(-3.0, 1.0)) * n
+    return gains, pc, weight, cap, budget
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(wmee_batches())
+@example((np.array([[1.0, 1.0], [0.0, 1.0]]), np.ones((2, 2)), np.ones((2, 2)), np.full((2, 2), math.inf), 1.0))
+def test_wmee_rows_match_the_per_link_reference(case):
+    gains, pc, weight, cap, budget = case
+    powers, level = wmee_rows(gains, pc, weight, cap, budget)
+    assert powers.shape == gains.shape and level.shape == (gains.shape[0],)
+    for r in range(gains.shape[0]):
+        alone_powers, alone_level = wmee_rows(gains[r : r + 1], pc[r], weight[r], cap[r], budget)
+        np.testing.assert_array_equal(alone_powers[0], powers[r])
+        assert alone_level[0] == level[r]
+        assert powers[r].sum() <= budget * (1.0 + 1e-12)
+        if np.any(gains[r] == 0.0):
+            assert level[r] == 0.0 and np.all(powers[r] == 0.0)
+            continue
+        cfgs = [LinkConfig(*link) for link in zip(pc[r], [None if math.isinf(c) else c for c in cap[r]], weight[r])]
+        _ref_powers, ref_level = wmee_reference(gains[r], cfgs, budget)
+        assert level[r] == pytest.approx(ref_level, rel=1e-12, abs=0.0)
+
+
+def test_wmee_rows_name_the_first_bad_row():
+    gains = np.array([[1.0, 2.0], [1.0, -1.0], [1.0, math.nan]])
+    with pytest.raises(ValueError, match="row 1: "):
+        wmee_rows(gains, 1.0, 1.0, math.inf, 1.0)
+    with pytest.raises(ValueError, match="row 0: .*\\[1. 0.\\]"):
+        wmee_rows(gains[:1], 1.0, [[1.0, 0.0]], math.inf, 1.0)
+    with pytest.raises(ValueError, match="budget"):
+        wmee_rows(gains[:1], 1.0, 1.0, math.inf, 0.0)
 
 
 def test_ascent_unconstrained_budget_returns_per_link_optima():

@@ -25,6 +25,16 @@ def test_siso_ee_se_writes_curves_and_manifest(tmp_path):
     assert manifest.count("sha256=") == 2
 
 
+def test_siso_ee_se_keeps_the_curve_at_tiny_circuit_power(tmp_path):
+    # at pc = 1e-13 every g pc sits within 1e-11 of the Lambert branch point;
+    # the SE must still rise with the gain, from about sqrt(2 g pc) / ln 2
+    # (mpmath: 6.45192826827945e-08 bits/s/Hz at g = 0.01)
+    assert main(["siso-ee-se", "--pc", "1e-13", "--out", str(tmp_path)]) == 0
+    se = np.loadtxt(tmp_path / "siso_ee_se_pc1e-13.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.all(np.diff(se) > 0.0)
+    assert se[0] == pytest.approx(6.45192826827945e-08, rel=1e-10, abs=0.0)
+
+
 # every experiment command at small trials, with only the flags it reads
 SMALL_RUNS = {
     "siso-profiles": ["--trials", "50", "--seed", "7"],

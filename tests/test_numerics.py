@@ -50,6 +50,24 @@ def test_lambert_round_trip_residual_across_domain():
         assert w >= -1.0
 
 
+# (x, W0(x)), computed once with mpmath at 80 digits; near x = 0 the offset
+# form 1 + W cancels, so these catch a W taken as lambert_w0_offset - 1
+LAMBERT_PINS = [
+    (1e-300, 1e-300),
+    (1e-12, 9.9999999999899998e-13),
+    (-1e-10, -1.0000000001e-10),
+    (1e-05, 9.9999000014999742e-6),
+    (0.3, 0.23675531078855931),
+    (1000.0, 5.2496028524015962),
+    (1e300, 684.24720862976085),
+]
+
+
+@pytest.mark.parametrize("x, expected", LAMBERT_PINS)
+def test_lambert_matches_mpmath_pins(x, expected):
+    assert lambert_w0(x) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 def test_lambert_nondecreasing():
     xs = np.concatenate([[-INV_E], -INV_E + np.logspace(-12, 6, 2_000)])
     ws = [lambert_w0(x) for x in xs]
