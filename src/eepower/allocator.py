@@ -12,7 +12,7 @@ found without iteration, for every row of a (rows, n) gain array at once
 `eepa`'s formula. The Lambert W function also gives a link's power at a
 given EE level, so the max-min solver bisects only on each row's common
 level (`wmee_rows`); the sum and product solvers start from the per-link
-peaks and only trade power between pairs of links.
+peaks and only trade power between pairs of links, each trade exact.
 
 Conventions: rates are in nats (natural log); converting to bits is a
 reporting concern, never a solver concern. Noise power is normalized to 1,
@@ -32,9 +32,6 @@ from .numerics import lambert_w0_from_offset, lambert_w0_offset
 # Unused here: perfbench/child.py wraps these names on this module when it
 # traces a run, so they must stay importable from it.
 from .numerics import bisect, lambert_w0  # noqa: F401
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def _check_positive(name: str, value, optional: bool = False) -> None:
     """ValueError naming `name` unless value (a number or an array) is
@@ -252,8 +249,8 @@ def wmee_rows(gains, pc, weight, cap, budget: float):
     against the gains. Each row bisects its common level t below its lowest
     capped peak EE, where t is feasible when the least powers reaching
     weight * EE = t (`_rising_powers`) fit the budget, until its bracket is at
-    most 1e-13 of the top wide; it takes the feasible end, so the weighted EEs
-    are equal whenever the budget binds. A zero gain gives a zero level.
+    most 1e-13 of its upper end wide; it takes the feasible end, so the weighted
+    EEs are equal whenever the budget binds. A zero gain gives a zero level.
 
     Returns (powers, level) of shapes (rows, n) and (rows,). A bad value
     names the first row that holds it.
@@ -280,7 +277,7 @@ def wmee_rows(gains, pc, weight, cap, budget: float):
         fits = _rising_powers(g, pc, weight, peaks, mid).sum(axis=1) <= budget
         lo = np.where(going & fits, mid, lo)
         hi = np.where(going & ~fits, mid, hi)
-        going &= hi - lo > 1e-13 * t_hi
+        going &= hi - lo > 1e-13 * hi
     return _rising_powers(g, pc, weight, peaks, lo), lo
 
 
@@ -312,10 +309,12 @@ def wsee_ascent(gains, cfgs, p_total: float) -> Allocation:
 
     Each link's EE rises up to its peak (`eepa`, clipped to its cap), so the
     capped peaks are optimal whenever they fit the budget. Otherwise they are
-    scaled onto the budget face and improved by golden-section line searches
-    along pairwise power transfers, sweep after sweep. Each link term is
-    concave on [0, min(peak, cap)] and no optimum puts a link above that
-    bound, so this is a concave program and a point no pairwise transfer
+    scaled onto the budget face and improved by pairwise power transfers,
+    sweep after sweep, each exact (`_pair_step`): a transfer's objective
+    rises while the giving link is above its peak, is concave while both are
+    in [0, peak] and falls once the taking link passes its peak. Each link
+    term is concave on [0, min(peak, cap)] and no optimum puts a link above
+    that bound, so this is a concave program and a point no pairwise transfer
     improves is its global optimum. The sweeps stop once a whole sweep raises
     the objective by at most an absolute 1e-9, not a relative amount, so an
     instance whose objective is far below 1 can stop early. Cross-checked
@@ -347,24 +346,49 @@ def _check_links(gains, cfgs, p_total: float):
     return g, cfgs
 
 
-def _golden_max(f, lo: float, hi: float):
-    """Golden-section maximizer of a unimodal f on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(120):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        if b - a <= 1e-13 * (1.0 + abs(a) + abs(b)):
-            break
-    return (x1, f1) if f1 >= f2 else (x2, f2)
+def _slopes(link, x: float, log_terms: bool):
+    """Derivatives T', T'' at x of a link (g, pc, w)'s term w L / D or its log,
+    with L = log1p(g x) and D = pc + x; a log term's T' is +inf where L = 0."""
+    g, pc, w = link
+    d, rate, d1 = pc + x, math.log1p(g * x), g / (1.0 + g * x)
+    if log_terms:
+        if rate <= 0.0:
+            return math.inf, -math.inf
+        r = d1 / rate
+        return r - 1.0 / d, -r * r - d1 * d1 / rate + 1.0 / (d * d)
+    rise = d1 * d - rate
+    return w * rise / (d * d), -w * (d1 * d1 * d * d + 2.0 * rise) / (d * d * d)
+
+
+def _pair_step(link_i, link_j, pi: float, pj: float, t_lo: float, t_hi: float, log_terms: bool) -> float:
+    """The transfer t in [t_lo, t_hi] maximizing T_i(pi + t) + T_j(pj - t).
+
+    phi'(t) = T_i'(pi + t) - T_j'(pj - t) is positive left of the optimum and
+    negative right of it; [a, b] keeps that sign bracket from t = 0 on. A
+    Newton step is taken where phi'' < 0 and it lands inside the bracket, a
+    step past an end of the interval tries that end once, and any other step
+    bisects. Stops at a Newton step or bracket of at most 1e-15 (pi + pj).
+    """
+    tol, a, b, t = 1e-15 * (pi + pj), t_lo, t_hi, 0.0
+    a_open = b_open = True
+    for _ in range(100):
+        d1i, d2i = _slopes(link_i, pi + t, log_terms)
+        d1j, d2j = _slopes(link_j, pj - t, log_terms)
+        d1 = d1i - d1j
+        if d1 > 0.0:
+            a, a_open = t, False
+        elif d1 < 0.0:
+            b, b_open = t, False
+        if d1 == 0.0 or b - a <= tol:
+            return t
+        d2 = d2i + d2j
+        step = t - d1 / d2 if d2 < 0.0 else math.nan
+        if abs(step - t) <= tol:
+            return min(max(step, a), b)
+        if not a < step < b:
+            step = b if step >= b and b_open else a if step <= a and a_open else 0.5 * (a + b)
+        t = step
+    return t
 
 
 def _budget_ascent(gains, cfgs, p_total: float, log_terms: bool) -> Allocation:
@@ -372,13 +396,13 @@ def _budget_ascent(gains, cfgs, p_total: float, log_terms: bool) -> Allocation:
     if log_terms and np.any(g == 0.0):
         raise InfeasibleError("product objective is degenerate when a link has zero gain")
     n = g.size
-    # the sweeps evaluate thousands of terms per instance, so they run on
-    # Python floats with each link's constants read once; a term is
-    # w * (log1p(g x) / (pc + x)) at the clamped power x, the operations of
-    # w * ee_of(g, max(p, 0), cfg), so every value is ee_of's to the bit
+    # the sweeps evaluate thousands of terms and slopes per instance, so they
+    # run on Python floats with each link's constants read once; a term is
+    # w * ee_of(g, max(x, 0), cfg), inline with the same operations
     pc, weight, caps = np.array([[c.pc, c.weight, c.p_max or math.inf] for c in cfgs]).T
     gs, pcs, ws, cap = g.tolist(), pc.tolist(), weight.tolist(), caps.tolist()
     log, log1p, inf = math.log, math.log1p, math.inf
+    links = list(zip(gs, pcs, ws))
 
     def term(i: int, x: float) -> float:
         if x < 0.0:
@@ -416,33 +440,9 @@ def _budget_ascent(gains, cfgs, p_total: float, log_terms: bool) -> Allocation:
                 t_hi = min(pj, cap[i] - pi)
                 if t_hi - t_lo <= 1e-12:
                     continue
-
-                def shifted(t, pi=pi, pj=pj, gi=gs[i], gj=gs[j], ci=pcs[i], cj=pcs[j], wi=ws[i], wj=ws[j]):
-                    x = pi + t
-                    if x < 0.0:
-                        x = 0.0
-                    y = pj - t
-                    if y < 0.0:
-                        y = 0.0
-                    u = wi * (log1p(gi * x) / (ci + x))
-                    v = wj * (log1p(gj * y) / (cj + y))
-                    if log_terms:
-                        u = log(u) if u > 0.0 else -inf
-                        v = log(v) if v > 0.0 else -inf
-                    return u + v
-
-                # coarse scan to bracket the best basin, then refine; the scan
-                # points are np.linspace(t_lo, t_hi, 33)'s, k * step + t_lo
-                # with the end point exact
-                step = (t_hi - t_lo) / 32
-                ts = [k * step + t_lo for k in range(32)]
-                ts.append(t_hi)
-                vals = [shifted(t) for t in ts]
-                k = vals.index(max(vals))
-                t_star, best = _golden_max(shifted, ts[max(k - 1, 0)], ts[min(k + 1, 32)])
-                if best > term(i, pi) + term(j, pj):
-                    p[i] = pi + t_star
-                    p[j] = pj - t_star
+                t_star = _pair_step(links[i], links[j], pi, pj, t_lo, t_hi, log_terms)
+                if term(i, pi + t_star) + term(j, pj - t_star) > term(i, pi) + term(j, pj):
+                    p[i], p[j] = pi + t_star, pj - t_star
         new = total(p)
         if new - obj <= 1e-9:
             obj = max(obj, new)
