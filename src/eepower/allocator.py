@@ -10,9 +10,10 @@ Water-filling levels come from one exact sort-and-threshold rule
 found without iteration, for every row of a (rows, n) gain array at once
 (`gee_rows`); `gee_dinkelbach` is its one-row call, and at one link it is
 `eepa`'s formula. The Lambert W function also gives a link's power at a
-given EE level, so the max-min solver bisects only on each row's common
-level (`wmee_rows`); the sum and product solvers start from the per-link
-peaks and only trade power between pairs of links, each trade exact.
+given EE level, so the max-min solver finds only each row's common level,
+by a bracketed Newton iteration (`wmee_rows`); the sum and product solvers
+start from the per-link peaks and only trade power between pairs of links,
+each trade exact.
 
 Conventions: rates are in nats (natural log); converting to bits is a
 reporting concern, never a solver concern. Noise power is normalized to 1,
@@ -246,11 +247,17 @@ def wmee_rows(gains, pc, weight, cap, budget: float):
     power budget, for every row of a (rows, n) gain array.
 
     pc, weight and cap (inf for none) are per-link constants that broadcast
-    against the gains. Each row bisects its common level t below its lowest
+    against the gains. Each row finds its common level t below its lowest
     capped peak EE, where t is feasible when the least powers reaching
-    weight * EE = t (`_rising_powers`) fit the budget, until its bracket is at
-    most 1e-13 of its upper end wide; it takes the feasible end, so the weighted
-    EEs are equal whenever the budget binds. A zero gain gives a zero level.
+    weight * EE = t (`_rising_powers`) fit the budget, by a bracketed Newton
+    iteration on F(t) = sum_i p_i(t) - budget from t = 0. F is increasing,
+    and an unclipped link's p_i' = (pc + p_i) / (weight g / (1 + g p_i) - t)
+    (a clipped one's is 0). A step that would leave the bracket bisects it,
+    and one shorter than half the stop width is lengthened by that half, so
+    it lands across the root and the bracket closes. The bracket stops at
+    most 1e-13 of its upper end wide, and the row takes its feasible end, so
+    the weighted EEs are equal whenever the budget binds. A zero gain gives
+    a zero level.
 
     Returns (powers, level) of shapes (rows, n) and (rows,). A bad value
     names the first row that holds it.
@@ -267,18 +274,31 @@ def wmee_rows(gains, pc, weight, cap, budget: float):
 
     peaks = _peaks(g, pc, cap)
     t_hi = (weight * np.log1p(g * peaks) / (pc + peaks)).min(axis=1)
-    going = _rising_powers(g, pc, weight, peaks, t_hi).sum(axis=1) > budget
-    # a row whose top level fits is done at it
+    top = _rising_powers(g, pc, weight, peaks, t_hi)
+    going = top.sum(axis=1) > budget
+    # a row whose top level fits is done at it; the others start from t = 0,
+    # where every power is 0 and F = -budget
     lo, hi = np.where(going, 0.0, t_hi), t_hi
+    p_lo = np.where(going[:, None], 0.0, top)
+    t, p, excess = lo, p_lo, np.full_like(lo, -budget)
     for _ in range(200):
         if not going.any():
             break
-        mid = 0.5 * (lo + hi)
-        fits = _rising_powers(g, pc, weight, peaks, mid).sum(axis=1) <= budget
-        lo = np.where(going & fits, mid, lo)
-        hi = np.where(going & ~fits, mid, hi)
+        # a link at its peak (or a zero gain's 0 W peak) divides by zero here
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(p < peaks, (pc + p) / (weight * g / (1.0 + g * p) - t[:, None]), 0.0).sum(axis=1)
+            step = excess / slope
+        half = 0.5e-13 * hi
+        nxt = t - np.where(np.abs(step) < half, step + np.where(excess > 0.0, half, -half), step)
+        t = np.where(going, np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi)), t)
+        p = _rising_powers(g, pc, weight, peaks, t)
+        excess = p.sum(axis=1) - budget
+        fits = going & (excess <= 0.0)
+        lo = np.where(fits, t, lo)
+        hi = np.where(going & ~fits, t, hi)
+        p_lo = np.where(fits[:, None], p, p_lo)
         going &= hi - lo > 1e-13 * hi
-    return _rising_powers(g, pc, weight, peaks, lo), lo
+    return p_lo, lo
 
 
 def _rising_powers(g, pc, weight, peaks, t):

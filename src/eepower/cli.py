@@ -12,6 +12,7 @@ infeasibility error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -100,7 +101,10 @@ def _command_options(command: str) -> dict:
     return {name: kw for name, kw in _OPTIONS.items() if kw["dest"] in reads or kw["dest"] not in spec_fields}
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The eepower argument parser, built once per process: parsing leaves
+    no state on it, so every `main` call reuses the first one built."""
     parser = _Parser(prog="eepower", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name, entry in EXPERIMENTS.items():

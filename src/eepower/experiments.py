@@ -356,10 +356,18 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
 
 def fairness_medians(curve: CurveSet) -> dict[str, float]:
     """Median Jain index per objective from a fairness trial curve."""
-    return {
-        name: float(np.median(curve.column(f"jain_{name}")))
-        for name in ("gee", "wsee", "wpee", "wmee")
-    }
+    return {name: _median(curve.column(f"jain_{name}")) for name in ("gee", "wsee", "wpee", "wmee")}
+
+
+def _median(values) -> float:
+    """np.median of a non-empty 1-D array, with the same arithmetic (the
+    middle value, or the mean of the two middle values), but without the
+    numpy.ma import np.median makes on its first call. NaN if any value is."""
+    s = np.sort(values)
+    k = s.size // 2
+    if np.isnan(s[-1]):  # the sort puts NaN last
+        return math.nan
+    return float(s[k] if s.size % 2 else (s[k - 1] + s[k]) / 2.0)
 
 
 def run_table1(spec: ExperimentSpec) -> list[CurveSet]:

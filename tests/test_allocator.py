@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -661,6 +662,42 @@ def test_wmee_stop_is_relative_at_a_tight_budget():
         _ref_powers, ref_level = wmee_reference(gains[r], [LinkConfig(c) for c in pc[r]], 1e-6, stop=1e-15)
         assert level[r] == pytest.approx(ref_level, rel=1e-12, abs=0.0)
         assert powers[r].sum() <= 1e-6 * (1.0 + 1e-12)
+
+
+def rising_powers_calls(case):
+    """(kernel calls, powers, level) of one `wmee_rows` call on case."""
+    real = allocator._rising_powers
+    with mock.patch.object(allocator, "_rising_powers", side_effect=real) as counted:
+        powers, level = wmee_rows(*case)
+    return counted.call_count, powers, level
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(wmee_batches())
+def test_wmee_level_takes_few_kernel_calls(case):
+    # a bisection on the level to 1e-13 of the top takes at least 44 calls
+    calls, powers, _level = rising_powers_calls(case)
+    assert calls <= 30
+    assert np.all(powers.sum(axis=1) <= case[-1] * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("shortfall", [1e-3, 1e-9, 1e-14, 0.0])
+def test_wmee_level_at_a_cap_binding_at_the_root(shortfall):
+    # link 0's cap of 0.2 W, far below its 1.72 W peak, sets the top level
+    # T; F(t) is flat in link 0 above T, so with the budget just under the
+    # powers at T the root sits next to that kink
+    gains, pc, cap = np.array([[1.0, 2.0]]), np.ones((1, 2)), np.array([[0.2, math.inf]])
+    top = wmee_rows(gains, pc, 1.0, cap, 1e3)
+    budget = top[0].sum() * (1.0 - shortfall)
+    calls, powers, level = rising_powers_calls((gains, pc, 1.0, cap, budget))
+    assert calls <= 30
+    assert powers.sum() <= budget
+    cfgs = [LinkConfig(1.0, 0.2), LinkConfig(1.0)]
+    _ref_powers, ref_level = wmee_reference(gains[0], cfgs, budget)
+    assert level[0] == pytest.approx(ref_level, rel=1e-12, abs=0.0)
+    if shortfall == 0.0:
+        assert level[0] == top[1][0]
+        np.testing.assert_array_equal(powers, top[0])
 
 
 def test_wmee_rows_name_the_first_bad_row():

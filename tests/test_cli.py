@@ -1,11 +1,14 @@
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eepower import experiments
+from eepower import cli, experiments
 from eepower.cli import build_parser, load_config, main
 from eepower.errors import InfeasibleError
 
@@ -151,6 +154,65 @@ def test_fairness_writes_summary(tmp_path):
     assert names == ["fairness_summary.csv", "fairness_trials.csv", "manifest.txt"]
     summary = (out / "fairness_summary.csv").read_text().splitlines()
     assert summary[0].startswith("trials,median_jain_gee")
+
+
+def test_fairness_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call, about 15 ms per process
+    # (numpy before 2 imports it with numpy itself, so there is nothing to see)
+    code = (
+        "import sys; from eepower import cli; before = 'numpy.ma' in sys.modules; "
+        f"assert cli.main(['fairness', '--trials', '3', '--out', {str(tmp_path)!r}]) == 0; "
+        "assert before or 'numpy.ma' not in sys.modules, 'numpy.ma imported'"
+    )
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+
+
+def test_build_parser_builds_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+# one process's calls on the one parser: each sets other options than the
+# call before it, or fails, and must leave nothing behind for the next
+REUSED_PARSER_CALLS = [
+    ["verify", "--objective", "gee", "--dims", "3", "--trials", "2"],
+    ["verify", "--objective", "gee", "--trials", "2"],
+    ["fairness", "--budget", "3", "--trials", "3"],
+    ["fairness", "--trials", "3"],
+    ["verify", "--objective", "gee", "--bogus", "1"],
+    ["verify", "--objective", "wmee", "--trials", "2"],
+]
+
+
+def test_reused_parser_runs_each_call_as_a_fresh_one(tmp_path, monkeypatch, capsys):
+    dims = []
+    verify_instance = cli._verify_instance
+
+    def record_dims(objective, gains, cfgs):
+        dims.append(len(gains))
+        return verify_instance(objective, gains, cfgs)
+
+    monkeypatch.setattr(cli, "_verify_instance", record_dims)
+
+    def run_calls(name):
+        results = []
+        for i, argv in enumerate(REUSED_PARSER_CALLS):
+            out = tmp_path / name / str(i)
+            rc = main(argv + (["--out", str(out)] if argv[0] == "fairness" else []))
+            captured = capsys.readouterr()
+            # an experiment's stderr line holds its wall time
+            err = captured.err if argv[0] == "verify" else ""
+            results.append((rc, captured.out, err, read_all_bytes(out) if out.exists() else {}))
+        return results
+
+    reused = run_calls("reused")
+    assert [rc for rc, *_ in reused] == [0, 0, 0, 0, 1, 0]
+    assert dims == [3, 3, 2, 2, 2, 2]
+    assert "budget: 3\n" in reused[2][3]["manifest.txt"].decode()
+    assert "budget: 2\n" in reused[3][3]["manifest.txt"].decode()
+    assert "unrecognized arguments: --bogus 1" in reused[4][2]
+    monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+    assert run_calls("fresh") == reused
 
 
 def test_verify_exit_codes():

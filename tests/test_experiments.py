@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,17 @@ def test_fairness_maxmin_protects_weakest_link():
     # the run's second curve is the one-row summary of the first
     assert summary.label == "fairness_summary"
     assert summary.rows == [[40.0, med["gee"], med["wsee"], med["wpee"], med["wmee"]]]
+
+
+@pytest.mark.parametrize("size", [1, 40, 41])
+def test_median_equals_numpy_median(size):
+    values = np.random.default_rng(size).random(size)
+    assert experiments._median(values) == np.median(values)
+    values[size // 2] = math.nan
+    with warnings.catch_warnings():  # some numpy versions warn on a NaN median
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert math.isnan(np.median(values))
+    assert math.isnan(experiments._median(values))
 
 
 def test_table1_all_gains_at_least_one():
