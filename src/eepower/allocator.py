@@ -12,8 +12,14 @@ found without iteration, for every row of a (rows, n) gain array at once
 `eepa`'s formula. The Lambert W function also gives a link's power at a
 given EE level, so the max-min solver finds only each row's common level,
 by a bracketed Newton iteration (`wmee_rows`); the sum and product solvers
-start from the per-link peaks and only trade power between pairs of links,
-each trade exact.
+(`wsee_rows`, `wpee_rows`) start from the per-link peaks and only trade
+power between pairs of links, each trade exact, row by row.
+
+The three budgeted solvers share one interface: (rows, n) gains, per-link
+circuit powers, weights and caps that broadcast against them, and one total
+budget, checked by one validator that names the first bad row; each returns
+(powers, objective) per row. `wsee_ascent`, `wpee_ascent` and `wmee_maxmin`
+are their one-row calls on a LinkConfig per link.
 
 Conventions: rates are in nats (natural log); converting to bits is a
 reporting concern, never a solver concern. Noise power is normalized to 1,
@@ -236,10 +242,40 @@ def gee_rows(gains, pc, p_max_total: float | None = None):
 def wmee_maxmin(gains, cfgs, p_total: float) -> Allocation:
     """Maximize the minimum weighted link EE under a total power budget: the
     one-row call of `wmee_rows`, with the common level as the objective."""
-    g, cfgs = _check_links(gains, cfgs, p_total)
+    return _one_row(wmee_rows, gains, cfgs, p_total)
+
+
+def _one_row(solve, gains, cfgs, p_total: float) -> Allocation:
+    """The budgeted row solver `solve` on one row of gains, with each link's
+    constants read from its LinkConfig."""
+    g = np.asarray(gains, dtype=float)
+    cfgs = list(cfgs)
+    if g.ndim != 1 or g.size < 1:
+        raise ValueError("gains must be a non-empty 1-D sequence")
+    if len(cfgs) != g.size:
+        raise ValueError(f"got {g.size} gains but {len(cfgs)} link configs")
+    if not np.all(np.isfinite(g)) or np.any(g < 0.0):
+        raise ValueError("gains must be finite and non-negative")
+    _check_positive("p_total", p_total)
     pc, weight, cap = np.array([[c.pc, c.weight, c.p_max or math.inf] for c in cfgs]).T
-    powers, level = wmee_rows(g[None, :], pc, weight, cap, p_total)
-    return Allocation(powers[0], float(level[0]))
+    powers, objective = solve(g[None, :], pc, weight, cap, p_total)
+    return Allocation(powers[0], float(objective[0]))
+
+
+def _link_rows(gains, pc, weight, cap, budget: float):
+    """The (rows, n) gains of a budgeted row solver and its per-link pc,
+    weight and cap (inf for none) broadcast against them. A bad value names
+    the first row that holds it."""
+    g = np.asarray(gains, dtype=float)
+    if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
+        raise ValueError(f"gains must be a non-empty (rows, n) array, got shape {g.shape}")
+    pc, weight, cap = (np.broadcast_to(np.asarray(v, dtype=float), g.shape) for v in (pc, weight, cap))
+    ok = np.isfinite(g) & np.isfinite(pc) & np.isfinite(weight) & (g >= 0.0) & (pc > 0.0) & (weight > 0.0) & (cap > 0.0)
+    if not ok.all():
+        r = int(np.argmax(~ok.all(axis=1)))
+        raise ValueError(f"row {r}: need finite g >= 0, pc, weight > 0, cap > 0: {g[r]}, {pc[r]}, {weight[r]}, {cap[r]}")
+    _check_positive("budget", budget)
+    return g, pc, weight, cap
 
 
 def wmee_rows(gains, pc, weight, cap, budget: float):
@@ -262,16 +298,7 @@ def wmee_rows(gains, pc, weight, cap, budget: float):
     Returns (powers, level) of shapes (rows, n) and (rows,). A bad value
     names the first row that holds it.
     """
-    g = np.asarray(gains, dtype=float)
-    if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
-        raise ValueError(f"gains must be a non-empty (rows, n) array, got shape {g.shape}")
-    pc, weight, cap = (np.broadcast_to(np.asarray(v, dtype=float), g.shape) for v in (pc, weight, cap))
-    ok = np.isfinite(g) & np.isfinite(pc) & np.isfinite(weight) & (g >= 0.0) & (pc > 0.0) & (weight > 0.0) & (cap > 0.0)
-    if not ok.all():
-        r = int(np.argmax(~ok.all(axis=1)))
-        raise ValueError(f"row {r}: need finite g >= 0, pc, weight > 0, cap > 0: {g[r]}, {pc[r]}, {weight[r]}, {cap[r]}")
-    _check_positive("budget", budget)
-
+    g, pc, weight, cap = _link_rows(gains, pc, weight, cap, budget)
     peaks = _peaks(g, pc, cap)
     t_hi = (weight * np.log1p(g * peaks) / (pc + peaks)).min(axis=1)
     top = _rising_powers(g, pc, weight, peaks, t_hi)
@@ -325,7 +352,21 @@ def _rising_powers(g, pc, weight, peaks, t):
 
 
 def wsee_ascent(gains, cfgs, p_total: float) -> Allocation:
-    """Maximize the weighted sum of link EEs under a total power budget.
+    """Maximize the weighted sum of link EEs under a total power budget: the
+    one-row call of `wsee_rows`."""
+    return _one_row(wsee_rows, gains, cfgs, p_total)
+
+
+def wpee_ascent(gains, cfgs, p_total: float) -> Allocation:
+    """Maximize the weighted product of link EEs under a total power budget:
+    the one-row call of `wpee_rows`."""
+    return _one_row(wpee_rows, gains, cfgs, p_total)
+
+
+def wsee_rows(gains, pc, weight, cap, budget: float):
+    """Maximize the weighted sum of link EEs under a total power budget, for
+    every row of a (rows, n) gain array; pc, weight and cap (inf for none)
+    are per-link constants that broadcast against the gains.
 
     Each link's EE rises up to its peak (`eepa`, clipped to its cap), so the
     capped peaks are optimal whenever they fit the budget. Otherwise they are
@@ -335,35 +376,26 @@ def wsee_ascent(gains, cfgs, p_total: float) -> Allocation:
     in [0, peak] and falls once the taking link passes its peak. Each link
     term is concave on [0, min(peak, cap)] and no optimum puts a link above
     that bound, so this is a concave program and a point no pairwise transfer
-    improves is its global optimum. The sweeps stop once a whole sweep raises
-    the objective by at most an absolute 1e-9, not a relative amount, so an
-    instance whose objective is far below 1 can stop early. Cross-checked
-    against a grid oracle in tests.
+    improves is its global optimum. Each row sweeps on its own, and stops
+    once a whole sweep raises its objective by at most an absolute 1e-9, not
+    a relative amount, so a row whose objective is far below 1 can stop
+    early. Cross-checked against a grid oracle in tests.
+
+    Returns (powers, objective) of shapes (rows, n) and (rows,). A bad value
+    names the first row that holds it.
     """
-    return _budget_ascent(gains, cfgs, p_total, log_terms=False)
+    return _budget_ascent(gains, pc, weight, cap, budget, log_terms=False)
 
 
-def wpee_ascent(gains, cfgs, p_total: float) -> Allocation:
-    """Maximize the weighted product of link EEs under a total power budget.
+def wpee_rows(gains, pc, weight, cap, budget: float):
+    """Maximize the weighted product of link EEs under a total power budget,
+    for every row, as `wsee_rows` does the sum.
 
     Works on the monotone transform sum_i log(w_i EE_i); the reported
     objective is the product itself. Any link with zero gain collapses the
-    product identically to zero, so such instances are rejected.
+    product identically to zero, so the first row holding one is rejected.
     """
-    return _budget_ascent(gains, cfgs, p_total, log_terms=True)
-
-
-def _check_links(gains, cfgs, p_total: float):
-    g = np.asarray(gains, dtype=float)
-    cfgs = list(cfgs)
-    if g.ndim != 1 or g.size < 1:
-        raise ValueError("gains must be a non-empty 1-D sequence")
-    if len(cfgs) != g.size:
-        raise ValueError(f"got {g.size} gains but {len(cfgs)} link configs")
-    if not np.all(np.isfinite(g)) or np.any(g < 0.0):
-        raise ValueError("gains must be finite and non-negative")
-    _check_positive("p_total", p_total)
-    return g, cfgs
+    return _budget_ascent(gains, pc, weight, cap, budget, log_terms=True)
 
 
 def _slopes(link, x: float, log_terms: bool):
@@ -411,16 +443,26 @@ def _pair_step(link_i, link_j, pi: float, pj: float, t_lo: float, t_hi: float, l
     return t
 
 
-def _budget_ascent(gains, cfgs, p_total: float, log_terms: bool) -> Allocation:
-    g, cfgs = _check_links(gains, cfgs, p_total)
-    if log_terms and np.any(g == 0.0):
-        raise InfeasibleError("product objective is degenerate when a link has zero gain")
+def _budget_ascent(gains, pc, weight, cap, budget: float, log_terms: bool):
+    g, pc, weight, cap = _link_rows(gains, pc, weight, cap, budget)
+    dead = np.any(g == 0.0, axis=1) & log_terms
+    if dead.any():
+        row = int(np.argmax(dead))
+        raise InfeasibleError(f"row {row}: product objective is degenerate when a link has zero gain", row=row)
+    peaks = _peaks(g, pc, cap)
+    powers, objective = np.empty_like(peaks), np.empty(g.shape[0])
+    for r in range(g.shape[0]):
+        powers[r], objective[r] = _row_ascent(g[r], pc[r], weight[r], cap[r], peaks[r], budget, log_terms)
+    return powers, objective
+
+
+def _row_ascent(g, pc, weight, cap, peaks, p_total: float, log_terms: bool):
+    """(powers, objective) of the pair ascent on one row's links."""
     n = g.size
     # the sweeps evaluate thousands of terms and slopes per instance, so they
     # run on Python floats with each link's constants read once; a term is
     # w * ee_of(g, max(x, 0), cfg), inline with the same operations
-    pc, weight, caps = np.array([[c.pc, c.weight, c.p_max or math.inf] for c in cfgs]).T
-    gs, pcs, ws, cap = g.tolist(), pc.tolist(), weight.tolist(), caps.tolist()
+    gs, pcs, ws, caps = g.tolist(), pc.tolist(), weight.tolist(), cap.tolist()
     log, log1p, inf = math.log, math.log1p, math.inf
     links = list(zip(gs, pcs, ws))
 
@@ -444,20 +486,18 @@ def _budget_ascent(gains, cfgs, p_total: float, log_terms: bool) -> Allocation:
     # coordinate; scaled onto the budget face, each coordinate's best point
     # within its remaining budget is its current power, and only pairwise
     # transfers along the face can still raise the objective
-    p = _peaks(g, pc, caps)
-    s = float(p.sum())
+    s = float(peaks.sum())
     if s <= p_total:
-        obj = total(p.tolist())
-        return Allocation(p, math.exp(obj) if log_terms else obj)
-    p *= p_total / s
-    p = p.tolist()
+        obj = total(peaks.tolist())
+        return peaks, math.exp(obj) if log_terms else obj
+    p = (peaks * (p_total / s)).tolist()
     obj = total(p)
     for _ in range(500):
         for i in range(n):
             for j in range(i + 1, n):
                 pi, pj = p[i], p[j]
-                t_lo = max(-pi, pj - cap[j])
-                t_hi = min(pj, cap[i] - pi)
+                t_lo = max(-pi, pj - caps[j])
+                t_hi = min(pj, caps[i] - pi)
                 if t_hi - t_lo <= 1e-12:
                     continue
                 t_star = _pair_step(links[i], links[j], pi, pj, t_lo, t_hi, log_terms)
@@ -468,4 +508,4 @@ def _budget_ascent(gains, cfgs, p_total: float, log_terms: bool) -> Allocation:
             obj = max(obj, new)
             break
         obj = new
-    return Allocation(np.maximum(p, 0.0), math.exp(obj) if log_terms else obj)
+    return np.maximum(p, 0.0), math.exp(obj) if log_terms else obj

@@ -335,13 +335,8 @@ def _verify_instance(objective: str, gains, cfgs) -> float:
         oracle = grid_argmax("sumrate", gains, cfgs, GridSpec(0.0, budget, steps), budget=budget)
     else:
         budget = 0.75 * dims
-        if objective == "wsee":
-            alloc = wsee_ascent(gains, cfgs, budget)
-        elif objective == "wpee":
-            alloc = wpee_ascent(gains, cfgs, budget)
-        else:
-            alloc = wmee_maxmin(gains, cfgs, budget)
-        solver_obj = alloc.objective
+        solve = {"wsee": wsee_ascent, "wpee": wpee_ascent, "wmee": wmee_maxmin}[objective]
+        solver_obj = solve(gains, cfgs, budget).objective
         oracle = grid_argmax(objective, gains, cfgs, GridSpec(0.0, budget, steps), budget=budget)
     return max(0.0, oracle.objective - solver_obj)
 

@@ -5,7 +5,10 @@ dimension-gain summary table.
 
 Every run is a pure function of its spec (seed included): trials draw from
 per-trial substreams, and aggregation is plain numpy reductions over arrays
-held in trial order, so reruns are bit-identical.
+held in trial order, so reruns are bit-identical. The scaling and fairness
+pipelines hold their trials as rows of (trials, n) arrays: each solver runs
+once over all rows (`gee_rows`, `wsee_rows`, `wpee_rows`, `wmee_rows`), and
+no trial is a Python object of its own.
 
 Each experiment is declared once, in EXPERIMENTS at the end of this module:
 its CLI command, its runner, the spec fields the runner reads and its
@@ -25,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .allocator import LinkConfig, gee_rows, water_level, wmee_rows, wpee_ascent, wsee_ascent
+from .allocator import LinkConfig, gee_rows, water_level, wmee_rows, wpee_rows, wsee_rows
 from .channel import draw_gain_rows, draw_gains, matrices_from_uniforms, stream_uniforms
 from .errors import PowerControlError
 from .metrics import evaluate, trace_ee_se
@@ -33,7 +36,7 @@ from .numerics import svd_gains
 
 # Unused here: perfbench/child.py wraps these names on this module when it
 # traces a run, so they must stay importable from it.
-from .allocator import GeeProblem, gee_dinkelbach, wmee_maxmin  # noqa: F401
+from .allocator import GeeProblem, gee_dinkelbach, wmee_maxmin, wpee_ascent, wsee_ascent  # noqa: F401
 from .channel import draw_matrix, rng_for  # noqa: F401
 from .numerics import bisect  # noqa: F401
 
@@ -299,46 +302,32 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
     solvers, then a one-row summary: the trial count and the median Jain
     index per objective. FAIRNESS_LINKS links draw independent gains and
     circuit powers uniform over FAIRNESS_PC_RANGE; all four objectives share
-    one total power budget. A solver error is re-raised naming the trial,
-    seed and budget and the command that replays it. The global and max-min
-    EE of all trials are one `gee_rows` (pc: each trial's sum) and one
-    `wmee_rows` call."""
+    one total power budget. Each objective solves all trials in one row
+    solver call (`gee_rows` with each trial's summed pc, then `wmee_rows`,
+    `wsee_rows` and `wpee_rows`), and its powers are evaluated in one
+    `evaluate` call. A solver error is re-raised naming the trial, seed and
+    budget and the command that replays it."""
     lo, hi = FAIRNESS_PC_RANGE
     gains = draw_gain_rows(spec.seed, spec.trials, FAIRNESS_LINKS)
     u = stream_uniforms(spec.seed, spec.trials, FAIRNESS_LINKS, _AUX_STREAM)
     pcs = lo + (hi - lo) * u
-
-    def replayable(exc: PowerControlError, t: int) -> PowerControlError:
-        instance = f"fairness trial {t} (seed={spec.seed}, budget={spec.budget!r})"
-        return _replayable(exc, spec, t, instance, f"eepower fairness --seed {spec.seed} --trials {t + 1}")
-
     try:
-        gee_powers = gee_rows(gains, pcs.sum(axis=1), spec.budget)[0]
-        wmee_powers = wmee_rows(gains, pcs, 1.0, math.inf, spec.budget)[0]
+        powers = {
+            "gee": gee_rows(gains, pcs.sum(axis=1), spec.budget)[0],
+            "wmee": wmee_rows(gains, pcs, 1.0, math.inf, spec.budget)[0],
+            "wsee": wsee_rows(gains, pcs, 1.0, math.inf, spec.budget)[0],
+            "wpee": wpee_rows(gains, pcs, 1.0, math.inf, spec.budget)[0],
+        }
     except PowerControlError as exc:
-        raise replayable(exc, exc.row) from exc
-    rows = []
-    for t in range(spec.trials):
-        cfgs = [LinkConfig(pc) for pc in pcs[t]]
-        try:
-            powers = {"gee": gee_powers[t], "wmee": wmee_powers[t]} | {
-                name: solve(gains[t], cfgs, spec.budget).powers
-                for name, solve in (("wsee", wsee_ascent), ("wpee", wpee_ascent))
-            }
-        except PowerControlError as exc:
-            raise replayable(exc, t) from exc
-        reports = {name: evaluate(gains[t], cfgs, p) for name, p in powers.items()}
-        rows.append(
-            [
-                float(t),
-                reports["gee"].jain,
-                reports["wsee"].jain,
-                reports["wpee"].jain,
-                reports["wmee"].jain,
-                float(reports["gee"].per_link_ee.min()),
-                float(reports["wmee"].per_link_ee.min()),
-            ]
-        )
+        t = exc.row
+        instance = f"fairness trial {t} (seed={spec.seed}, budget={spec.budget!r})"
+        raise _replayable(exc, spec, t, instance, f"eepower fairness --seed {spec.seed} --trials {t + 1}") from exc
+    reports = {name: evaluate(gains, pcs, p) for name, p in powers.items()}
+    rows = np.column_stack(
+        [np.arange(spec.trials, dtype=float)]
+        + [reports[name].jain for name in ("gee", "wsee", "wpee", "wmee")]
+        + [reports[name].per_link_ee.min(axis=1) for name in ("gee", "wmee")]
+    ).tolist()
     columns = [
         ("trial", "1"),
         ("jain_gee", "1"),

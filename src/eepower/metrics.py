@@ -14,46 +14,42 @@ from .allocator import LinkConfig, eepa
 
 @dataclass
 class MultiLinkReport:
-    """Aggregate EE metrics and fairness for one multi-link allocation."""
+    """Per-link EE, aggregate EE metrics and fairness of an allocation: one
+    value per row of links (a scalar for one vector of links)."""
 
     per_link_ee: np.ndarray
-    gee: float
-    wsee: float
-    wpee: float
-    wmee: float
-    jain: float
+    gee: np.ndarray
+    wsee: np.ndarray
+    wpee: np.ndarray
+    wmee: np.ndarray
+    jain: np.ndarray
 
 
-def jain_index(values) -> float:
-    """Jain's fairness index (sum x)^2 / (N sum x^2), defined as 1 for all-zero input."""
+def jain_index(values):
+    """Jain's fairness index (sum x)^2 / (N sum x^2) over the last axis,
+    defined as 1 for all-zero input."""
     v = np.asarray(values, dtype=float)
-    sq = float((v * v).sum())
-    if sq == 0.0:
-        return 1.0
-    s = float(v.sum())
-    return s * s / (v.size * sq)
+    s, sq = v.sum(axis=-1), (v * v).sum(axis=-1)
+    zero = sq == 0.0
+    return np.where(zero, 1.0, s * s / (v.shape[-1] * np.where(zero, 1.0, sq)))[()]
 
 
-def evaluate(gains, cfgs, powers) -> MultiLinkReport:
-    """Evaluate all aggregate EE definitions for given per-link powers."""
-    g = np.asarray(gains, dtype=float)
-    p = np.asarray(powers, dtype=float)
-    cfgs = list(cfgs)
-    if not (g.size == p.size == len(cfgs)):
-        raise ValueError(f"length mismatch: {g.size} gains, {p.size} powers, {len(cfgs)} configs")
+def evaluate(gains, pc, powers, weight=1.0) -> MultiLinkReport:
+    """Evaluate all aggregate EE definitions for given per-link powers, of
+    one vector of links or of each row of (rows, n) arrays. The circuit
+    powers pc and the weights broadcast against the gains and powers."""
+    g, pc, p, w = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (gains, pc, powers, weight)))
     if np.any(p < 0.0):
         raise ValueError("powers must be non-negative")
-    pc = np.array([c.pc for c in cfgs])
-    w = np.array([c.weight for c in cfgs])
     se = np.log1p(g * p)
     ee = se / (pc + p)
     weighted = w * ee
     return MultiLinkReport(
         per_link_ee=ee,
-        gee=float(se.sum() / (pc.sum() + p.sum())),
-        wsee=float(weighted.sum()),
-        wpee=float(np.prod(weighted)),
-        wmee=float(weighted.min()),
+        gee=se.sum(axis=-1) / (pc.sum(axis=-1) + p.sum(axis=-1)),
+        wsee=weighted.sum(axis=-1),
+        wpee=np.prod(weighted, axis=-1),
+        wmee=weighted.min(axis=-1),
         jain=jain_index(ee),
     )
 

@@ -78,10 +78,6 @@ class GridSpec:
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
 
-    @property
-    def step(self) -> float:
-        return (self.p_max - self.p_min) / (self.steps - 1)
-
     def axis(self) -> np.ndarray:
         return np.linspace(self.p_min, self.p_max, self.steps)
 

@@ -41,7 +41,8 @@ def test_criterion_1_closed_form_vs_grid_oracle():
         rhs = (1.0 + gamma * p) * math.log1p(gamma * p)
         worst_residual = max(worst_residual, abs(gamma * (pc + p) - rhs) / abs(rhs))
     elapsed = time.perf_counter() - started
-    ok = worst_gap <= grid.step + 1e-12 and worst_residual <= 1e-8 and elapsed < 10.0
+    spacing = (grid.p_max - grid.p_min) / (grid.steps - 1)
+    ok = worst_gap <= spacing + 1e-12 and worst_residual <= 1e-8 and elapsed < 10.0
     report(
         1,
         "closed form vs oracle",

@@ -21,7 +21,9 @@ from eepower.allocator import (
     wmee_rows,
     wpa,
     wpee_ascent,
+    wpee_rows,
     wsee_ascent,
+    wsee_rows,
 )
 from eepower.errors import InfeasibleError
 from eepower.metrics import evaluate
@@ -518,7 +520,7 @@ def test_identical_links_fully_fair_under_every_solver():
                 wmee_maxmin(gains, cfgs, budget),
             ]
             for alloc in solved:
-                assert evaluate(gains, cfgs, alloc.powers).jain == pytest.approx(1.0, abs=1e-6)
+                assert evaluate(gains, 1.0, alloc.powers).jain == pytest.approx(1.0, abs=1e-6)
 
 
 def test_wmee_vs_grid_search():
@@ -700,14 +702,56 @@ def test_wmee_level_at_a_cap_binding_at_the_root(shortfall):
         np.testing.assert_array_equal(powers, top[0])
 
 
-def test_wmee_rows_name_the_first_bad_row():
+@pytest.mark.parametrize("solver", [wsee_rows, wpee_rows, wmee_rows])
+def test_wmee_rows_name_the_first_bad_row(solver):
     gains = np.array([[1.0, 2.0], [1.0, -1.0], [1.0, math.nan]])
     with pytest.raises(ValueError, match="row 1: "):
-        wmee_rows(gains, 1.0, 1.0, math.inf, 1.0)
+        solver(gains, 1.0, 1.0, math.inf, 1.0)
     with pytest.raises(ValueError, match="row 0: .*\\[1. 0.\\]"):
-        wmee_rows(gains[:1], 1.0, [[1.0, 0.0]], math.inf, 1.0)
+        solver(gains[:1], 1.0, [[1.0, 0.0]], math.inf, 1.0)
     with pytest.raises(ValueError, match="budget"):
-        wmee_rows(gains[:1], 1.0, 1.0, math.inf, 0.0)
+        solver(gains[:1], 1.0, 1.0, math.inf, 0.0)
+    with pytest.raises(ValueError, match="non-empty \\(rows, n\\)"):
+        solver(gains[0], 1.0, 1.0, math.inf, 1.0)
+
+
+def test_wpee_rows_name_the_first_row_with_a_zero_gain():
+    gains = np.array([[1.0, 2.0], [1.0, 0.0], [0.0, 3.0]])
+    with pytest.raises(InfeasibleError, match="^row 1: product objective is degenerate") as err:
+        wpee_rows(gains, 1.0, 1.0, math.inf, 1.0)
+    assert err.value.row == 1
+    # the sum and max-min objectives take a zero-gain link
+    for solver in (wsee_rows, wmee_rows):
+        powers, _objective = solver(gains, 1.0, 1.0, math.inf, 1.0)
+        assert powers[1, 1] == 0.0 and powers[2, 0] == 0.0
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "solver, one_row", [(wsee_rows, wsee_ascent), (wpee_rows, wpee_ascent), (wmee_rows, wmee_maxmin)]
+)
+def test_budgeted_rows_equal_their_one_row_calls(solver, one_row, seed):
+    # per-link constants of every shape the rows take: scalar, per link and
+    # per (row, link); some links capped below their peak, budgets from far
+    # below the peaks to above them
+    rng = np.random.default_rng(seed)
+    rows, n = 12, int(rng.integers(1, 6))
+    gains = 10.0 ** rng.uniform(-3.0, 3.0, (rows, n))
+    pc = 10.0 ** rng.uniform(-1.0, 1.0, (rows, n))
+    weight = rng.uniform(0.5, 2.0, n)
+    cap = np.where(rng.random((rows, n)) < 0.3, rng.uniform(0.05, 1.0, (rows, n)), math.inf)
+    budget = float(10.0 ** rng.uniform(-4.0, 1.0) * n)
+    powers, objective = solver(gains, pc, weight, cap, budget)
+    assert powers.shape == (rows, n) and objective.shape == (rows,)
+    for r in range(rows):
+        alone_powers, alone_objective = solver(gains[r : r + 1], pc[r], weight, cap[r], budget)
+        np.testing.assert_array_equal(alone_powers[0], powers[r])
+        assert alone_objective[0] == objective[r]
+        cfgs = [LinkConfig(p, None if math.isinf(c) else c, w) for p, c, w in zip(pc[r], cap[r], weight)]
+        alloc = one_row(gains[r], cfgs, budget)
+        np.testing.assert_array_equal(alloc.powers, powers[r])
+        assert alloc.objective == objective[r]
+        assert powers[r].sum() <= budget * (1.0 + 1e-12)
 
 
 def test_ascent_unconstrained_budget_returns_per_link_optima():
@@ -814,7 +858,11 @@ def reference_budget_ascent(gains, cfgs, p_total, log_terms):
     w * ee_of(g, max(p, 0), cfg), the scan is np.linspace and its best point
     np.argmax. Objective sums run left to right from link 0 (what `sum`
     computes before Python 3.12, which compensates sums of Python floats)."""
-    g, cfgs = allocator._check_links(gains, cfgs, p_total)
+    g = np.asarray(gains, dtype=float)
+    if g.ndim != 1 or g.size != len(cfgs) or not np.all(np.isfinite(g) & (g >= 0.0)):
+        raise ValueError("need one finite, non-negative gain per link config")
+    if not (math.isfinite(p_total) and p_total > 0.0):
+        raise ValueError(f"p_total must be positive and finite, got {p_total}")
     if log_terms and np.any(g == 0.0):
         raise InfeasibleError("product objective is degenerate when a link has zero gain")
     n = g.size
@@ -978,8 +1026,9 @@ def test_budgeted_solvers_reject_bad_budget(solver, bad):
 
 
 def test_wpee_rejects_zero_gain():
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError, match="^row 0: product objective is degenerate") as err:
         wpee_ascent([0.0, 1.0], [LinkConfig(1.0)] * 2, 1.0)
+    assert err.value.row == 0
 
 
 def test_link_mismatch_raises():

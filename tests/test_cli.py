@@ -360,16 +360,14 @@ def test_numerical_errors_exit_2(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("budget_flag, budget", [([], "2.0"), (["--budget", "1.5"], "1.5")])
 def test_fairness_failure_names_trial_and_replay_command(tmp_path, monkeypatch, capsys, budget_flag, budget):
-    solve = experiments.wsee_ascent
     calls = []
 
-    def fail_on_trial_2(gains, cfgs, p_total):
-        calls.append(p_total)
-        if len(calls) == 3:
-            raise InfeasibleError("synthetic failure")
-        return solve(gains, cfgs, p_total)
+    def fail_on_trial_2(gains, pc, weight, cap, budget):
+        # one call solves every trial; its row 2 fails
+        calls.append(gains.shape[0])
+        raise InfeasibleError("synthetic failure", row=2)
 
-    monkeypatch.setattr(experiments, "wsee_ascent", fail_on_trial_2)
+    monkeypatch.setattr(experiments, "wsee_rows", fail_on_trial_2)
     rc = main(["fairness", "--trials", "5", "--seed", "3", *budget_flag, "--out", str(tmp_path / "d")])
     err = capsys.readouterr().err
     assert rc == 2
@@ -379,9 +377,9 @@ def test_fairness_failure_names_trial_and_replay_command(tmp_path, monkeypatch, 
     )
     assert not (tmp_path / "d").exists()
     # the replay command ends on the same trial and reports it again
-    calls.clear()
     assert main(["fairness", "--seed", "3", "--trials", "3", *budget_flag, "--out", str(tmp_path / "d")]) == 2
     assert capsys.readouterr().err == err
+    assert calls == [5, 3]
 
 
 def test_config_file_defaults_and_flag_precedence(tmp_path):

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 from eepower import experiments
-from eepower.allocator import GeeProblem, LinkConfig, ee_of, eepa, gee_dinkelbach, wsee_ascent
+from eepower.allocator import (
+    GeeProblem,
+    LinkConfig,
+    ee_of,
+    eepa,
+    gee_dinkelbach,
+    wmee_maxmin,
+    wpee_ascent,
+    wsee_ascent,
+    wsee_rows,
+)
 from eepower.channel import draw_gains, draw_matrix, rng_for
 from eepower.errors import InfeasibleError
 from eepower.numerics import svd_gains
@@ -242,23 +252,60 @@ def test_runs_are_bit_reproducible():
 
 def test_fairness_block_draws_equal_per_trial_draws(monkeypatch):
     # run_fairness draws its gains and circuit powers as per-trial blocks;
-    # each trial's link configs must be those of its own streams
+    # each trial's row of links must be that of its own streams
     spec = default_spec("fairness", seed=7, trials=6)
     seen = []
 
-    def record(gains, cfgs, budget):
-        seen.append((gains, [cfg.pc for cfg in cfgs]))
-        return wsee_ascent(gains, cfgs, budget)
+    def record(gains, pc, weight, cap, budget):
+        seen.append((gains, pc))
+        return wsee_rows(gains, pc, weight, cap, budget)
 
-    monkeypatch.setattr(experiments, "wsee_ascent", record)
+    monkeypatch.setattr(experiments, "wsee_rows", record)
     run(spec)
     lo, hi = experiments.FAIRNESS_PC_RANGE
     links = experiments.FAIRNESS_LINKS
-    assert len(seen) == spec.trials
-    for t, (gains, pcs) in enumerate(seen):
-        assert np.array_equal(gains, draw_gains(spec.seed, links, stream=t))
+    ((gains, pcs),) = seen
+    assert gains.shape == pcs.shape == (spec.trials, links)
+    for t in range(spec.trials):
+        assert np.array_equal(gains[t], draw_gains(spec.seed, links, stream=t))
         u = rng_for(spec.seed, t, experiments._AUX_STREAM).random(links)
-        assert pcs == list(lo + (hi - lo) * u)
+        assert pcs[t].tolist() == list(lo + (hi - lo) * u)
+
+
+def fairness_per_trial_loop(spec):
+    """The fairness trial rows as a plain loop, one trial at a time: its own
+    streams, one-row solver calls on LinkConfig lists, then the per-link EE
+    and Jain index of each allocation, with the arithmetic of the per-link
+    metrics (numpy sums over the link vector)."""
+    lo, hi = experiments.FAIRNESS_PC_RANGE
+    links = experiments.FAIRNESS_LINKS
+    rows = []
+    for t in range(spec.trials):
+        gains = draw_gains(spec.seed, links, stream=t)
+        pcs = lo + (hi - lo) * rng_for(spec.seed, t, experiments._AUX_STREAM).random(links)
+        cfgs = [LinkConfig(pc) for pc in pcs]
+        powers = {
+            "gee": gee_dinkelbach(GeeProblem(gains, pcs.sum(), spec.budget)).powers,
+            "wsee": wsee_ascent(gains, cfgs, spec.budget).powers,
+            "wpee": wpee_ascent(gains, cfgs, spec.budget).powers,
+            "wmee": wmee_maxmin(gains, cfgs, spec.budget).powers,
+        }
+        ee, jain = {}, {}
+        for name, p in powers.items():
+            ee[name] = np.log1p(gains * p) / (pcs + p)
+            s, sq = float(ee[name].sum()), float((ee[name] * ee[name]).sum())
+            jain[name] = 1.0 if sq == 0.0 else s * s / (links * sq)
+        rows.append([float(t), *jain.values(), float(ee["gee"].min()), float(ee["wmee"].min())])
+    return rows
+
+
+@pytest.mark.parametrize("seed, trials, budget", [(1, 40, 2.0), (7, 200, 0.5), (3, 5, 1e-6)])
+def test_fairness_equals_per_trial_loop(seed, trials, budget):
+    # the row solvers and the array evaluation give every trial's row of the
+    # one-trial-at-a-time pipeline, bit for bit
+    spec = default_spec("fairness", seed=seed, trials=trials, budget=budget)
+    curve, _summary = run(spec)
+    assert curve.rows == fairness_per_trial_loop(spec)
 
 
 def test_doubling_trials_is_statistically_stable():

@@ -10,8 +10,7 @@ E = math.e
 
 
 def test_evaluate_identical_links():
-    cfgs = [LinkConfig(1.0), LinkConfig(1.0)]
-    report = evaluate([1.0, 1.0], cfgs, [0.7, 0.7])
+    report = evaluate([1.0, 1.0], 1.0, [0.7, 0.7])
     assert report.jain == pytest.approx(1.0, abs=1e-12)
     assert report.wmee == pytest.approx(report.wsee / 2.0, abs=1e-12)
     assert report.gee == pytest.approx(report.per_link_ee[0], abs=1e-12)
@@ -19,8 +18,7 @@ def test_evaluate_identical_links():
 
 def test_evaluate_one_hot_ee_vector():
     # second link has zero gain, so its EE is 0 whatever the power
-    cfgs = [LinkConfig(1.0), LinkConfig(1.0)]
-    report = evaluate([1.0, 0.0], cfgs, [E - 1.0, 0.5])
+    report = evaluate([1.0, 0.0], [1.0, 1.0], [E - 1.0, 0.5])
     assert report.per_link_ee[1] == 0.0
     assert report.jain == pytest.approx(0.5, abs=1e-12)
     assert report.wpee == 0.0
@@ -28,9 +26,8 @@ def test_evaluate_one_hot_ee_vector():
 
 
 def test_evaluate_direct_arithmetic():
-    cfgs = [LinkConfig(1.0), LinkConfig(1.0)]
     p = E - 1.0
-    report = evaluate([1.0, 2.0], cfgs, [p, p])
+    report = evaluate([1.0, 2.0], [1.0, 1.0], [p, p])
     assert report.per_link_ee[0] == pytest.approx(1.0 / E, abs=1e-12)
     assert report.per_link_ee[1] == pytest.approx(math.log1p(2.0 * p) / E, abs=1e-12)
     assert report.wsee == pytest.approx(sum(report.per_link_ee), abs=1e-12)
@@ -39,8 +36,7 @@ def test_evaluate_direct_arithmetic():
 
 
 def test_evaluate_respects_weights():
-    cfgs = [LinkConfig(1.0, weight=2.0), LinkConfig(1.0, weight=0.5)]
-    report = evaluate([1.0, 1.0], cfgs, [1.0, 1.0])
+    report = evaluate([1.0, 1.0], 1.0, [1.0, 1.0], weight=[2.0, 0.5])
     ee = report.per_link_ee[0]
     assert report.wsee == pytest.approx(2.5 * ee, abs=1e-12)
     assert report.wmee == pytest.approx(0.5 * ee, abs=1e-12)
@@ -48,9 +44,31 @@ def test_evaluate_respects_weights():
 
 def test_evaluate_length_mismatch():
     with pytest.raises(ValueError):
-        evaluate([1.0, 2.0], [LinkConfig(1.0)], [0.1, 0.2])
+        evaluate([1.0, 2.0], [1.0, 1.0, 1.0], [0.1, 0.2])
     with pytest.raises(ValueError):
-        evaluate([1.0], [LinkConfig(1.0)], [-0.1])
+        evaluate([[1.0, 2.0]] * 3, 1.0, [[0.1, 0.2]] * 2)
+    with pytest.raises(ValueError):
+        evaluate([1.0], 1.0, [-0.1])
+
+
+def test_evaluate_rows_equal_one_vector_calls():
+    # every field of a row of a (rows, n) call is that row's own call, bit
+    # for bit; a zero gain or a zero power makes a zero EE
+    rng = np.random.default_rng(3)
+    gains = 10.0 ** rng.uniform(-2.0, 2.0, (9, 5))
+    gains[2, 1] = 0.0
+    pc, weight = rng.uniform(0.25, 2.0, (9, 5)), rng.uniform(0.5, 2.0, 5)
+    powers = rng.uniform(0.0, 2.0, (9, 5))
+    powers[4] = 0.0
+    rows = evaluate(gains, pc, powers, weight)
+    assert rows.per_link_ee.shape == (9, 5) and rows.jain.shape == (9,)
+    assert rows.jain[4] == 1.0 and rows.wmee[2] == 0.0
+    for r in range(9):
+        alone = evaluate(gains[r], pc[r], powers[r], weight)
+        np.testing.assert_array_equal(alone.per_link_ee, rows.per_link_ee[r])
+        for field in ("gee", "wsee", "wpee", "wmee", "jain"):
+            assert getattr(alone, field) == getattr(rows, field)[r]
+        assert jain_index(rows.per_link_ee[r]) == rows.jain[r]
 
 
 def test_jain_bounds_and_scaling():
@@ -62,6 +80,7 @@ def test_jain_bounds_and_scaling():
         assert 1.0 / n - 1e-12 <= j <= 1.0 + 1e-12
         assert jain_index(10.0 * v) == pytest.approx(j, rel=1e-12)
     assert jain_index([0.0, 0.0]) == 1.0
+    np.testing.assert_array_equal(jain_index([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]]), [1.0, 1.0, 0.5])
 
 
 def test_gee_between_min_and_max_ee_for_symmetric_costs():
@@ -69,9 +88,8 @@ def test_gee_between_min_and_max_ee_for_symmetric_costs():
     for _ in range(30):
         n = int(rng.integers(2, 6))
         gains = 10.0 ** rng.uniform(-1, 1, n)
-        cfgs = [LinkConfig(0.8)] * n
         p = float(rng.uniform(0.1, 2.0))
-        report = evaluate(gains, cfgs, [p] * n)
+        report = evaluate(gains, 0.8, [p] * n)
         assert report.per_link_ee.min() - 1e-12 <= report.gee <= report.per_link_ee.max() + 1e-12
 
 
@@ -80,9 +98,9 @@ def test_n_wmee_below_wsee_for_unit_weights():
     for _ in range(30):
         n = int(rng.integers(2, 6))
         gains = 10.0 ** rng.uniform(-1, 1, n)
-        cfgs = [LinkConfig(float(pc)) for pc in rng.uniform(0.3, 2.0, n)]
+        pc = rng.uniform(0.3, 2.0, n)
         powers = rng.uniform(0.0, 2.0, n)
-        report = evaluate(gains, cfgs, powers)
+        report = evaluate(gains, pc, powers)
         assert n * report.wmee <= report.wsee + 1e-12
 
 

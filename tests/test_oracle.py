@@ -151,7 +151,8 @@ def test_sumrate_budget_matches_wpa():
     wf = wpa(gains, 0.25)
     grid = GridSpec(0.0, 1.0, 1001)
     alloc = grid_argmax("sumrate", gains, [LinkConfig(1.0)] * 2, grid, budget=0.5)
-    np.testing.assert_allclose(alloc.powers, wf.powers, atol=grid.step + 1e-12)
+    spacing = (grid.p_max - grid.p_min) / (grid.steps - 1)
+    np.testing.assert_allclose(alloc.powers, wf.powers, atol=spacing + 1e-12)
 
 
 def test_refining_grid_never_decreases_best_value():
@@ -203,7 +204,8 @@ def test_three_dimension_search():
     alloc = grid_argmax("sumrate", gains, cfgs, grid, budget=3.0)
     wf = wpa(gains, 1.0)
     assert alloc.objective <= wf.objective + 1e-12
-    np.testing.assert_allclose(alloc.powers, wf.powers, atol=2 * grid.step)
+    spacing = (grid.p_max - grid.p_min) / (grid.steps - 1)
+    np.testing.assert_allclose(alloc.powers, wf.powers, atol=2 * spacing)
 
 
 def test_guards():
