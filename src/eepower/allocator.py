@@ -7,13 +7,13 @@ multi-link solvers for the sum, product, and max-min weighted-EE objectives.
 
 Water-filling levels come from one exact sort-and-threshold rule
 (`water_level`). The global-EE optimum is water-filling at a Lambert-W level
-found without iteration, for every row of a (rows, n) gain array at once
-(`gee_rows`); `gee_dinkelbach` is its one-row call, and at one link it is
-`eepa`'s formula. The Lambert W function also gives a link's power at a
-given EE level, so the max-min solver finds only each row's common level,
-by a bracketed Newton iteration (`wmee_rows`); the sum and product solvers
-(`wsee_rows`, `wpee_rows`) start from the per-link peaks and only trade
-power between pairs of links, each trade exact, row by row.
+found without iteration, for every row of a (rows, n) gain array and every
+circuit power at once (`gee_rows`); `gee_dinkelbach` is its one-row call.
+The Lambert W function also gives a link's power at a given EE level, so the
+max-min solver finds only each row's common level, by a bracketed Newton
+iteration (`wmee_rows`); the sum and product solvers (`wsee_rows`,
+`wpee_rows`) start from the per-link peaks and only trade power between
+pairs of links, each trade exact, row by row.
 
 The three budgeted solvers share one interface: (rows, n) gains, per-link
 circuit powers, weights and caps that broadcast against them, and one total
@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -177,7 +179,8 @@ def gee_rows(gains, pc, p_max_total: float | None = None):
     """Global-EE maximization for every row of a (rows, n) gain array.
 
     Row r solves max sum_i ln(1 + g_ri p_ri) / (pc_r + sum_i p_ri), with one
-    circuit power pc for all rows or one per row and an optional shared cap.
+    circuit power pc for all rows or one per row and an optional shared cap;
+    leading axes of pc, such as a (P, 1) column, solve for many at once.
     The optimum is water-filling at the level w where R(w) = (pc + P(w)) / w
     (Miao, Himayat & Li, IEEE TCOM 2010). With the floors s = 1/g sorted
     ascending and delta_j = s_j / s_1 - 1, R - (pc + P) / w rises in w, so
@@ -188,8 +191,8 @@ def gee_rows(gains, pc, p_max_total: float | None = None):
     a zero gain, whose floor is infinite). The EE is unimodal in the total
     power, so a row over the cap is cut back to `water_level(g, cap)`.
 
-    Returns (powers, objective) of shapes (rows, n) and (rows,). Errors name
-    the first failing row in the message and in the error's `row`.
+    Returns (powers, objective) of shapes (..., rows, n) and (..., rows), with
+    pc's leading axes. Errors name the first failing row, also in its `row`.
     """
     g = np.asarray(gains, dtype=float)
     if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
@@ -199,11 +202,11 @@ def gee_rows(gains, pc, p_max_total: float | None = None):
     if np.ndim(pc) == 0:
         _check_positive("circuit power", pc)
     else:
-        pcs = np.asarray(pc, dtype=float)
+        pcs = np.broadcast_to(np.asarray(pc, dtype=float), np.broadcast_shapes(np.shape(pc), g.shape[:1]))
         bad = ~(np.isfinite(pcs) & (pcs > 0.0))
         if bad.any():
-            row = int(np.argmax(bad))
-            raise ValueError(f"row {row}: circuit power must be positive and finite, got {pcs[row]}")
+            row = int(np.argmax(bad.any(axis=tuple(range(bad.ndim - 1)))))
+            raise ValueError(f"row {row}: circuit power must be positive and finite, got {pcs[..., row]}")
     _check_positive("p_max_total", p_max_total, optional=True)
     dead = ~np.any(g > 0.0, axis=1)
     if dead.any():
@@ -217,26 +220,32 @@ def gee_rows(gains, pc, p_max_total: float | None = None):
     cum_delta = np.cumsum(delta, axis=1)
     j = np.arange(1, g.shape[1] + 1)
     # R - (pc + P) / w at w = s_j is j logs - cum_log - spill, formed in an
-    # order that keeps few (rows, n) arrays alive; an infinite floor gives NaN,
-    # which never counts
+    # order that keeps few arrays alive, and its gain-only part once; an
+    # infinite floor gives NaN, which never counts
     with np.errstate(invalid="ignore"):
-        spill = (j * delta + scaled_pc[:, None] - cum_delta) / (1.0 + delta)
+        spill = j * delta + scaled_pc[..., None]
+        spill -= cum_delta
+        spill /= 1.0 + delta
         logs = np.log1p(delta)
         del delta
         cum_log = np.cumsum(logs, axis=1)
         logs *= j
-        k = np.count_nonzero(logs - cum_log < spill, axis=1)
+        logs -= cum_log
+        k = np.count_nonzero(logs < spill, axis=-1)
     del logs, spill
-    m = np.take_along_axis(cum_log, k[:, None] - 1, axis=1)[:, 0] / k
-    sum_delta = np.take_along_axis(cum_delta, k[:, None] - 1, axis=1)[:, 0]
+    row = np.arange(g.shape[0])
+    m = cum_log[row, k - 1] / k
+    sum_delta = cum_delta[row, k - 1]
     del cum_log, cum_delta
     d = (scaled_pc - sum_delta + k * np.expm1(m)) / (k * math.e * np.exp(m))
     rise = np.expm1(m + lambert_w0_offset(d))
-    powers = np.maximum(0.0, s1 * (rise[:, None] - (inv / s1 - 1.0)))
+    powers = np.maximum(0.0, s1 * (rise[..., None] - (inv / s1 - 1.0)))
     if p_max_total is not None:
-        over = powers.sum(axis=1) > p_max_total
-        powers[over] = np.maximum(0.0, water_level(g[over], p_max_total)[:, None] - inv[over])
-    return powers, np.log1p(g * powers).sum(axis=1) / (pc + powers.sum(axis=1))
+        over = powers.sum(axis=-1) > p_max_total
+        g_over, inv_over = (np.broadcast_to(a, powers.shape)[over] for a in (g, inv))
+        powers[over] = np.maximum(0.0, water_level(g_over, p_max_total)[:, None] - inv_over)
+    rates = g * powers
+    return powers, np.log1p(rates, out=rates).sum(axis=-1) / (pc + powers.sum(axis=-1))
 
 
 def wmee_maxmin(gains, cfgs, p_total: float) -> Allocation:
@@ -398,22 +407,9 @@ def wpee_rows(gains, pc, weight, cap, budget: float):
     return _budget_ascent(gains, pc, weight, cap, budget, log_terms=True)
 
 
-def _slopes(link, x: float, log_terms: bool):
-    """Derivatives T', T'' at x of a link (g, pc, w)'s term w L / D or its log,
-    with L = log1p(g x) and D = pc + x; a log term's T' is +inf where L = 0."""
-    g, pc, w = link
-    d, rate, d1 = pc + x, math.log1p(g * x), g / (1.0 + g * x)
-    if log_terms:
-        if rate <= 0.0:
-            return math.inf, -math.inf
-        r = d1 / rate
-        return r - 1.0 / d, -r * r - d1 * d1 / rate + 1.0 / (d * d)
-    rise = d1 * d - rate
-    return w * rise / (d * d), -w * (d1 * d1 * d * d + 2.0 * rise) / (d * d * d)
-
-
-def _pair_step(link_i, link_j, pi: float, pj: float, t_lo: float, t_hi: float, log_terms: bool) -> float:
-    """The transfer t in [t_lo, t_hi] maximizing T_i(pi + t) + T_j(pj - t).
+def _pair_step(gi, ci, wi, gj, cj, wj, pi: float, pj: float, t_lo: float, t_hi: float, log_terms: bool) -> float:
+    """The transfer t in [t_lo, t_hi] maximizing T_i(pi + t) + T_j(pj - t),
+    for links (gain, pc, weight) i = (gi, ci, wi) and j = (gj, cj, wj).
 
     phi'(t) = T_i'(pi + t) - T_j'(pj - t) is positive left of the optimum and
     negative right of it; [a, b] keeps that sign bracket from t = 0 on. A
@@ -421,11 +417,32 @@ def _pair_step(link_i, link_j, pi: float, pj: float, t_lo: float, t_hi: float, l
     step past an end of the interval tries that end once, and any other step
     bisects. Stops at a Newton step or bracket of at most 1e-15 (pi + pj).
     """
+    log1p, inf = math.log1p, math.inf
     tol, a, b, t = 1e-15 * (pi + pj), t_lo, t_hi, 0.0
     a_open = b_open = True
     for _ in range(100):
-        d1i, d2i = _slopes(link_i, pi + t, log_terms)
-        d1j, d2j = _slopes(link_j, pj - t, log_terms)
+        # T', T'' of each link's term w L / D or its log, L = log1p(g x) and
+        # D = pc + x; a log term's T' is +inf where L = 0
+        x = pi + t
+        d, rate, e1 = ci + x, log1p(gi * x), gi / (1.0 + gi * x)
+        if not log_terms:
+            rise = e1 * d - rate
+            d1i, d2i = wi * rise / (d * d), -wi * (e1 * e1 * d * d + 2.0 * rise) / (d * d * d)
+        elif rate > 0.0:
+            r = e1 / rate
+            d1i, d2i = r - 1.0 / d, -r * r - e1 * e1 / rate + 1.0 / (d * d)
+        else:
+            d1i, d2i = inf, -inf
+        x = pj - t
+        d, rate, e1 = cj + x, log1p(gj * x), gj / (1.0 + gj * x)
+        if not log_terms:
+            rise = e1 * d - rate
+            d1j, d2j = wj * rise / (d * d), -wj * (e1 * e1 * d * d + 2.0 * rise) / (d * d * d)
+        elif rate > 0.0:
+            r = e1 / rate
+            d1j, d2j = r - 1.0 / d, -r * r - e1 * e1 / rate + 1.0 / (d * d)
+        else:
+            d1j, d2j = inf, -inf
         d1 = d1i - d1j
         if d1 > 0.0:
             a, a_open = t, False
@@ -451,61 +468,44 @@ def _budget_ascent(gains, pc, weight, cap, budget: float, log_terms: bool):
         raise InfeasibleError(f"row {row}: product objective is degenerate when a link has zero gain", row=row)
     peaks = _peaks(g, pc, cap)
     powers, objective = np.empty_like(peaks), np.empty(g.shape[0])
-    for r in range(g.shape[0]):
-        powers[r], objective[r] = _row_ascent(g[r], pc[r], weight[r], cap[r], peaks[r], budget, log_terms)
-    return powers, objective
-
-
-def _row_ascent(g, pc, weight, cap, peaks, p_total: float, log_terms: bool):
-    """(powers, objective) of the pair ascent on one row's links."""
-    n = g.size
-    # the sweeps evaluate thousands of terms and slopes per instance, so they
-    # run on Python floats with each link's constants read once; a term is
-    # w * ee_of(g, max(x, 0), cfg), inline with the same operations
-    gs, pcs, ws, caps = g.tolist(), pc.tolist(), weight.tolist(), cap.tolist()
-    log, log1p, inf = math.log, math.log1p, math.inf
-    links = list(zip(gs, pcs, ws))
-
-    def term(i: int, x: float) -> float:
-        if x < 0.0:
-            x = 0.0
-        v = ws[i] * (log1p(gs[i] * x) / (pcs[i] + x))
+    pairs = [(i, j) for i in range(g.shape[1]) for j in range(i + 1, g.shape[1])]
+    log, log1p, exp, inf = math.log, math.log1p, math.exp, math.inf
+    # the sweeps run on Python floats, each row's constants from one list per
+    # array; a term is w * ee_of(g, x, cfg) (no transfer leaves [t_lo, t_hi],
+    # so no power goes below 0) or its log, inline. Each link's current term is
+    # kept in `terms`, and a total adds them from link 0 on (from Python 3.12
+    # on, sum() compensates float sums and would round differently)
+    for r, (gs, pcs, ws, caps, p) in enumerate(zip(g.tolist(), pc.tolist(), weight.tolist(), cap.tolist(), peaks.tolist())):
+        # every term rises on [0, peak], so min(peak, cap) maximizes each
+        # coordinate; scaled onto the budget face, each coordinate's best
+        # point within its remaining budget is its current power, and only
+        # pairwise transfers along the face can still raise the objective
+        s = float(peaks[r].sum())
+        if s > budget:
+            p = (peaks[r] * (budget / s)).tolist()
+        terms = [w * (log1p(gi * x) / (c + x)) for gi, c, w, x in zip(gs, pcs, ws, p)]
         if log_terms:
-            return log(v) if v > 0.0 else -inf
-        return v
-
-    def total(p: list) -> float:
-        # left to right from link 0 on every Python version (from 3.12 on,
-        # sum() compensates float sums and would round differently)
-        s = 0.0
-        for i in range(n):
-            s += term(i, p[i])
-        return s
-
-    # every term rises on [0, peak], so min(peak, cap) maximizes each
-    # coordinate; scaled onto the budget face, each coordinate's best point
-    # within its remaining budget is its current power, and only pairwise
-    # transfers along the face can still raise the objective
-    s = float(peaks.sum())
-    if s <= p_total:
-        obj = total(peaks.tolist())
-        return peaks, math.exp(obj) if log_terms else obj
-    p = (peaks * (p_total / s)).tolist()
-    obj = total(p)
-    for _ in range(500):
-        for i in range(n):
-            for j in range(i + 1, n):
+            terms = [log(v) if v > 0.0 else -inf for v in terms]
+        obj = reduce(add, terms, 0.0)
+        for _ in range(500 if s > budget else 0):
+            for i, j in pairs:
                 pi, pj = p[i], p[j]
-                t_lo = max(-pi, pj - caps[j])
-                t_hi = min(pj, caps[i] - pi)
+                t_lo, t_hi = pj - caps[j], caps[i] - pi  # max(-pi, t_lo), min(pj, t_hi)
+                t_lo, t_hi = t_lo if t_lo > -pi else -pi, t_hi if t_hi < pj else pj
                 if t_hi - t_lo <= 1e-12:
                     continue
-                t_star = _pair_step(links[i], links[j], pi, pj, t_lo, t_hi, log_terms)
-                if term(i, pi + t_star) + term(j, pj - t_star) > term(i, pi) + term(j, pj):
-                    p[i], p[j] = pi + t_star, pj - t_star
-        new = total(p)
-        if new - obj <= 1e-9:
-            obj = max(obj, new)
-            break
-        obj = new
-    return np.maximum(p, 0.0), math.exp(obj) if log_terms else obj
+                gi, ci, wi, gj, cj, wj = gs[i], pcs[i], ws[i], gs[j], pcs[j], ws[j]
+                t = _pair_step(gi, ci, wi, gj, cj, wj, pi, pj, t_lo, t_hi, log_terms)
+                xi, xj = pi + t, pj - t
+                ui, uj = wi * (log1p(gi * xi) / (ci + xi)), wj * (log1p(gj * xj) / (cj + xj))
+                if log_terms:
+                    ui, uj = log(ui) if ui > 0.0 else -inf, log(uj) if uj > 0.0 else -inf
+                if ui + uj > terms[i] + terms[j]:
+                    p[i], p[j], terms[i], terms[j] = xi, xj, ui, uj
+            new = reduce(add, terms, 0.0)
+            if new - obj <= 1e-9:
+                obj = new if new > obj else obj
+                break
+            obj = new
+        powers[r], objective[r] = p, exp(obj) if log_terms else obj
+    return powers, objective

@@ -227,7 +227,7 @@ def _scaling_stats(spec: ExperimentSpec, tech: str, ns, pcs):
     largest block any n needs (max n gains, or the 2 max(n)^2 uniforms of a
     square matrix); every (n, trial) draw is a prefix of its row, so the
     values equal per-(n, trial) draw_gains / draw_matrix calls. Each n is
-    then solved for all trials at once.
+    then solved for all trials and all pc values at once.
     """
     if tech == "ofdm":
         block = draw_gain_rows(spec.seed, spec.trials, max(ns))
@@ -236,19 +236,19 @@ def _scaling_stats(spec: ExperimentSpec, tech: str, ns, pcs):
     stats: dict[tuple[float, int], tuple[float, float, float, float]] = {}
     for n in ns:
         gains = block[:, :n] if tech == "ofdm" else svd_gains(matrices_from_uniforms(block, n, n))
-        for pc in pcs:
-            powers, ee = _solve_trials(spec, tech, n, pc, gains)
-            se = np.log1p(gains * powers).sum(axis=1)
-            stats[(pc, n)] = (float(ee.mean()), _stderr(ee), float(se.mean()), _stderr(se))
+        powers, ee = _solve_trials(spec, tech, n, pcs, gains)
+        se = np.log1p(gains * powers).sum(axis=-1)
+        for pc, ee_pc, se_pc in zip(pcs, ee, se):
+            stats[(pc, n)] = (float(ee_pc.mean()), _stderr(ee_pc), float(se_pc.mean()), _stderr(se_pc))
     return stats
 
 
-def _solve_trials(spec: ExperimentSpec, tech: str, n: int, pc: float, gains: np.ndarray):
-    """The global-EE optimum of every trial's row of the (trials, n) gains, in
-    one closed-form `gee_rows` call; a solver error is re-raised naming the
-    trial, n, pc and seed and the one command that replays it."""
+def _solve_trials(spec: ExperimentSpec, tech: str, n: int, pcs, gains: np.ndarray):
+    """The global-EE optimum of each trial's row of the (trials, n) gains at
+    each pc, in one closed-form `gee_rows` call; a solver error is re-raised
+    naming the trial, n, the first pc and seed and the command that replays it."""
     try:
-        return gee_rows(gains, pc * n if tech == "mimo" else pc, spec.budget)
+        return gee_rows(gains, np.array(pcs)[:, None] * (n if tech == "mimo" else 1), spec.budget)
     except PowerControlError as exc:
         if exc.row is None:
             raise
@@ -256,8 +256,8 @@ def _solve_trials(spec: ExperimentSpec, tech: str, n: int, pc: float, gains: np.
             exc,
             spec,
             exc.row,
-            f"{tech} trial {exc.row} (n={n}, pc={pc!r}, seed={spec.seed})",
-            f"eepower {tech}-sweep --seed {spec.seed} --n {n} --pc {pc!r} --trials {exc.row + 1}",
+            f"{tech} trial {exc.row} (n={n}, pc={pcs[0]!r}, seed={spec.seed})",
+            f"eepower {tech}-sweep --seed {spec.seed} --n {n} --pc {pcs[0]!r} --trials {exc.row + 1}",
         ) from exc
 
 

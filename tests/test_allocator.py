@@ -329,6 +329,34 @@ def test_gee_rows_names_the_first_bad_per_row_circuit_power():
     pcs[[1234, 2999]] = -1.0
     with pytest.raises(ValueError, match=r"^row 1234: circuit power must be positive and finite, got -1.0$"):
         gee_rows(np.ones((3000, 2)), pcs)
+    # a (P, rows) pc names the first row that holds a bad value, a (P, 1) one row 0
+    with pytest.raises(ValueError, match=r"^row 2: circuit power must be positive and finite, got \[ 1. -1.\]$"):
+        gee_rows(np.ones((3, 2)), [[1.0, 1.0, 1.0], [1.0, 2.0, -1.0]])
+    with pytest.raises(ValueError, match=r"^row 0: circuit power must be positive and finite, got \[ 1. nan\]$"):
+        gee_rows(np.ones((3, 2)), [[1.0], [math.nan]])
+
+
+@pytest.mark.parametrize("cap", [None, 0.3])
+def test_gee_rows_pc_column_equals_one_pc_calls(cap):
+    # one call over a (P, 1) column of circuit powers, or a (P, rows) array of
+    # per-row ones, equals P calls bit for bit, also where a zero gain gets no
+    # power and where rows are cut back to the cap
+    rng = np.random.default_rng(5)
+    gains = 10.0 ** rng.uniform(-2.0, 2.0, (40, 6))
+    gains[3, 0] = 0.0
+    gains[4, 1:] = 0.0
+    pcs = np.array([0.05, 1.0, 20.0])
+    per_row = 10.0 ** rng.uniform(-1.0, 1.0, (2, 40))
+    for pc, alone_pcs in ((pcs[:, None], pcs.tolist()), (per_row, list(per_row))):
+        powers, objective = gee_rows(gains, pc, cap)
+        assert powers.shape == (len(alone_pcs), 40, 6) and objective.shape == (len(alone_pcs), 40)
+        for q, alone_pc in enumerate(alone_pcs):
+            alone_powers, alone_objective = gee_rows(gains, alone_pc, cap)
+            assert powers[q].tobytes() == alone_powers.tobytes()
+            assert objective[q].tobytes() == alone_objective.tobytes()
+            if cap is not None:
+                assert np.any(gee_rows(gains, alone_pc)[0].sum(axis=1) > cap)
+    assert powers[:, 3, 0].tolist() == [0.0, 0.0] and np.all(powers[:, 4, 1:] == 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -985,6 +1013,137 @@ def _random_pairs(rng, count):
     return pairs
 
 
+def reference_slopes(link, x, log_terms):
+    """Derivatives T', T'' at x of a link (g, pc, w)'s term w L / D or its log,
+    with L = log1p(g x) and D = pc + x; a log term's T' is +inf where L = 0.
+    The ascent's slopes as a function of their own, before it computed them
+    inline."""
+    g, pc, w = link
+    d, rate, d1 = pc + x, math.log1p(g * x), g / (1.0 + g * x)
+    if log_terms:
+        if rate <= 0.0:
+            return math.inf, -math.inf
+        r = d1 / rate
+        return r - 1.0 / d, -r * r - d1 * d1 / rate + 1.0 / (d * d)
+    rise = d1 * d - rate
+    return w * rise / (d * d), -w * (d1 * d1 * d * d + 2.0 * rise) / (d * d * d)
+
+
+def reference_pair_step(link_i, link_j, pi, pj, t_lo, t_hi, log_terms):
+    """The exact pair step as it was written on `reference_slopes`, one
+    call per link and Newton step."""
+    tol, a, b, t = 1e-15 * (pi + pj), t_lo, t_hi, 0.0
+    a_open = b_open = True
+    for _ in range(100):
+        d1i, d2i = reference_slopes(link_i, pi + t, log_terms)
+        d1j, d2j = reference_slopes(link_j, pj - t, log_terms)
+        d1 = d1i - d1j
+        if d1 > 0.0:
+            a, a_open = t, False
+        elif d1 < 0.0:
+            b, b_open = t, False
+        if d1 == 0.0 or b - a <= tol:
+            return t
+        d2 = d2i + d2j
+        step = t - d1 / d2 if d2 < 0.0 else math.nan
+        if abs(step - t) <= tol:
+            return min(max(step, a), b)
+        if not a < step < b:
+            step = b if step >= b and b_open else a if step <= a and a_open else 0.5 * (a + b)
+        t = step
+    return t
+
+
+def reference_row_ascent(g, pc, weight, cap, peaks, p_total, log_terms, counts):
+    """(powers, objective) of the pair ascent on one row's links, with every
+    term and total recomputed by a call, on `reference_pair_step`. Adds the
+    pairs it skips for a short interval and the rows that sweep to
+    `counts`."""
+    n = g.size
+    gs, pcs, ws, caps = g.tolist(), pc.tolist(), weight.tolist(), cap.tolist()
+    links = list(zip(gs, pcs, ws))
+
+    def term(i, x):
+        if x < 0.0:
+            x = 0.0
+        v = ws[i] * (math.log1p(gs[i] * x) / (pcs[i] + x))
+        if log_terms:
+            return math.log(v) if v > 0.0 else -math.inf
+        return v
+
+    def total(p):
+        s = 0.0
+        for i in range(n):
+            s += term(i, p[i])
+        return s
+
+    s = float(peaks.sum())
+    if s <= p_total:
+        obj = total(peaks.tolist())
+        return peaks, math.exp(obj) if log_terms else obj
+    counts["sweeping rows"] += 1
+    p = (peaks * (p_total / s)).tolist()
+    obj = total(p)
+    for _ in range(500):
+        for i in range(n):
+            for j in range(i + 1, n):
+                pi, pj = p[i], p[j]
+                t_lo = max(-pi, pj - caps[j])
+                t_hi = min(pj, caps[i] - pi)
+                if t_hi - t_lo <= 1e-12:
+                    counts["skipped pairs"] += 1
+                    continue
+                t_star = reference_pair_step(links[i], links[j], pi, pj, t_lo, t_hi, log_terms)
+                if term(i, pi + t_star) + term(j, pj - t_star) > term(i, pi) + term(j, pj):
+                    p[i], p[j] = pi + t_star, pj - t_star
+        new = total(p)
+        if new - obj <= 1e-9:
+            obj = max(obj, new)
+            break
+        obj = new
+    return np.maximum(p, 0.0), math.exp(obj) if log_terms else obj
+
+
+def reference_rows(gains, pc, weight, cap, budget, log_terms, counts):
+    """`wsee_rows`/`wpee_rows` as one `reference_row_ascent` per row."""
+    g, pc, weight, cap = allocator._link_rows(gains, pc, weight, cap, budget)
+    peaks = allocator._peaks(g, pc, cap)
+    powers, objective = np.empty_like(peaks), np.empty(g.shape[0])
+    for r in range(g.shape[0]):
+        powers[r], objective[r] = reference_row_ascent(
+            g[r], pc[r], weight[r], cap[r], peaks[r], budget, log_terms, counts
+        )
+    return powers, objective
+
+
+@pytest.mark.parametrize("log_terms", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_ascent_rows_equal_the_reference_bit_for_bit(seed, log_terms):
+    # 2-6 links, budgets from 1e-6 to above the sum of the peaks and, where
+    # the 1e-12 pair skip decides, below 1e-12; caps at or below a link's peak
+    # (which shut its pair intervals) and, for the sum, zero gains
+    rng = np.random.default_rng(seed)
+    counts = {"sweeping rows": 0, "skipped pairs": 0}
+    for batch in range(60):
+        rows, n = int(rng.integers(1, 9)), int(rng.integers(2, 7))
+        gains = 10.0 ** rng.uniform(-4.0, 4.0, (rows, n))
+        if not log_terms:
+            gains[rng.random((rows, n)) < 0.1] = 0.0
+        pc = 10.0 ** rng.uniform(-1.0, 1.0, (rows, n))
+        weight = rng.uniform(0.5, 2.0, n)
+        peaks = allocator._peaks(gains, pc, math.inf)
+        cap = np.where(rng.random((rows, n)) < 0.4, peaks * rng.choice([1.0, 0.5, 1e-3], (rows, n)), math.inf)
+        cap = np.where(cap > 0.0, cap, math.inf)
+        budget = float(10.0 ** rng.uniform(-6.0, 0.5) * peaks.sum(axis=1).max())
+        if batch % 6 == 0:
+            budget = float(10.0 ** rng.uniform(-13.0, -12.0))
+        powers, objective = (wpee_rows if log_terms else wsee_rows)(gains, pc, weight, cap, budget)
+        ref_powers, ref_objective = reference_rows(gains, pc, weight, cap, budget, log_terms, counts)
+        assert powers.tobytes() == ref_powers.tobytes()
+        assert objective.tobytes() == ref_objective.tobytes()
+    assert counts["sweeping rows"] > 50 and counts["skipped pairs"] > 0
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_pair_step_is_exact_on_random_pairs(seed):
     for log_terms, link_i, link_j, pi, pj, t_lo, t_hi in _random_pairs(np.random.default_rng(seed), 100):
@@ -996,7 +1155,7 @@ def test_pair_step_is_exact_on_random_pairs(seed):
             with np.errstate(divide="ignore"):
                 return np.log(u) + np.log(v) if log_terms else u + v
 
-        t = allocator._pair_step(link_i, link_j, pi, pj, t_lo, t_hi, log_terms)
+        t = allocator._pair_step(*link_i, *link_j, pi, pj, t_lo, t_hi, log_terms)
         assert t_lo <= t <= t_hi
         grid = phi(np.linspace(t_lo, t_hi, 4001)).max()
         assert phi(t) >= grid - 1e-12 * (1.0 if log_terms else abs(grid))
@@ -1006,13 +1165,20 @@ def test_pair_step_is_exact_on_random_pairs(seed):
         assert abs(slope) <= 1e-10 * scale or (t == t_lo and slope < 0.0) or (t == t_hi and slope > 0.0)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_step_equals_the_reference_bit_for_bit(seed):
+    for log_terms, link_i, link_j, pi, pj, t_lo, t_hi in _random_pairs(np.random.default_rng(seed), 100):
+        t = allocator._pair_step(*link_i, *link_j, pi, pj, t_lo, t_hi, log_terms)
+        assert t.hex() == reference_pair_step(link_i, link_j, pi, pj, t_lo, t_hi, log_terms).hex()
+
+
 def test_pair_step_slopes_match_finite_differences():
     rng = np.random.default_rng(7)
     for log_terms, link, _, x, _, _, _ in _random_pairs(rng, 200):
         x = max(x, 1e-3 / link[0])
         h = 1e-4 * x
-        below, above = (allocator._slopes(link, x + k * h, log_terms)[0] for k in (-1, 1))
-        slope, curve = allocator._slopes(link, x, log_terms)
+        below, above = (reference_slopes(link, x + k * h, log_terms)[0] for k in (-1, 1))
+        slope, curve = reference_slopes(link, x, log_terms)
         expected, scale = _term_slope(link, x, log_terms)
         assert slope == pytest.approx(expected, rel=1e-9, abs=1e-12 * scale)
         assert curve == pytest.approx((above - below) / (2.0 * h), rel=1e-5)

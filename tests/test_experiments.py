@@ -380,6 +380,19 @@ def test_scaling_errors_name_trial_n_pc_and_seed(monkeypatch):
     assert err.value.row == 1
 
 
+def test_scaling_error_of_one_call_over_all_pcs_names_the_first_pc(monkeypatch):
+    # every pc of one n is one gee_rows call; a dead row fails at the first pc,
+    # where the per-pc calls failed first
+    spec = default_spec("ofdm_scaling", seed=3, trials=5, n_values=(2, 4), pc_values=(2.0, 0.5))
+    monkeypatch.setattr(experiments, "draw_gain_rows", _zero_row(experiments.draw_gain_rows, 3))
+    with pytest.raises(InfeasibleError) as err:
+        run(spec)
+    message = str(err.value)
+    assert message.startswith("ofdm trial 3 (n=2, pc=2.0, seed=3): row 3: at least one gain must be positive")
+    assert message.endswith("; replay: eepower ofdm-sweep --seed 3 --n 2 --pc 2.0 --trials 4")
+    assert err.value.row == 3
+
+
 def test_fairness_gee_failure_names_trial_and_seed(monkeypatch):
     # the global EE of all trials is one gee_rows call; its failing row is
     # still reported as the trial, with the command that replays it
