@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from eepower import oracle
+from eepower import cli, oracle
 from eepower.allocator import LinkConfig, wpa
 from eepower.errors import InfeasibleError
 from eepower.oracle import OBJECTIVES, GridSpec, grid_argmax
@@ -83,6 +83,16 @@ def grid_instances(draw):
 @example(("wpee", [0.0, 1.5, 0.7], [LinkConfig(1.0), LinkConfig(0.5), LinkConfig(2.0)], GridSpec(0.0, 1.0, 9), 1.5, oracle._BLOCK))
 # the first link sets the minimum, so the last axis ties along most of a row
 @example(("wmee", [0.05, 40.0], [LinkConfig(1.0)] * 2, GridSpec(0.0, 2.0, 41), None, oracle._BLOCK))
+# `eepower verify --objective sumrate --dims 3 --seed 5` on a coarser grid:
+# the row with the largest upper bound has no feasible point
+@example(("sumrate", [0.7589964250758349, 1.7010341640555473, 0.3228188687382762],
+          [LinkConfig(0.5311270256485778), LinkConfig(0.6849325902073293), LinkConfig(1.3474897353633186)],
+          GridSpec(0.0, 1.5, 101), 1.5, oracle._BLOCK))
+# a zero last-link gain: every wpee value is 0, and so is every bound
+@example(("wpee", [0.9, 1.3, 0.0], [LinkConfig(1.0), LinkConfig(0.5), LinkConfig(2.0)], GridSpec(0.1, 1.0, 13), 1.2, oracle._BLOCK))
+# p_min > 0 and a slack equal to the grid sum 0.45 + (0.36 + 0.63) to the
+# last bit, which rounds to just below 18 spacings above 3 p_min
+@example(("sumrate", [7.4, 7.4, 4.8], [LinkConfig(1.0)] * 3, GridSpec(0.27, 0.9, 8), 1.43999999999756, oracle._BLOCK))
 def test_grid_argmax_is_bitwise_the_per_point_search(case):
     objective, gains, cfgs, grid, budget, block = case
     with mock.patch.object(oracle, "_BLOCK", block):
@@ -99,16 +109,61 @@ def test_grid_argmax_is_bitwise_the_per_point_search(case):
 
 @pytest.mark.parametrize(
     "objective, gains, grid, budget",
-    [("gee", [0.7, 2.4], GridSpec(0.0, 4.0, 2001), None), ("sumrate", [0.7, 2.4], GridSpec(0.0, 1.0, 2001), 1.0)],
-    ids=["gee", "sumrate"],
+    [
+        ("gee", [0.7, 2.4], GridSpec(0.0, 4.0, 2001), None),
+        ("sumrate", [0.7, 2.4], GridSpec(0.0, 1.0, 2001), 1.0),
+        ("gee", [0.7, 2.4, 1.1], GridSpec(0.0, 4.0, 101), None),
+        ("sumrate", [0.7, 2.4, 1.1], GridSpec(0.0, 1.5, 101), 1.5),
+        ("wsee", [0.7, 2.4, 1.1], GridSpec(0.0, 2.25, 101), 2.25),
+        ("wpee", [0.7, 2.4, 1.1], GridSpec(0.0, 2.25, 101), 2.25),
+        ("wmee", [0.7, 2.4, 1.1], GridSpec(0.0, 2.25, 101), 2.25),
+    ],
+    ids=["gee", "sumrate", "gee-dims3", "sumrate-dims3", "wsee-dims3", "wpee-dims3", "wmee-dims3"],
 )
 def test_verify_size_grid_is_bitwise_the_per_point_search(objective, gains, grid, budget):
-    # the grid `eepower verify --dims 2` searches
-    cfgs = [LinkConfig(1.3), LinkConfig(0.8)]
+    # the grids `eepower verify --dims 2` searches, and at dims 3 the verify
+    # grids with a third of their steps
+    cfgs = [LinkConfig(1.3), LinkConfig(0.8), LinkConfig(1.1)][: len(gains)]
     alloc = grid_argmax(objective, gains, cfgs, grid, budget)
     value, powers = reference_argmax(objective, gains, cfgs, grid, budget)
     assert alloc.objective == value
     np.testing.assert_array_equal(alloc.powers, powers)
+
+
+@pytest.mark.parametrize("objective", ["gee", "sumrate", "wsee", "wpee", "wmee"])
+def test_screen_keeps_few_rows_of_the_verify_grids(objective, capsys):
+    # over the dims-3 grids `eepower verify` searches at seeds 1-20 (301
+    # steps), the rows whose feasible prefix is found exactly or, for gee
+    # (no budget), the rows the Dinkelbach steps keep
+    counted = []
+    name = "_gee_candidates" if objective == "gee" else "_feasible_prefix"
+    rows_of = getattr(oracle, name)
+
+    def count(*args):
+        rows = rows_of(*args)
+        counted.append(rows.size)
+        return rows
+
+    with mock.patch.object(oracle, name, count):
+        for seed in range(1, 21):
+            assert cli.main(["verify", "--objective", objective, "--dims", "3", "--seed", str(seed), "--trials", "1"]) == 0
+    capsys.readouterr()
+    assert len(counted) == 20
+    assert max(counted) <= 0.1 * 301**2
+
+
+def test_budget_must_be_a_number():
+    cfgs = [LinkConfig(1.0)] * 2
+    grid = GridSpec(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="budget"):
+        grid_argmax("sumrate", [1.0, 2.0], cfgs, grid, budget=math.nan)
+    # a budget above every grid sum keeps every point, however large
+    for objective in ("sumrate", "wpee", "gee"):
+        free = grid_argmax(objective, [1.0, 2.0], cfgs, grid)
+        for budget in (math.inf, 1e300):
+            alloc = grid_argmax(objective, [1.0, 2.0], cfgs, grid, budget)
+            assert alloc.objective == free.objective
+            np.testing.assert_array_equal(alloc.powers, free.powers)
 
 
 def test_gain_that_overflows_on_the_grid_is_rejected():
@@ -130,6 +185,10 @@ def test_grid_spec_validation():
         GridSpec(0.0, 0.0, 10)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 1)
+    # a non-integer count of points, which linspace would reject
+    for steps in (2.5, 3.0):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            GridSpec(0.0, 1.0, steps)
 
 
 def test_ee_siso_argmax_near_closed_form():
