@@ -5,14 +5,21 @@ an integer stream key, so each call is a pure function of its arguments and
 trials indexed by stream can run in any order (or in parallel) with
 bit-identical results. Single draws build the generator with numpy's own
 SeedSequence (rng_for). Per-trial blocks (stream_uniforms) compute the same
-SeedSequence hash for all their streams at once and set one PCG64's state per
-stream, so each row is still a pure function of (seed, key) with the bits of
-rng_for. All variates are derived from uniform draws only (inverse CDF for
+SeedSequence hash for all their streams at once and fill each stream from its
+PCG64 state, so each row is still a pure function of (seed, key) with the bits
+of rng_for. A block of at most _SMALL_BLOCK uniforms is filled by PCG64's
+128-bit step and XSL-RR output on Python ints: it costs about 1 us per
+uniform, where the first use of numpy.random in a process costs 10-20 ms of
+import, so `fairness` and `verify` never import it. Larger blocks are filled
+by one reused numpy PCG64, whose fill is over a hundred times faster per
+uniform. All variates are derived from uniform draws only (inverse CDF for
 gains, Box-Muller for complex Gaussians), which keeps the sequences stable
 across numpy releases.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -23,6 +30,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
+_MASK53 = (1 << 53) - 1
+
+# the most uniforms (trials * size) a block is filled with in Python
+_SMALL_BLOCK = 4096
 
 
 def _checked_seed(seed: int) -> int:
@@ -107,25 +119,58 @@ def _pcg64_states(seed: int, trials: int, *key: int) -> list[tuple[int, int]]:
     return states
 
 
+def _checked_count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def _python_fill(states: list[tuple[int, int]], size: int) -> np.ndarray:
+    """numpy's PCG64 random() on Python ints: per (state, inc), `size` LCG
+    steps state = state * M + inc (mod 2**128), each giving the XSL-RR word
+    (the xor of the state's halves rotated right by its top 6 bits) shifted
+    right by 11, times 2**-53. The rotated word is read off the word doubled
+    into 128 bits, so one shift by rot + 11 and a 53-bit mask give its top
+    53 bits."""
+    words = []
+    for state, inc in states:
+        for _ in range(size):
+            state = (state * _PCG64_MULT + inc) & _MASK128
+            word = (state >> 64) ^ (state & _MASK64)
+            words.append(((word << 64 | word) >> ((state >> 122) + 11)) & _MASK53)
+    return np.array(words, dtype=float).reshape(len(states), size) * 2.0**-53
+
+
+def _numpy_fill(states: list[tuple[int, int]], size: int) -> np.ndarray:
+    """The same rows from one numpy PCG64, set to each stream's state in turn."""
+    out = np.empty((len(states), size))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 0}
+    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for t, (state, inc) in enumerate(states):
+        pcg["state"], pcg["inc"] = state, inc
+        bit_generator.state = full_state
+        generator.random(out=out[t])
+    return out
+
+
 def stream_uniforms(seed: int, trials: int, size: int, *key: int) -> np.ndarray:
     """The leading `size` uniforms of streams (t, *key) for t = 0 .. trials-1,
     one row per stream: row t equals rng_for(seed, t, *key).random(size).
 
     Every draw on stream t that consumes at most `size` uniforms reads a
     prefix of row t, so slices of this block reproduce draw_gains and
-    draw_matrix bit for bit. One PCG64 fills every row, set to each
-    stream's state in turn.
+    draw_matrix bit for bit. Blocks of at most _SMALL_BLOCK uniforms are
+    filled in Python, which spares the process numpy.random's import; larger
+    ones by numpy's PCG64, whose per-uniform cost is far lower. Both give
+    the same bits.
     """
-    out = np.empty((trials, size))
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    pcg = {"state": 0, "inc": 0}
-    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for t, (state, inc) in enumerate(_pcg64_states(seed, trials, *key)):
-        pcg["state"], pcg["inc"] = state, inc
-        bit_generator.state = full_state
-        generator.random(out=out[t])
-    return out
+    trials = _checked_count("trials", trials)
+    size = _checked_count("size", size)
+    states = _pcg64_states(seed, trials, *key)
+    fill = _python_fill if trials * size <= _SMALL_BLOCK else _numpy_fill
+    return fill(states, size)
 
 
 def _exponential(u: np.ndarray) -> np.ndarray:

@@ -24,10 +24,14 @@ import numpy as np
 
 from . import __version__
 from .allocator import GeeProblem, LinkConfig, eepa, ee_of, gee_dinkelbach, wmee_maxmin, wpa, wpee_ascent, wsee_ascent
-from .channel import rng_for
+from .channel import stream_uniforms
 from .errors import PowerControlError
 from .experiments import EXPERIMENTS, ExperimentSpec, default_spec, run
 from .oracle import OBJECTIVES, GridSpec, grid_argmax
+
+# Unused here: perfbench/child.py wraps this name on this module when it
+# traces a run, so it must stay importable from it.
+from .channel import rng_for  # noqa: F401
 
 _LN2 = math.log(2.0)
 
@@ -290,10 +294,12 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"verify: --seed must be >= 0, got {args.seed}")
     worst = 0.0
     worst_trial = None
+    # trial i reads stream i: its first dims uniforms set the gains, the
+    # next dims the circuit powers
+    u = stream_uniforms(args.seed, args.trials, 2 * dims)
     for i in range(args.trials):
-        rng = rng_for(args.seed, i)
-        gains = np.exp(rng.random(dims) * (math.log(3.0) - math.log(0.3)) + math.log(0.3))
-        pcs = 0.5 + 1.5 * rng.random(dims)
+        gains = np.exp(u[i, :dims] * (math.log(3.0) - math.log(0.3)) + math.log(0.3))
+        pcs = 0.5 + 1.5 * u[i, dims:]
         cfgs = [LinkConfig(pc) for pc in pcs]
         shortfall = _verify_instance(args.objective, gains, cfgs)
         if shortfall > worst:

@@ -112,6 +112,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.p_min >= 0.0:
             raise ValueError(f"p_min must be >= 0, got {self.p_min}")
+        for name in ("p_min", "p_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.p_max > self.p_min:
             raise ValueError(f"need p_max > p_min, got [{self.p_min}, {self.p_max}]")
         if not isinstance(self.steps, numbers.Integral) or isinstance(self.steps, bool):

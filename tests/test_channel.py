@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eepower.channel import (
+    _SMALL_BLOCK,
     _pcg64_states,
     draw_gain_rows,
     draw_gains,
@@ -107,9 +108,42 @@ def _per_stream_rows(seed, trials, size, key):
 @example(seed=2**32, trials=600, size=2048, key=[])
 @example(seed=2**64 + 5, trials=17, size=64, key=[2**32])
 @example(seed=2**130, trials=300, size=8, key=[0])
+# blocks of at most _SMALL_BLOCK = 4096 uniforms are filled in Python, larger
+# ones by numpy's PCG64: both sides of that size
+@example(seed=2**130, trials=3, size=1365, key=[2**32])
+@example(seed=2**130, trials=4096, size=1, key=[2**32])
+@example(seed=2**130, trials=2, size=2048, key=[2**32])
+@example(seed=2**130, trials=4097, size=1, key=[2**32])
+@example(seed=2**130, trials=1, size=4097, key=[2**32])
 def test_stream_block_equals_per_stream_generators(seed, trials, size, key):
     block = stream_uniforms(seed, trials, size, *key)
     assert np.array_equal(block, _per_stream_rows(seed, trials, size, key))
+
+
+@pytest.mark.parametrize(
+    "trials, size, name, bad",
+    [
+        (-1, 3, "trials", "-1"),
+        (3, -1, "size", "-1"),
+        # a block that numpy's PCG64 would fill, were its counts allowed
+        (-1, -(_SMALL_BLOCK + 1), "trials", "-1"),
+        (2.0, 3, "trials", "2.0"),
+        (2, 1.5, "size", "1.5"),
+        (2, True, "size", "True"),
+    ],
+)
+def test_stream_block_rejects_a_count_that_is_not_a_non_negative_integer(trials, size, name, bad):
+    message = f"^{name} must be a non-negative integer, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        stream_uniforms(1, trials, size)
+    with pytest.raises(ValueError, match=message):
+        draw_gain_rows(1, trials, size)
+
+
+def test_stream_block_takes_numpy_integer_counts_and_empty_blocks():
+    assert np.array_equal(stream_uniforms(5, np.int64(3), np.uint8(4)), stream_uniforms(5, 3, 4))
+    assert stream_uniforms(5, 0, 3).shape == (0, 3)
+    assert stream_uniforms(5, 3, 0).shape == (3, 0)
 
 
 @pytest.mark.parametrize("seed", _SEED_EDGES)

@@ -168,6 +168,28 @@ def test_fairness_does_not_import_numpy_ma(tmp_path):
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src}, capture_output=True)
 
 
+# the verify cases of perfbench's `verify` workload, as (objective, dims)
+VERIFY_CASES = [("ee_siso", 1)] + [(o, d) for o in ("gee", "sumrate", "wsee", "wpee", "wmee") for d in (2, 3)]
+
+
+def test_small_draws_do_not_import_numpy_random(tmp_path):
+    # numpy.random is imported on first use, 10-20 ms per process; blocks of
+    # at most channel._SMALL_BLOCK uniforms are filled without it, larger
+    # ones (mimo-sweep: 10 x 2048) by numpy's PCG64 (numpy before 2 imports
+    # it with numpy itself, so there is nothing to see)
+    verify = [["verify", "--objective", o, "--dims", str(d), "--trials", "1"] for o, d in VERIFY_CASES]
+    code = (
+        "import sys; from eepower import cli; before = 'numpy.random' in sys.modules; "
+        f"assert cli.main(['fairness', '--out', {str(tmp_path / 'f')!r}]) == 0; "
+        f"assert all(cli.main(argv) == 0 for argv in {verify!r}); "
+        "assert before or 'numpy.random' not in sys.modules, 'numpy.random imported'; "
+        f"assert cli.main(['mimo-sweep', '--trials', '10', '--out', {str(tmp_path / 'm')!r}]) == 0; "
+        "assert 'numpy.random' in sys.modules"
+    )
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+
+
 def test_build_parser_builds_one_parser_per_process():
     assert build_parser() is build_parser()
 

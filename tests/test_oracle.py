@@ -185,6 +185,12 @@ def test_grid_spec_validation():
         GridSpec(0.0, 0.0, 10)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 1)
+    # a non-finite end, whose axis linspace would fill with NaN
+    for p_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^p_max must be finite, got (inf|nan)$"):
+            GridSpec(0.0, p_max, 5)
+    with pytest.raises(ValueError, match=r"^p_min must be finite, got inf$"):
+        GridSpec(math.inf, math.inf, 5)
     # a non-integer count of points, which linspace would reject
     for steps in (2.5, 3.0):
         with pytest.raises(ValueError, match="steps must be an integer"):
