@@ -4,8 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eepower.channel import (
+    _MASK128,
+    _PCG64_MULT,
     _SMALL_BLOCK,
+    _VECTOR_BLOCK,
+    _mul128,
     _pcg64_states,
+    _words128,
     draw_gain_rows,
     draw_gains,
     draw_matrix,
@@ -108,16 +113,49 @@ def _per_stream_rows(seed, trials, size, key):
 @example(seed=2**32, trials=600, size=2048, key=[])
 @example(seed=2**64 + 5, trials=17, size=64, key=[2**32])
 @example(seed=2**130, trials=300, size=8, key=[0])
-# blocks of at most _SMALL_BLOCK = 4096 uniforms are filled in Python, larger
-# ones by numpy's PCG64: both sides of that size
-@example(seed=2**130, trials=3, size=1365, key=[2**32])
-@example(seed=2**130, trials=4096, size=1, key=[2**32])
-@example(seed=2**130, trials=2, size=2048, key=[2**32])
-@example(seed=2**130, trials=4097, size=1, key=[2**32])
-@example(seed=2**130, trials=1, size=4097, key=[2**32])
+# blocks of at most _SMALL_BLOCK uniforms are filled in Python, those of at
+# most _VECTOR_BLOCK with uint64 arrays, larger ones by numpy's PCG64: n = T
+# and T + 1 at each threshold T, as one row (the most doubling rounds), one
+# column (none) and in between
+@example(seed=2**130, trials=1, size=_SMALL_BLOCK, key=[2**32])
+@example(seed=2**130, trials=1, size=_SMALL_BLOCK + 1, key=[2**32])
+@example(seed=2**130, trials=_SMALL_BLOCK, size=1, key=[2**32])
+@example(seed=2**130, trials=_SMALL_BLOCK + 1, size=1, key=[2**32])
+@example(seed=2**130, trials=_SMALL_BLOCK // 4, size=4, key=[])
+@example(seed=2**130, trials=_SMALL_BLOCK // 4 + 1, size=4, key=[])
+@example(seed=2**130, trials=1, size=_VECTOR_BLOCK, key=[2**32])
+@example(seed=2**130, trials=1, size=_VECTOR_BLOCK + 1, key=[2**32])
+@example(seed=2**130, trials=_VECTOR_BLOCK, size=1, key=[2**32])
+@example(seed=2**130, trials=_VECTOR_BLOCK + 1, size=1, key=[2**32])
+@example(seed=2**130, trials=_VECTOR_BLOCK // 2048, size=2048, key=[])
+@example(seed=2**130, trials=_VECTOR_BLOCK // 2048 + 1, size=2048, key=[])
 def test_stream_block_equals_per_stream_generators(seed, trials, size, key):
     block = stream_uniforms(seed, trials, size, *key)
     assert np.array_equal(block, _per_stream_rows(seed, trials, size, key))
+
+
+_MUL128_EDGES = [0, 1, 2**64 - 1, 2**64, _MASK128, _PCG64_MULT]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.lists(st.integers(0, _MASK128), max_size=8),
+    b=st.one_of(st.sampled_from(_MUL128_EDGES), st.integers(0, _MASK128)),
+)
+@example(a=[], b=0)
+@example(a=[], b=1)
+@example(a=[], b=2**64 - 1)
+@example(a=[], b=2**64)
+@example(a=[], b=_MASK128)
+@example(a=[], b=_PCG64_MULT)
+def test_mul128_is_the_product_mod_2_128(a, b):
+    a = _MUL128_EDGES + a
+    b_hi, b_lo = _words128([b])
+    # b as numpy scalars, as the jump constants enter, and as an array like a
+    for b_words in ((b_hi[0], b_lo[0]), _words128([b] * len(a))):
+        hi, lo = _mul128(*_words128(a), *b_words)
+        assert hi.dtype == lo.dtype == np.uint64
+        assert [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())] == [(x * b) & _MASK128 for x in a]
 
 
 @pytest.mark.parametrize(
@@ -125,8 +163,10 @@ def test_stream_block_equals_per_stream_generators(seed, trials, size, key):
     [
         (-1, 3, "trials", "-1"),
         (3, -1, "size", "-1"),
-        # a block that numpy's PCG64 would fill, were its counts allowed
-        (-1, -(_SMALL_BLOCK + 1), "trials", "-1"),
+        # blocks that the array fill (4097 uniforms) and numpy's PCG64 would
+        # fill, were their counts allowed
+        (-1, -4097, "trials", "-1"),
+        (-1, -(_VECTOR_BLOCK + 1), "trials", "-1"),
         (2.0, 3, "trials", "2.0"),
         (2, 1.5, "size", "1.5"),
         (2, True, "size", "True"),
@@ -154,6 +194,33 @@ def test_block_seeding_derives_each_streams_pcg64_state(seed, key):
         state = rng_for(seed, t, *key).bit_generator.state["state"]
         states.append((state["state"], state["inc"]))
     assert _pcg64_states(seed, 4, *key) == states
+
+
+@pytest.mark.parametrize(
+    "seed, key, name, bad",
+    [
+        (1.5, (), "seed", "1.5"),
+        (True, (), "seed", "True"),
+        ("1", (), "seed", "'1'"),
+        (1, (1.7,), "stream key", "1.7"),
+        (1, (False,), "stream key", "False"),
+        (1, (2, "3"), "stream key", "'3'"),
+        (1, (-1,), "stream key", "-1"),
+    ],
+)
+def test_seed_and_stream_key_must_be_non_negative_integers(seed, key, name, bad):
+    message = f"^{name} must be a non-negative integer, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        rng_for(seed, *key)
+    # one block per fill
+    for trials, size in ((2, 3), (_SMALL_BLOCK + 1, 1), (_VECTOR_BLOCK + 1, 1)):
+        with pytest.raises(ValueError, match=message):
+            stream_uniforms(seed, trials, size, *key)
+
+
+def test_seed_and_stream_key_take_numpy_integers():
+    assert np.array_equal(rng_for(np.uint64(3), np.int32(2)).random(4), rng_for(3, 2).random(4))
+    assert np.array_equal(stream_uniforms(np.int64(3), 2, 3, np.uint8(2)), stream_uniforms(3, 2, 3, 2))
 
 
 def test_stream_block_rejects_a_negative_seed_as_rng_for_does():

@@ -174,16 +174,24 @@ VERIFY_CASES = [("ee_siso", 1)] + [(o, d) for o in ("gee", "sumrate", "wsee", "w
 
 def test_small_draws_do_not_import_numpy_random(tmp_path):
     # numpy.random is imported on first use, 10-20 ms per process; blocks of
-    # at most channel._SMALL_BLOCK uniforms are filled without it, larger
-    # ones (mimo-sweep: 10 x 2048) by numpy's PCG64 (numpy before 2 imports
-    # it with numpy itself, so there is nothing to see)
+    # at most channel._VECTOR_BLOCK uniforms are filled without it, larger
+    # ones by numpy's PCG64 (numpy before 2 imports it with numpy itself, so
+    # there is nothing to see)
     verify = [["verify", "--objective", o, "--dims", str(d), "--trials", "1"] for o, d in VERIFY_CASES]
+    runs = [
+        ["fairness", "--out", str(tmp_path / "f")],
+        *verify,
+        # the benchmark's ofdm (500 x 64) and mimo (10 x 2048) blocks
+        ["ofdm-sweep", "--trials", "500", "--out", str(tmp_path / "o")],
+        ["mimo-sweep", "--trials", "10", "--out", str(tmp_path / "m10")],
+    ]
     code = (
-        "import sys; from eepower import cli; before = 'numpy.random' in sys.modules; "
-        f"assert cli.main(['fairness', '--out', {str(tmp_path / 'f')!r}]) == 0; "
-        f"assert all(cli.main(argv) == 0 for argv in {verify!r}); "
+        "import sys; from eepower import channel, cli; before = 'numpy.random' in sys.modules; "
+        f"assert all(cli.main(argv) == 0 for argv in {runs!r}); "
         "assert before or 'numpy.random' not in sys.modules, 'numpy.random imported'; "
-        f"assert cli.main(['mimo-sweep', '--trials', '10', '--out', {str(tmp_path / 'm')!r}]) == 0; "
+        # mimo-sweep draws 2048 uniforms per trial
+        "trials = str(channel._VECTOR_BLOCK // 2048 + 1); "
+        f"assert cli.main(['mimo-sweep', '--trials', trials, '--out', {str(tmp_path / 'm')!r}]) == 0; "
         "assert 'numpy.random' in sys.modules"
     )
     src = str(Path(experiments.__file__).resolve().parents[1])
