@@ -5,17 +5,20 @@ an integer stream key, so each call is a pure function of its arguments and
 trials indexed by stream can run in any order (or in parallel) with
 bit-identical results. Single draws build the generator with numpy's own
 SeedSequence (rng_for). Per-trial blocks (stream_uniforms) compute the same
-SeedSequence hash for all their streams at once and fill each stream from its
-PCG64 state, so each row is still a pure function of (seed, key) with the bits
-of rng_for. Three fills give those bits, and the block's size n = trials *
-size picks one (see stream_uniforms): up to _SMALL_BLOCK uniforms, PCG64's
-128-bit step and XSL-RR output on Python ints, about 1 us per uniform; up to
+SeedSequence hash, stream by stream on Python ints for up to _INT_STREAMS
+streams (about 20-25 us each) and for all streams at once on uint64 arrays
+above that (about 80-100 us), and fill each stream from its PCG64 state, so
+each row is still a pure function of (seed, key) with the bits of rng_for.
+Three fills give those bits, and the block's size n = trials * size picks
+one (see stream_uniforms): up to _SMALL_BLOCK uniforms, PCG64's 128-bit step
+and XSL-RR output on Python ints, about 1 us per uniform; up to
 _VECTOR_BLOCK, the same step as one uint64 array program over all streams,
-whose columns double by LCG jump-ahead, about 0.1 ms plus 25 us per doubling
-plus 25-55 ns per uniform; above that, one reused numpy PCG64, about 6 ns
-per uniform. Only the last pays the 10-20 ms import that the first use of
-numpy.random costs a process, so `fairness`, `verify`, `ofdm` and `mimo` at
-the benchmark's trial counts never import it. All variates are derived from
+whose columns double by LCG jump-ahead in contiguous (size, trials) row
+blocks, about 0.1 ms plus 25 us per doubling plus 25-55 ns per uniform;
+above that, one reused numpy PCG64, about 6 ns per uniform. Only the last
+pays the 10-20 ms import that the first use of numpy.random costs a
+process, so `fairness`, `verify`, `ofdm` and `mimo` at the benchmark's
+trial counts never import it. All variates are derived from
 uniform draws only (inverse CDF for gains, Box-Muller for complex
 Gaussians), which keeps the sequences stable across numpy releases.
 """
@@ -40,6 +43,8 @@ _MASK53 = (1 << 53) - 1
 # with uint64 arrays: the measured crossovers (see stream_uniforms)
 _SMALL_BLOCK = 256
 _VECTOR_BLOCK = 2**17
+# the most streams whose seeds are hashed one by one on Python ints
+_INT_STREAMS = 3
 
 # uint64 operands of the vector fill, so no array op depends on numpy's
 # casting of Python ints (value-based before numpy 2, NEP 50 since)
@@ -86,12 +91,12 @@ def _mix(x, y):
     return out ^ (out >> 16)
 
 
-def _seed_words(seed: int, trials: int, *key: int) -> list[np.ndarray]:
+def _seed_words(seed: int, streams, *key: int) -> list:
     """numpy's SeedSequence(entropy=seed, spawn_key=(t, *key)).generate_state(4,
-    uint64) for t = 0 .. trials-1, hashed for all t at once: four uint64
-    arrays, the high and low words of PCG64's seed state and then of its
-    initseq. The stream index is one 32-bit entropy word, as it is for any
-    t < 2**32."""
+    uint64) for a stream index t < 2**32, a Python int, or for every t of a
+    uint64 array at once: four ints or uint64 arrays, the high and low words
+    of PCG64's seed state and then of its initseq. The stream index is one
+    32-bit entropy word, as it is for any t < 2**32."""
     head = _words(_checked_count("seed", seed))
     head += [0] * (4 - len(head))  # SeedSequence pads the seed to the pool when a spawn key follows
     tail = [w for k in key for w in _words(_checked_count("stream key", k))]
@@ -107,7 +112,7 @@ def _seed_words(seed: int, trials: int, *key: int) -> list[np.ndarray]:
             if src != dst:
                 value, const = _hashmix(pool[src], const)
                 pool[dst] = _mix(pool[dst], value)
-    for word in head[4:] + [np.arange(trials, dtype=np.uint64)] + tail:
+    for word in head[4:] + [streams] + tail:
         for dst in range(4):
             value, const = _hashmix(word, const)
             pool[dst] = _mix(pool[dst], value)
@@ -125,9 +130,15 @@ def _seed_words(seed: int, trials: int, *key: int) -> list[np.ndarray]:
 def _pcg64_states(seed: int, trials: int, *key: int) -> list[tuple[int, int]]:
     """The PCG64 (state, inc) of rng_for(seed, t, *key) for t = 0 .. trials-1,
     as Python ints."""
+    # a few streams hash faster one by one on Python ints; an empty block
+    # still checks the seed and keys on the array path
+    if 0 < trials <= _INT_STREAMS:
+        words = [_seed_words(seed, t, *key) for t in range(trials)]
+    else:
+        words = zip(*(w.tolist() for w in _seed_words(seed, np.arange(trials, dtype=np.uint64), *key)))
     # PCG64 seeding: inc = 2 initseq + 1, then two LCG steps from state 0
     states = []
-    for s_hi, s_lo, q_hi, q_lo in zip(*(w.tolist() for w in _seed_words(seed, trials, *key))):
+    for s_hi, s_lo, q_hi, q_lo in words:
         inc = (((q_hi << 64 | q_lo) << 1) | 1) & _MASK128
         states.append((((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
     return states
@@ -178,9 +189,11 @@ def _vector_fill(words: list[np.ndarray], size: int) -> np.ndarray:
     Once m columns are known, the next m follow by the jump S[j + m] =
     A S[j] + C inc with A = M**m and C = M**0 + .. + M**(m-1) (mod 2**128);
     doubling m gives C += A C, A = A**2. A and C stay Python ints and only
-    the arrays wrap; the C inc terms of all rounds are one (trials, rounds)
-    product."""
-    s_hi, s_lo, q_hi, q_lo = (w[:, None] for w in words)
+    the arrays wrap; the C inc terms of all rounds are one (rounds, trials)
+    product. The columns are held as rows of (size, trials) arrays, so each
+    round reads and writes contiguous blocks, and the block is transposed
+    once, as its words convert to floats."""
+    s_hi, s_lo, q_hi, q_lo = words
     i_hi, i_lo = (q_hi << _U1) | (q_lo >> _U63), (q_lo << _U1) | _U1
     start_lo = s_lo + i_lo
     start_hi = s_hi + i_hi + (start_lo < s_lo)
@@ -190,23 +203,24 @@ def _vector_fill(words: list[np.ndarray], size: int) -> np.ndarray:
         mults.append(mult)
         adds.append(add)
         mult, add = (mult * mult) & _MASK128, (add + mult * add) & _MASK128
-    y_hi, y_lo = _mul128(i_hi, i_lo, *_words128(adds))
-    hi = np.empty((len(s_hi), size), dtype=np.uint64)
+    y_hi, y_lo = _mul128(i_hi, i_lo, *(w[:, None] for w in _words128(adds)))
+    hi = np.empty((size, len(s_hi)), dtype=np.uint64)
     lo = np.empty_like(hi)
     m = 0
     for r, (a_hi, a_lo) in enumerate(zip(*_words128(mults))):
         # columns [m, m + k) from the first k, column 0 from the start state
         k = max(min(m, size - m), 1)
-        x_hi, x_lo = _mul128(*((hi[:, :k], lo[:, :k]) if m else (start_hi, start_lo)), a_hi, a_lo)
-        lo[:, m : m + k] = x_lo + y_lo[:, r : r + 1]
-        hi[:, m : m + k] = x_hi + y_hi[:, r : r + 1] + (lo[:, m : m + k] < x_lo)
+        x_hi, x_lo = _mul128(*((hi[:k], lo[:k]) if m else (start_hi, start_lo)), a_hi, a_lo)
+        lo[m : m + k] = x_lo + y_lo[r]
+        hi[m : m + k] = x_hi + y_hi[r] + (lo[m : m + k] < x_lo)
         m += k
     # XSL-RR: the xor of the halves rotated right by the state's top 6 bits;
     # next_double's 53 bits convert exactly, and faster from int64
     lo ^= hi
     hi >>= _U58
     word = (lo >> hi) | (lo << ((_U64 - hi) & _U63))
-    return (word >> _U11).view(np.int64).astype(float) * 2.0**-53
+    out = (word >> _U11).view(np.int64).T.astype(float, order="C")
+    return np.multiply(out, 2.0**-53, out=out)
 
 
 def _numpy_fill(states: list[tuple[int, int]], size: int) -> np.ndarray:
@@ -231,36 +245,40 @@ def stream_uniforms(seed: int, trials: int, size: int, *key: int) -> np.ndarray:
     prefix of row t, so slices of this block reproduce draw_gains and
     draw_matrix bit for bit. Each fill gives the same bits; the block's size
     n = trials * size picks the fastest, by crossovers measured with numpy 2.4
-    on 2 vCPUs (each fill after the seed hash, medians of best-of-5 times):
+    on 2 vCPUs (each fill with its seed hash, medians of best-of-5 times; the
+    host's speed drifted by up to 2x between runs, so the ranges are wide):
 
     - n <= _SMALL_BLOCK: _python_fill, about 1 us per uniform. The array fill
-      costs about 0.1 ms plus 25 us per doubling of the row length, so the
-      two cross near 64-180 uniforms in rows of 1-4 (40 x 4: 0.19 against
-      0.20 ms), 256 in rows of 8 and 480-512 in rows of 64 and single rows
-      (1 x 512: 0.31 against 0.31 ms). 256 lies between: the Python fill
-      loses at most 0.2-0.4 ms below it (256 x 1), the array fill at most
-      0.1 ms above it (1 x 320).
+      costs about 0.1 ms plus 25 us per doubling of the row length, so in
+      rows of 1-8 it already wins at 160-256 uniforms (40 x 4: 0.32-0.33
+      against 0.35-0.38 ms, 256 x 1: 0.28 against 0.72 ms), in rows of 64
+      the two cross near 256-512, and a single row, whose seed is hashed on
+      Python ints, stays faster in Python past 640 (1 x 640: 0.34-0.59
+      against 0.55-0.61 ms). 256 lies between: the Python fill loses at most
+      0.2-0.45 ms below it (256 x 1), the array fill at most 0.15-0.3 ms
+      above it (1 x 320, 1 x 512).
     - n <= _VECTOR_BLOCK: _vector_fill. numpy's fill is faster per uniform,
       but its first use in a process imports numpy.random, 9.6-15.4 ms
-      (median 13.7 ms). In rows of 2048 the array fill costs 2.7 ms more
-      than numpy's fill at 2**17 uniforms, 9.4 ms more at 2**18 and 22 ms
-      more at 2**19; above 2**17 its arrays leave the cache and its cost per
-      uniform quadruples. 2**17 is the largest power of two at which it
-      beats numpy's fill plus even the fastest import measured.
+      (median 13.7 ms). In rows of 2048 the array fill costs 5.3-6.3 ms more
+      than numpy's fill at 2**17 uniforms, 11.5-12.9 ms more at 2**18 and
+      28 ms more at 2**19, at 50-60 ns per uniform once its arrays leave the
+      cache (30-50 ns at 500 x 64). 2**17 is the largest power of two at
+      which it beats numpy's fill plus even the fastest import measured.
     - larger blocks: _numpy_fill, at about 6 ns per uniform.
     """
     trials = _checked_count("trials", trials)
     size = _checked_count("size", size)
     n = trials * size
     if _SMALL_BLOCK < n <= _VECTOR_BLOCK:
-        return _vector_fill(_seed_words(seed, trials, *key), size)
+        return _vector_fill(_seed_words(seed, np.arange(trials, dtype=np.uint64), *key), size)
     fill = _python_fill if n <= _SMALL_BLOCK else _numpy_fill
     return fill(_pcg64_states(seed, trials, *key), size)
 
 
 def _exponential(u: np.ndarray) -> np.ndarray:
     """Unit-mean exponential variates from uniforms (inverse CDF)."""
-    return -np.log1p(-u)
+    out = -u
+    return np.negative(np.log1p(out, out=out), out=out)
 
 
 def draw_gains(seed: int, n: int, stream: int = 0) -> np.ndarray:
@@ -269,7 +287,7 @@ def draw_gains(seed: int, n: int, stream: int = 0) -> np.ndarray:
     (seed, n, stream) the sequence is always identical, and shorter draws
     are prefixes of longer ones from the same stream.
     """
-    if n < 1:
+    if _checked_count("n", n) < 1:
         raise ValueError(f"draw_gains: n must be >= 1, got {n}")
     return _exponential(rng_for(seed, stream).random(n))
 
@@ -280,13 +298,13 @@ def draw_gain_rows(seed: int, trials: int, n: int) -> np.ndarray:
     By the prefix property the first k columns are the k-gain draws, so one
     block serves every dimension count up to n.
     """
-    return _exponential(stream_uniforms(seed, trials, n))
+    return _exponential(stream_uniforms(seed, _checked_count("trials", trials), _checked_count("n", n)))
 
 
 def draw_matrix(seed: int, rows: int, cols: int, stream: int = 0) -> np.ndarray:
     """rows x cols matrix of i.i.d. circularly-symmetric complex Gaussians
     with E[|entry|^2] = 1."""
-    if rows < 1 or cols < 1:
+    if _checked_count("rows", rows) < 1 or _checked_count("cols", cols) < 1:
         raise ValueError(f"draw_matrix: need rows, cols >= 1, got {rows}x{cols}")
     return matrices_from_uniforms(rng_for(seed, stream).random(2 * rows * cols), rows, cols)
 
@@ -297,7 +315,7 @@ def matrices_from_uniforms(u: np.ndarray, rows: int, cols: int) -> np.ndarray:
     rows * cols set the radii, the next rows * cols the phases (Box-Muller).
     stream_uniforms(seed, trials, 2 * rows * cols) thus yields the stacked
     draw_matrix draws of streams 0 .. trials-1."""
-    k = rows * cols
+    k = _checked_count("rows", rows) * _checked_count("cols", cols)
     if u.shape[-1] < 2 * k:
         raise ValueError(f"matrices_from_uniforms: need {2 * k} uniforms per matrix, got {u.shape[-1]}")
     shape = u.shape[:-1] + (rows, cols)

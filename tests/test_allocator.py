@@ -27,7 +27,7 @@ from eepower.allocator import (
 )
 from eepower.errors import InfeasibleError
 from eepower.metrics import evaluate
-from eepower.numerics import lambert_w0
+from eepower.numerics import lambert_w0, lambert_w0_offset
 from eepower.oracle import GridSpec, grid_argmax
 
 E = math.e
@@ -451,6 +451,65 @@ def test_gee_rows_matches_the_dinkelbach_reference(case):
     assert np.all(powers >= 0.0) and np.all(powers[0][gains == 0.0] == 0.0)
     if cap is not None:
         assert powers.sum() <= cap * (1.0 + 1e-12)
+
+
+def gee_rows_sorted_floors(gains, pc, cap=None):
+    """gee_rows as it was before it formed the floor offsets s_i / s_1 - 1
+    once: delta from the sorted floors, the powers from the offsets formed
+    again, out of place."""
+    g = np.asarray(gains, dtype=float)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / g
+    s1 = inv.min(axis=1, keepdims=True)
+    scaled_pc = pc / s1[:, 0]
+    delta = np.sort(inv, axis=1) / s1 - 1.0
+    cum_delta = np.cumsum(delta, axis=1)
+    j = np.arange(1, g.shape[1] + 1)
+    with np.errstate(invalid="ignore"):
+        spill = (j * delta + scaled_pc[..., None] - cum_delta) / (1.0 + delta)
+        logs = np.log1p(delta)
+        cum_log = np.cumsum(logs, axis=1)
+        k = np.count_nonzero(j * logs - cum_log < spill, axis=-1)
+    row = np.arange(g.shape[0])
+    m = cum_log[row, k - 1] / k
+    d = (scaled_pc - cum_delta[row, k - 1] + k * np.expm1(m)) / (k * E * np.exp(m))
+    rise = np.expm1(m + lambert_w0_offset(d))
+    powers = np.maximum(0.0, s1 * (rise[..., None] - (inv / s1 - 1.0)))
+    if cap is not None:
+        over = powers.sum(axis=-1) > cap
+        g_over, inv_over = (np.broadcast_to(a, powers.shape)[over] for a in (g, inv))
+        powers[over] = np.maximum(0.0, water_level(g_over, cap)[:, None] - inv_over)
+    return powers, np.log1p(g * powers).sum(axis=-1) / (pc + powers.sum(axis=-1))
+
+
+@pytest.mark.parametrize("cap", [None, 0.3])
+def test_gee_rows_offsets_keep_the_sorted_floor_bits(cap):
+    # tied gains give equal offsets and zero gains infinite ones; the offsets
+    # sort as the floors do, so every power and objective keeps its bits
+    rng = np.random.default_rng(8)
+    gains = 10.0 ** rng.uniform(-3.0, 3.0, (60, 8))
+    gains[:10, 1:4] = gains[:10, :1]
+    gains[10:20] = gains[10:20, :1]
+    gains[20:30, ::2] = 0.0
+    gains[30:40, 1:] = 0.0
+    gains[40:50, :3] = gains[40:50, 3:4]
+    gains[40:50, 5:] = 0.0
+    for pc in (0.7, np.array([0.05, 1.0, 20.0])[:, None]):
+        powers, objective = gee_rows(gains, pc, cap)
+        ref_powers, ref_objective = gee_rows_sorted_floors(gains, pc, cap)
+        assert powers.tobytes() == ref_powers.tobytes()
+        assert objective.tobytes() == ref_objective.tobytes()
+
+
+def test_gee_solve_rate_sum_is_the_objective_numerator():
+    rng = np.random.default_rng(9)
+    gains = 10.0 ** rng.uniform(-2.0, 2.0, (30, 5))
+    gains[3, 1:] = 0.0
+    pc = np.array([0.5, 2.0])[:, None]
+    powers, objective, rate_sum = allocator._gee_solve(gains, pc, 0.4)
+    assert rate_sum.tobytes() == np.log1p(gains * powers).sum(axis=-1).tobytes()
+    assert objective.tobytes() == (rate_sum / (pc + powers.sum(axis=-1))).tobytes()
+    assert objective.tobytes() == gee_rows(gains, pc, 0.4)[1].tobytes()
 
 
 def test_gee_rows_single_dimension_equals_eepa():

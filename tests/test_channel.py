@@ -10,6 +10,8 @@ from eepower.channel import (
     _VECTOR_BLOCK,
     _mul128,
     _pcg64_states,
+    _seed_words,
+    _vector_fill,
     _words128,
     draw_gain_rows,
     draw_gains,
@@ -173,11 +175,46 @@ def test_mul128_is_the_product_mod_2_128(a, b):
     ],
 )
 def test_stream_block_rejects_a_count_that_is_not_a_non_negative_integer(trials, size, name, bad):
-    message = f"^{name} must be a non-negative integer, got {bad}$"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got {bad}$"):
         stream_uniforms(1, trials, size)
-    with pytest.raises(ValueError, match=message):
+    # draw_gain_rows names its own parameters, (trials, n)
+    name = {"size": "n"}.get(name, name)
+    with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got {bad}$"):
         draw_gain_rows(1, trials, size)
+
+
+_BAD_COUNTS = [(2.0, "2.0"), (True, "True"), (-1, "-1")]
+
+
+@pytest.mark.parametrize("bad, text", _BAD_COUNTS)
+def test_draw_gains_rejects_a_count_that_is_not_a_non_negative_integer(bad, text):
+    with pytest.raises(ValueError, match=f"^n must be a non-negative integer, got {text}$"):
+        draw_gains(1, bad)
+
+
+@pytest.mark.parametrize("bad, text", _BAD_COUNTS)
+def test_draw_matrix_rejects_a_count_that_is_not_a_non_negative_integer(bad, text):
+    with pytest.raises(ValueError, match=f"^rows must be a non-negative integer, got {text}$"):
+        draw_matrix(1, bad, 2)
+    with pytest.raises(ValueError, match=f"^cols must be a non-negative integer, got {text}$"):
+        draw_matrix(1, 2, bad)
+
+
+@pytest.mark.parametrize("bad, text", _BAD_COUNTS)
+def test_draw_gain_rows_rejects_a_count_that_is_not_a_non_negative_integer(bad, text):
+    with pytest.raises(ValueError, match=f"^trials must be a non-negative integer, got {text}$"):
+        draw_gain_rows(1, bad, 2)
+    with pytest.raises(ValueError, match=f"^n must be a non-negative integer, got {text}$"):
+        draw_gain_rows(1, 2, bad)
+
+
+@pytest.mark.parametrize("bad, text", _BAD_COUNTS)
+def test_matrices_from_uniforms_rejects_a_count_that_is_not_a_non_negative_integer(bad, text):
+    u = stream_uniforms(1, 2, 8)
+    with pytest.raises(ValueError, match=f"^rows must be a non-negative integer, got {text}$"):
+        matrices_from_uniforms(u, bad, 2)
+    with pytest.raises(ValueError, match=f"^cols must be a non-negative integer, got {text}$"):
+        matrices_from_uniforms(u, 2, bad)
 
 
 def test_stream_block_takes_numpy_integer_counts_and_empty_blocks():
@@ -194,6 +231,26 @@ def test_block_seeding_derives_each_streams_pcg64_state(seed, key):
         state = rng_for(seed, t, *key).bit_generator.state["state"]
         states.append((state["state"], state["inc"]))
     assert _pcg64_states(seed, 4, *key) == states
+
+
+@pytest.mark.parametrize("seed", [0, 2**130])
+@pytest.mark.parametrize("key", [(), (7,), (3, 2**33)])
+def test_streams_seeded_on_python_ints_equal_the_array_path_and_rng_for(seed, key):
+    for trials in range(1, 9):
+        arrays = [a.tolist() for a in _seed_words(seed, np.arange(trials, dtype=np.uint64), *key)]
+        assert [_seed_words(seed, t, *key) for t in range(trials)] == [list(w) for w in zip(*arrays)]
+        states = [rng_for(seed, t, *key).bit_generator.state["state"] for t in range(trials)]
+        assert _pcg64_states(seed, trials, *key) == [(state["state"], state["inc"]) for state in states]
+
+
+@pytest.mark.parametrize("trials, size", [(3, 65), (17, 1000), (500, 64), (64, 2048)])
+def test_two_dimensional_blocks_equal_per_stream_generators(trials, size):
+    # the doubling rounds fill contiguous row blocks of (size, trials) arrays
+    # and the block is transposed once; 65 and 1000 columns end mid-round
+    rows = _per_stream_rows(2**130, trials, size, [7])
+    assert np.array_equal(stream_uniforms(2**130, trials, size, 7), rows)
+    block = _vector_fill(_seed_words(2**130, np.arange(trials, dtype=np.uint64), 7), size)
+    assert block.flags.c_contiguous and np.array_equal(block, rows)
 
 
 @pytest.mark.parametrize(

@@ -11,12 +11,13 @@ from eepower.allocator import (
     ee_of,
     eepa,
     gee_dinkelbach,
+    gee_rows,
     wmee_maxmin,
     wpee_ascent,
     wsee_ascent,
     wsee_rows,
 )
-from eepower.channel import draw_gains, draw_matrix, rng_for
+from eepower.channel import draw_gain_rows, draw_gains, draw_matrix, matrices_from_uniforms, rng_for, stream_uniforms
 from eepower.errors import InfeasibleError
 from eepower.numerics import svd_gains
 from eepower.experiments import (
@@ -348,6 +349,44 @@ def test_scaling_equals_per_trial_loop(tech, budget):
     )
     curves = run(spec)
     assert [c.rows for c in curves] == _per_trial_loop(spec, tech)
+
+
+def _stderr(values):
+    if values.size < 2:
+        return 0.0
+    return float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def _scaling_stats_per_pc(spec, tech, ns, pcs):
+    # reference: _scaling_stats before it summarised all pcs of one n at once,
+    # with SE from its own pass over the gee_rows powers and scalar mean and
+    # stderr calls per (pc, n)
+    if tech == "ofdm":
+        block = draw_gain_rows(spec.seed, spec.trials, max(ns))
+    else:
+        block = stream_uniforms(spec.seed, spec.trials, 2 * max(ns) ** 2)
+    stats = {}
+    for n in ns:
+        gains = block[:, :n] if tech == "ofdm" else svd_gains(matrices_from_uniforms(block, n, n))
+        powers, ee = gee_rows(gains, np.array(pcs)[:, None] * (n if tech == "mimo" else 1), spec.budget)
+        se = np.log1p(gains * powers).sum(axis=-1)
+        for pc, ee_pc, se_pc in zip(pcs, ee, se):
+            stats[(pc, n)] = (float(ee_pc.mean()), _stderr(ee_pc), float(se_pc.mean()), _stderr(se_pc))
+    return stats
+
+
+@pytest.mark.parametrize("budget", [None, 0.8])
+@pytest.mark.parametrize("trials", [1, 2, 37, 500])
+@pytest.mark.parametrize("tech", ["ofdm", "mimo"])
+def test_scaling_stats_equal_the_per_pc_summary_bit_for_bit(tech, trials, budget):
+    spec = default_spec(f"{tech}_scaling", seed=11, trials=trials, budget=budget)
+    ns, pcs = list(spec.n_values), spec.pc_values
+    stats = experiments._scaling_stats(spec, tech, ns, pcs)
+    reference = _scaling_stats_per_pc(spec, tech, ns, pcs)
+    assert list(stats) == list(reference)
+    assert np.array(list(stats.values())).tobytes() == np.array(list(reference.values())).tobytes()
+    if trials == 1:
+        assert all(v[1] == v[3] == 0.0 for v in stats.values())
 
 
 def _zero_row(real, row):
