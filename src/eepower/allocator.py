@@ -224,8 +224,10 @@ def _gee_solve(gains, pc, p_max_total: float | None):
         raise InfeasibleError(f"row {row}: at least one gain must be positive", row=row)
 
     # the floor offsets s_i / s_1 - 1 of the powers, formed in place on the
-    # floors; sorting commutes with the monotone map, so their sort is delta
-    offsets = _inverse(g)
+    # floors; sorting commutes with the monotone map, so their sort is delta.
+    # They, the powers and the rates are C-ordered whatever the layout of
+    # gains, so each row's sums add its links in one order
+    offsets = np.ascontiguousarray(_inverse(g))
     s1 = offsets.min(axis=1, keepdims=True)
     scaled_pc = pc / s1[:, 0]
     offsets /= s1
@@ -259,7 +261,7 @@ def _gee_solve(gains, pc, p_max_total: float | None):
         over = powers.sum(axis=-1) > p_max_total
         g_over = np.broadcast_to(g, powers.shape)[over]
         powers[over] = np.maximum(0.0, water_level(g_over, p_max_total)[:, None] - _inverse(g_over))
-    rates = g * powers
+    rates = np.multiply(g, powers, order="C")
     rate_sum = np.log1p(rates, out=rates).sum(axis=-1)
     return powers, rate_sum / (pc + powers.sum(axis=-1)), rate_sum
 

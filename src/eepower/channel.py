@@ -3,11 +3,13 @@
 Randomness policy: every draw reads a PCG64 stream seeded from the seed plus
 an integer stream key, so each call is a pure function of its arguments and
 trials indexed by stream can run in any order (or in parallel) with
-bit-identical results. Single draws build the generator with numpy's own
-SeedSequence (rng_for). Per-trial blocks (stream_uniforms) compute the same
+bit-identical results. Every command draws through stream_uniforms, one row
+per stream; rng_for (numpy's own SeedSequence and PCG64), draw_gains and
+draw_matrix draw one stream at a time and are kept as the per-stream
+references its rows equal bit for bit. stream_uniforms computes the same
 SeedSequence hash, stream by stream on Python ints for up to _INT_STREAMS
 streams (about 20-25 us each) and for all streams at once on uint64 arrays
-above that (about 80-100 us), and fill each stream from its PCG64 state, so
+above that (about 80-100 us), and fills each stream from its PCG64 state, so
 each row is still a pure function of (seed, key) with the bits of rng_for.
 Three fills give those bits, and the block's size n = trials * size picks
 one (see stream_uniforms): up to _SMALL_BLOCK uniforms, PCG64's 128-bit step
@@ -18,9 +20,10 @@ blocks, about 0.1 ms plus 25 us per doubling plus 25-55 ns per uniform;
 above that, one reused numpy PCG64, about 6 ns per uniform. Only the last
 pays the 10-20 ms import that the first use of numpy.random costs a
 process, so `fairness`, `verify`, `ofdm` and `mimo` at the benchmark's
-trial counts never import it. All variates are derived from
-uniform draws only (inverse CDF for gains, Box-Muller for complex
-Gaussians), which keeps the sequences stable across numpy releases.
+trial counts and `siso-profiles` at its default never import it. All
+variates are derived from uniform draws only (inverse CDF for gains,
+Box-Muller for complex Gaussians), which keeps the sequences stable across
+numpy releases.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .allocator import LinkConfig, _gee_solve, gee_rows, water_level, wmee_rows, wpee_rows, wsee_rows
-from .channel import draw_gain_rows, draw_gains, matrices_from_uniforms, stream_uniforms
+from .channel import draw_gain_rows, matrices_from_uniforms, stream_uniforms
 from .errors import PowerControlError
 from .metrics import evaluate, trace_ee_se
 from .numerics import svd_gains
@@ -37,7 +37,7 @@ from .numerics import svd_gains
 # Unused here: perfbench/child.py wraps these names on this module when it
 # traces a run, so they must stay importable from it.
 from .allocator import GeeProblem, gee_dinkelbach, wmee_maxmin, wpee_ascent, wsee_ascent  # noqa: F401
-from .channel import draw_matrix, rng_for  # noqa: F401
+from .channel import draw_gains, draw_matrix, rng_for  # noqa: F401
 from .numerics import bisect  # noqa: F401
 
 # dimension-gain table rows: (subcarrier count, antenna count) per row
@@ -158,12 +158,14 @@ def run_siso_profiles(spec: ExperimentSpec) -> list[CurveSet]:
     """Power profiles and per-gain SE/EE of the EE-optimal scheme vs water-filling.
 
     The water level is calibrated so that the mean power over exactly
-    `trials` seeded fading draws (stream 0) equals the budget, mirroring a
-    long-run average power constraint.
+    `trials` seeded fading draws equals the budget, mirroring a long-run
+    average power constraint. The draws are the one row of
+    draw_gain_rows(seed, 1, trials), the bits of draw_gains(seed, trials,
+    stream=0).
     """
     pc = spec.pc_values[0]
     cfg = LinkConfig(pc)
-    sample = draw_gains(spec.seed, spec.trials, stream=0)
+    sample = draw_gain_rows(spec.seed, 1, spec.trials)[0]
     level = float(water_level(sample, spec.budget * sample.size))
 
     p_ee, se_ee, ee_ee = trace_ee_se(cfg, GAMMA_GRID)

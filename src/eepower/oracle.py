@@ -1,9 +1,10 @@
 """Brute-force verification by exhaustive grid search.
 
-Finds the best point of a rectangular power grid (optionally filtered by a
-total-power budget) for any of the supported objectives, as an independent
-check on the closed-form and iterative solvers. The result is the first
-maximum in row-major order of the per-point values, bit for bit.
+Finds the best point of a rectangular power grid for any of the supported
+objectives, as an independent check on the closed-form and iterative
+solvers. A total-power budget may filter the grid for every objective but
+"gee", which takes none. The result is the first maximum in row-major order
+of the per-point values, bit for bit.
 
 Every objective combines per-link terms that depend on that link's own power
 only (log1p(g*p), or w*log1p(g*p)/(pc+p)), folded from the first link on.
@@ -57,11 +58,6 @@ than the pass that fills it.
   the grid's largest magnitudes, so the rows whose surrogate is at or above
   -1e-9 of them hold every point at or above L, the maximum among them;
   these are the candidate rows.
-- GEE with a budget. The same steps run over the rows, each over its exact
-  feasible prefix: a row's surrogate is S - L*(pc + P) + max over the
-  prefix of (t_k - L*p_k), S the head's rate sum, and its maximising point
-  is evaluated exactly; each new L is the best such value, and the rows are
-  kept by the same margin, of their own magnitudes.
 
 The candidate rows are evaluated in row-major order, in blocks of about
 _BLOCK points, with the per-point arithmetic (sums from the first link on)
@@ -130,9 +126,10 @@ def grid_argmax(objective: str, gains, cfgs, grid: GridSpec, budget: float | Non
     """Best grid point for the named objective.
 
     budget, when given, keeps only points whose summed power is at most the
-    budget. Gains must be finite and non-negative, one to three of them
-    (grid search only), and g*p_max must not overflow. For "gee" the shared
-    circuit power is taken from the first config.
+    budget; "gee" takes no budget (a ValueError). Gains must be finite and
+    non-negative, one to three of them (grid search only), and g*p_max must
+    not overflow. For "gee" the shared circuit power is taken from the first
+    config.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
@@ -150,6 +147,8 @@ def grid_argmax(objective: str, gains, cfgs, grid: GridSpec, budget: float | Non
     for i, gi in enumerate(g.tolist()):  # Python floats overflow to inf silently
         if math.isinf(gi * float(grid.p_max)):
             raise ValueError(f"gain of link {i} overflows on the grid: {gi:g} * p_max {grid.p_max:g} is not finite")
+    if budget is not None and objective == "gee":
+        raise ValueError(f"gee takes no budget, got budget {budget}")
     if budget is not None and math.isnan(budget):
         raise ValueError(f"budget must be a number, got {budget}")
     if grid.steps**n > _MAX_POINTS:
@@ -201,10 +200,7 @@ def grid_argmax(objective: str, gains, cfgs, grid: GridSpec, budget: float | Non
         # row without feasible points gets combine(head, floor), which is no
         # larger than any grid value
         top = np.concatenate(([_FLOOR.get(objective, -np.inf)], np.maximum.accumulate(t_last)))
-        if objective == "gee":
-            rows = np.arange(steps ** (n - 1))
-        else:
-            rows = _screen(term, combine, identity, top, axis, slack)
+        rows = _screen(term, combine, identity, top, axis, slack)
         # the budget sum at a point is first + (mid + p_last), as the
         # per-point search adds it
         coords = coords_of(rows)
@@ -213,13 +209,8 @@ def grid_argmax(objective: str, gains, cfgs, grid: GridSpec, budget: float | Non
         length = _feasible_prefix(axis, first, mid, slack)
         if not length.any():
             raise InfeasibleError("no grid point satisfies the budget")
-        head = _fold(combine, identity, term, coords)
-        if objective == "gee":
-            power = _fold(np.add, -0.0, [axis] * n, coords)
-            keep = _budget_gee_candidates(head, power, pc[0], t_last, axis, length)
-        else:
-            bound = combine(head, top[length])
-            keep = bound == bound.max()
+        bound = combine(_fold(combine, identity, term, coords), top[length])
+        keep = bound == bound.max()
         rows, length = rows[keep], length[keep]
 
     # the candidate rows, in row-major order; the strict > keeps the first
@@ -330,37 +321,3 @@ def _gee_candidates(se, axis, pc, value_at):
     floor = level * pc - c[-1].max() - _GEE_MARGIN * scale
     surrogate = _fold(np.add, -0.0, c, np.indices((axis.size,) * (n - 1), sparse=True))
     return np.flatnonzero(surrogate >= floor)
-
-
-def _budget_gee_candidates(rate, power, pc, t, p, length):
-    """Indices of the rows that can hold the largest gee value.
-
-    Row r's values are (rate[r] + t[k]) / (pc + (power[r] + p[k])) for
-    k < length[r]. Dinkelbach steps raise the level L through exact grid
-    values until it stops rising; a row is kept unless its surrogate at L
-    is below -_GEE_MARGIN times its magnitudes (see the module docstring)."""
-    live = length > 0
-    last = length - 1  # -1 on a row without feasible points, masked by live
-    idx = np.arange(t.size)
-    level = 0.0
-    while True:
-        c = t - level * p
-        c_max = np.maximum.accumulate(c)
-        k = np.maximum.accumulate(np.where(c == c_max, idx, 0))[last]
-        # (rate + t[k]) / (pc + (power + p[k])), in place so that the peak
-        # memory stays at a few row-sized arrays
-        value = t[k]
-        value += rate
-        den = p[k]
-        den += power
-        den += pc
-        value /= den
-        del k, den
-        best = value.max(where=live, initial=-np.inf)
-        if not best > level:
-            break
-        level = best
-    del value
-    surrogate = rate - level * (pc + power) + c_max[last]
-    scale = rate + level * (pc + power) + t.max() + level * p[-1]
-    return np.flatnonzero(live & (surrogate >= -_GEE_MARGIN * scale))

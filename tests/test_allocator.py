@@ -25,6 +25,7 @@ from eepower.allocator import (
     wsee_ascent,
     wsee_rows,
 )
+from eepower.channel import draw_gain_rows
 from eepower.errors import InfeasibleError
 from eepower.metrics import evaluate
 from eepower.numerics import lambert_w0, lambert_w0_offset
@@ -510,6 +511,20 @@ def test_gee_solve_rate_sum_is_the_objective_numerator():
     assert rate_sum.tobytes() == np.log1p(gains * powers).sum(axis=-1).tobytes()
     assert objective.tobytes() == (rate_sum / (pc + powers.sum(axis=-1))).tobytes()
     assert objective.tobytes() == gee_rows(gains, pc, 0.4)[1].tobytes()
+
+
+@pytest.mark.parametrize("cap", [None, 3.0])
+@pytest.mark.parametrize("pc", [1.0, np.array([[1.0], [2.0]])])
+def test_gee_solve_bits_do_not_depend_on_the_gains_layout(pc, cap):
+    # each row's sums add its links in one order whatever the memory layout:
+    # column-major (as a transposed fill would hand it over), a transpose of
+    # a transposed copy, a slice of a wider C-ordered block and a strided view
+    wide = draw_gain_rows(1, 300, 128)
+    for n in (8, 64):
+        gains = np.ascontiguousarray(wide[:, :n])
+        want = [a.tobytes() for a in allocator._gee_solve(gains, pc, cap)]
+        for other in (np.asfortranarray(gains), gains.T.copy().T, wide[:, :n], np.repeat(gains, 2, axis=1)[:, ::2]):
+            assert [a.tobytes() for a in allocator._gee_solve(other, pc, cap)] == want
 
 
 def test_gee_rows_single_dimension_equals_eepa():

@@ -184,6 +184,8 @@ def test_small_draws_do_not_import_numpy_random(tmp_path):
         # the benchmark's ofdm (500 x 64) and mimo (10 x 2048) blocks
         ["ofdm-sweep", "--trials", "500", "--out", str(tmp_path / "o")],
         ["mimo-sweep", "--trials", "10", "--out", str(tmp_path / "m10")],
+        # one stream of 10 000 gains
+        ["siso-profiles", "--out", str(tmp_path / "s")],
     ]
     code = (
         "import sys; from eepower import channel, cli; before = 'numpy.random' in sys.modules; "

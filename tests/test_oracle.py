@@ -55,7 +55,8 @@ def grid_instances(draw):
     cfgs = [LinkConfig(10.0 ** draw(st.floats(-2.0, 2.0)), weight=draw(st.floats(0.5, 2.0))) for _ in range(n)]
     p_max = 10.0 ** draw(st.floats(-2.0, 2.0))
     p_min = draw(st.sampled_from([0.0, 0.1, 0.5])) * p_max
-    budget = draw(st.none() | st.floats(0.1, 1.2).map(lambda f: f * n * p_max))
+    # gee takes no budget
+    budget = None if objective == "gee" else draw(st.none() | st.floats(0.1, 1.2).map(lambda f: f * n * p_max))
     # row blocks from one row of the first axis to the whole grid, most of
     # them not dividing steps
     block = draw(st.integers(1, steps**n))
@@ -77,8 +78,9 @@ def grid_instances(draw):
 # optimum sits halfway between grid points), so the row holding the maximum
 # has a surrogate within rounding of zero
 @example(("gee", [0.83, 0.83], [LinkConfig(2.0394982822031116)] * 2, GridSpec(0.0, 4.0, 4), None, oracle._BLOCK))
-# every value is 0, so every row is a candidate, one row per block
-@example(("gee", [0.0, 0.0, 0.0], [LinkConfig(1.0)] * 3, GridSpec(0.1, 1.0, 5), 2.0, 5))
+# every value is 0, so every row with a feasible point is a candidate, one
+# row per block
+@example(("sumrate", [0.0, 0.0, 0.0], [LinkConfig(1.0)] * 3, GridSpec(0.1, 1.0, 5), 2.0, 5))
 # a zero-gain first link makes every value 0
 @example(("wpee", [0.0, 1.5, 0.7], [LinkConfig(1.0), LinkConfig(0.5), LinkConfig(2.0)], GridSpec(0.0, 1.0, 9), 1.5, oracle._BLOCK))
 # the first link sets the minimum, so the last axis ties along most of a row
@@ -158,12 +160,26 @@ def test_budget_must_be_a_number():
     with pytest.raises(ValueError, match="budget"):
         grid_argmax("sumrate", [1.0, 2.0], cfgs, grid, budget=math.nan)
     # a budget above every grid sum keeps every point, however large
-    for objective in ("sumrate", "wpee", "gee"):
+    for objective in ("sumrate", "wpee"):
         free = grid_argmax(objective, [1.0, 2.0], cfgs, grid)
         for budget in (math.inf, 1e300):
             alloc = grid_argmax(objective, [1.0, 2.0], cfgs, grid, budget)
             assert alloc.objective == free.objective
             np.testing.assert_array_equal(alloc.powers, free.powers)
+    # except for gee, which takes none
+    for budget in (math.inf, 1e300):
+        with pytest.raises(ValueError, match="budget"):
+            grid_argmax("gee", [1.0, 2.0], cfgs, grid, budget)
+
+
+def test_gee_takes_no_budget():
+    cfgs = [LinkConfig(1.0)] * 3
+    for budget in (0.5, 2.0, math.nan):
+        with pytest.raises(ValueError, match="gee takes no budget"):
+            grid_argmax("gee", [1.0, 2.0], cfgs[:2], GridSpec(0.0, 1.0, 11), budget)
+    # checked up front, before the grid's size
+    with pytest.raises(ValueError, match="gee takes no budget"):
+        grid_argmax("gee", [1.0] * 3, cfgs, GridSpec(0.0, 1.0, 1000), 1.0)
 
 
 def test_gain_that_overflows_on_the_grid_is_rejected():
