@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .allocator import (
     Allocation,
     GeeProblem,
-    LinkConfig,
     ee_of,
     eepa,
     gee_dinkelbach,
@@ -33,7 +32,6 @@ __all__ = [
     "GeeProblem",
     "GridSpec",
     "InfeasibleError",
-    "LinkConfig",
     "MultiLinkReport",
     "PowerControlError",
     "bisect",

@@ -3,7 +3,7 @@
 Covers the classic water-filling allocation (rate-optimal under an average
 power budget), the closed-form single-link energy-efficiency optimum, the
 closed-form global-EE optimum over parallel channels, and budgeted
-multi-link solvers for the sum, product, and max-min weighted-EE objectives.
+multi-link solvers for the sum, product, and max-min of the link EEs.
 
 Water-filling levels come from one exact sort-and-threshold rule
 (`water_level`). The global-EE optimum is water-filling at a Lambert-W level
@@ -16,10 +16,11 @@ iteration (`wmee_rows`); the sum and product solvers (`wsee_rows`,
 pairs of links, each trade exact, row by row.
 
 The three budgeted solvers share one interface: (rows, n) gains, per-link
-circuit powers, weights and caps that broadcast against them, and one total
-budget, checked by one validator that names the first bad row; each returns
-(powers, objective) per row. `wsee_ascent`, `wpee_ascent` and `wmee_maxmin`
-are their one-row calls on a LinkConfig per link.
+circuit powers that broadcast against them, and one total budget, checked by
+one validator that names the first bad row; each returns (powers, objective)
+per row. Every link has unit weight and no power cap of its own.
+`wsee_ascent`, `wpee_ascent` and `wmee_maxmin` are their one-row calls, with
+one circuit power per link.
 
 Conventions: rates are in nats (natural log); converting to bits is a
 reporting concern, never a solver concern. Noise power is normalized to 1,
@@ -35,7 +36,7 @@ from operator import add
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, PowerControlError
 from .numerics import lambert_w0_from_offset, lambert_w0_offset
 
 # Unused here: perfbench/child.py wraps these names on this module when it
@@ -49,20 +50,6 @@ def _check_positive(name: str, value, optional: bool = False) -> None:
         return
     if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
-class LinkConfig:
-    """Per-link constants: circuit power, optional power cap, weight."""
-
-    pc: float
-    p_max: float | None = None
-    weight: float = 1.0
-
-    def __post_init__(self) -> None:
-        _check_positive("circuit power", self.pc)
-        _check_positive("p_max", self.p_max, optional=True)
-        _check_positive("weight", self.weight)
 
 
 @dataclass
@@ -97,31 +84,31 @@ def se_of(gamma: float, p: float) -> float:
     return math.log1p(gamma * p)
 
 
-def ee_of(gamma: float, p: float, cfg: LinkConfig) -> float:
+def ee_of(gamma: float, p: float, pc: float) -> float:
     """Energy efficiency se / (pc + p) in nats/J."""
-    return se_of(gamma, p) / (cfg.pc + p)
+    return se_of(gamma, p) / (pc + p)
 
 
-def eepa(gamma, cfg: LinkConfig):
+def eepa(gamma, pc):
     """Transmit power maximizing the link energy efficiency, per gain in
-    gamma (a number or an array).
+    gamma (a number or an array) at circuit power pc (one, or one per gain).
 
     Closed form: (exp(1 + W((gamma * pc - 1) / e)) - 1) / gamma with W the
     principal Lambert branch, as expm1(v) / gamma with v = 1 + W at the offset
-    gamma * pc / e from the branch point, where no digit cancels. The EE is
-    pseudo-concave in the power, so a cap clips it. A zero gain gets 0 W.
+    gamma * pc / e from the branch point, where no digit cancels. A zero gain
+    gets 0 W.
     """
     g = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(g)) or np.any(g < 0.0):
         raise ValueError(f"gain must be finite and non-negative, got {gamma}")
-    return _peaks(g, cfg.pc, cfg.p_max or math.inf)[()]
+    _check_positive("circuit power", pc)
+    return _peaks(g, pc)[()]
 
 
-def _peaks(g, pc, cap):
-    """`eepa`'s powers for gains, circuit powers and caps (inf for none)."""
+def _peaks(g, pc):
+    """`eepa`'s powers for gains and circuit powers."""
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero gain's 0 / 0
-        p = np.where(g > 0.0, np.expm1(lambert_w0_offset(g * pc / math.e)) / g, 0.0)
-    return np.minimum(p, cap)
+        return np.where(g > 0.0, np.expm1(lambert_w0_offset(g * pc / math.e)) / g, 0.0)
 
 
 def wpa(gains, p_avg: float) -> Allocation:
@@ -196,7 +183,9 @@ def gee_rows(gains, pc, p_max_total: float | None = None):
     2 vCPUs).
 
     Returns (powers, objective) of shapes (..., rows, n) and (..., rows), with
-    pc's leading axes. Errors name the first failing row, also in its `row`.
+    pc's leading axes. Errors name the first failing row, also in its `row`:
+    a PowerControlError where pc times the row's largest gain overflows, or
+    its optimum is not finite.
     """
     return _gee_solve(gains, pc, p_max_total)[:2]
 
@@ -229,7 +218,8 @@ def _gee_solve(gains, pc, p_max_total: float | None):
     # gains, so each row's sums add its links in one order
     offsets = np.ascontiguousarray(_inverse(g))
     s1 = offsets.min(axis=1, keepdims=True)
-    scaled_pc = pc / s1[:, 0]
+    with np.errstate(over="ignore"):
+        scaled_pc = _finite_rows(pc / s1[:, 0], "circuit power times the largest gain overflows")
     offsets /= s1
     offsets -= 1.0
     delta = np.sort(offsets, axis=1)
@@ -263,72 +253,75 @@ def _gee_solve(gains, pc, p_max_total: float | None):
         powers[over] = np.maximum(0.0, water_level(g_over, p_max_total)[:, None] - _inverse(g_over))
     rates = np.multiply(g, powers, order="C")
     rate_sum = np.log1p(rates, out=rates).sum(axis=-1)
-    return powers, rate_sum / (pc + powers.sum(axis=-1)), rate_sum
+    return powers, _finite_rows(rate_sum / (pc + powers.sum(axis=-1)), "the optimum is not finite"), rate_sum
 
 
-def wmee_maxmin(gains, cfgs, p_total: float) -> Allocation:
-    """Maximize the minimum weighted link EE under a total power budget: the
-    one-row call of `wmee_rows`, with the common level as the objective."""
-    return _one_row(wmee_rows, gains, cfgs, p_total)
+def _finite_rows(values, what: str):
+    """values when all are finite; otherwise a PowerControlError "row r:
+    what" for the first row r (an index on the last axis) with a value that
+    is not."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=tuple(range(bad.ndim - 1)))))
+        raise PowerControlError(f"row {row}: {what}", row=row)
+    return values
 
 
-def _one_row(solve, gains, cfgs, p_total: float) -> Allocation:
-    """The budgeted row solver `solve` on one row of gains, with each link's
-    constants read from its LinkConfig."""
-    g = np.asarray(gains, dtype=float)
-    cfgs = list(cfgs)
-    if g.ndim != 1 or g.size < 1:
-        raise ValueError("gains must be a non-empty 1-D sequence")
-    if len(cfgs) != g.size:
-        raise ValueError(f"got {g.size} gains but {len(cfgs)} link configs")
-    if not np.all(np.isfinite(g)) or np.any(g < 0.0):
-        raise ValueError("gains must be finite and non-negative")
-    _check_positive("p_total", p_total)
-    pc, weight, cap = np.array([[c.pc, c.weight, c.p_max or math.inf] for c in cfgs]).T
-    powers, objective = solve(g[None, :], pc, weight, cap, p_total)
+def wmee_maxmin(gains, pc, p_total: float) -> Allocation:
+    """Maximize the minimum link EE under a total power budget: the one-row
+    call of `wmee_rows`, with the common level as the objective."""
+    return _one_row(wmee_rows, gains, pc, p_total)
+
+
+def _one_row(solve, gains, pc, p_total: float) -> Allocation:
+    """The budgeted row solver `solve` on one row of gains, with one circuit
+    power per link (`_link_rows` checks the values)."""
+    g, pc = np.asarray(gains, dtype=float), np.asarray(pc, dtype=float)
+    if g.ndim != 1 or g.size < 1 or pc.shape != g.shape:
+        raise ValueError(f"need a non-empty 1-D gain sequence and one pc per gain, got shapes {g.shape}, {pc.shape}")
+    powers, objective = solve(g[None, :], pc, p_total)
     return Allocation(powers[0], float(objective[0]))
 
 
-def _link_rows(gains, pc, weight, cap, budget: float):
-    """The (rows, n) gains of a budgeted row solver and its per-link pc,
-    weight and cap (inf for none) broadcast against them. A bad value names
-    the first row that holds it."""
+def _link_rows(gains, pc, budget: float):
+    """The (rows, n) gains of a budgeted row solver and its per-link circuit
+    powers broadcast against them. A bad value names the first row that
+    holds it."""
     g = np.asarray(gains, dtype=float)
     if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
         raise ValueError(f"gains must be a non-empty (rows, n) array, got shape {g.shape}")
-    pc, weight, cap = (np.broadcast_to(np.asarray(v, dtype=float), g.shape) for v in (pc, weight, cap))
-    ok = np.isfinite(g) & np.isfinite(pc) & np.isfinite(weight) & (g >= 0.0) & (pc > 0.0) & (weight > 0.0) & (cap > 0.0)
+    pc = np.broadcast_to(np.asarray(pc, dtype=float), g.shape)
+    ok = np.isfinite(g) & np.isfinite(pc) & (g >= 0.0) & (pc > 0.0)
     if not ok.all():
         r = int(np.argmax(~ok.all(axis=1)))
-        raise ValueError(f"row {r}: need finite g >= 0, pc, weight > 0, cap > 0: {g[r]}, {pc[r]}, {weight[r]}, {cap[r]}")
+        raise ValueError(f"row {r}: need finite gains g >= 0 and circuit powers pc > 0: g {g[r]}, pc {pc[r]}")
     _check_positive("budget", budget)
-    return g, pc, weight, cap
+    return g, pc
 
 
-def wmee_rows(gains, pc, weight, cap, budget: float):
-    """Max-min weighted link EE (Zappone & Jorswieck, FnT 2015) under a total
-    power budget, for every row of a (rows, n) gain array.
+def wmee_rows(gains, pc, budget: float):
+    """Max-min link EE (Zappone & Jorswieck, FnT 2015) under a total power
+    budget, for every row of a (rows, n) gain array.
 
-    pc, weight and cap (inf for none) are per-link constants that broadcast
-    against the gains. Each row finds its common level t below its lowest
-    capped peak EE, where t is feasible when the least powers reaching
-    weight * EE = t (`_rising_powers`) fit the budget, by a bracketed Newton
-    iteration on F(t) = sum_i p_i(t) - budget from t = 0. F is increasing,
-    and an unclipped link's p_i' = (pc + p_i) / (weight g / (1 + g p_i) - t)
-    (a clipped one's is 0). A step that would leave the bracket bisects it,
-    and one shorter than half the stop width is lengthened by that half, so
-    it lands across the root and the bracket closes. The bracket stops at
-    most 1e-13 of its upper end wide, and the row takes its feasible end, so
-    the weighted EEs are equal whenever the budget binds. A zero gain gives
-    a zero level.
+    pc holds per-link circuit powers that broadcast against the gains. Each
+    row finds its common level t below its lowest peak EE, where t is
+    feasible when the least powers reaching EE = t (`_rising_powers`) fit the
+    budget, by a bracketed Newton iteration on F(t) = sum_i p_i(t) - budget
+    from t = 0. F is increasing, and a link below its peak has
+    p_i' = (pc + p_i) / (g / (1 + g p_i) - t) (0 at its peak). A step
+    that would leave the bracket bisects it, and one shorter than half the
+    stop width is lengthened by that half, so it lands across the root and
+    the bracket closes. The bracket stops at most 1e-13 of its upper end
+    wide, and the row takes its feasible end, so the link EEs are equal
+    whenever the budget binds. A zero gain gives a zero level.
 
     Returns (powers, level) of shapes (rows, n) and (rows,). A bad value
     names the first row that holds it.
     """
-    g, pc, weight, cap = _link_rows(gains, pc, weight, cap, budget)
-    peaks = _peaks(g, pc, cap)
-    t_hi = (weight * np.log1p(g * peaks) / (pc + peaks)).min(axis=1)
-    top = _rising_powers(g, pc, weight, peaks, t_hi)
+    g, pc = _link_rows(gains, pc, budget)
+    peaks = _peaks(g, pc)
+    t_hi = (np.log1p(g * peaks) / (pc + peaks)).min(axis=1)
+    top = _rising_powers(g, pc, peaks, t_hi)
     going = top.sum(axis=1) > budget
     # a row whose top level fits is done at it; the others start from t = 0,
     # where every power is 0 and F = -budget
@@ -340,12 +333,12 @@ def wmee_rows(gains, pc, weight, cap, budget: float):
             break
         # a link at its peak (or a zero gain's 0 W peak) divides by zero here
         with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(p < peaks, (pc + p) / (weight * g / (1.0 + g * p) - t[:, None]), 0.0).sum(axis=1)
+            slope = np.where(p < peaks, (pc + p) / (g / (1.0 + g * p) - t[:, None]), 0.0).sum(axis=1)
             step = excess / slope
         half = 0.5e-13 * hi
         nxt = t - np.where(np.abs(step) < half, step + np.where(excess > 0.0, half, -half), step)
         t = np.where(going, np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi)), t)
-        p = _rising_powers(g, pc, weight, peaks, t)
+        p = _rising_powers(g, pc, peaks, t)
         excess = p.sum(axis=1) - budget
         fits = going & (excess <= 0.0)
         lo = np.where(fits, t, lo)
@@ -355,17 +348,17 @@ def wmee_rows(gains, pc, weight, cap, budget: float):
     return p_lo, lo
 
 
-def _rising_powers(g, pc, weight, peaks, t):
-    """Smallest p with weight * ln(1 + g p) = t (pc + p) per link, clipped to
+def _rising_powers(g, pc, peaks, t):
+    """Smallest p with ln(1 + g p) = t (pc + p) per link, clipped to
     [0, peak], for (rows, n) link constants and the (rows,) levels t.
 
-    With a = t / weight, c = a / g and x = 1 + g p, the smaller root of
+    With a the row's level t, c = a / g and x = 1 + g p, the smaller root of
     ln x = a pc + c (x - 1) is x = -W0(-c e^(a pc - c)) / c, the argument
     also taken as -1/e + d, d = -expm1(ln c + 1 + a pc - c) / e. As x - 1
     cancels for small g p, y = g p takes one Newton step on log1p(y) =
     a pc + c y, kept at a positive slope if at most 1e-12 (1 + y) long.
     """
-    a = t[:, None] / weight
+    a = t[:, None]
     # a zero level or a zero gain makes y NaN, which fmax takes to 0 W
     with np.errstate(divide="ignore", invalid="ignore"):
         c = a / g
@@ -378,56 +371,56 @@ def _rising_powers(g, pc, weight, peaks, t):
         return np.minimum(np.fmax(y / g, 0.0), peaks)
 
 
-def wsee_ascent(gains, cfgs, p_total: float) -> Allocation:
-    """Maximize the weighted sum of link EEs under a total power budget: the
-    one-row call of `wsee_rows`."""
-    return _one_row(wsee_rows, gains, cfgs, p_total)
+def wsee_ascent(gains, pc, p_total: float) -> Allocation:
+    """Maximize the sum of link EEs under a total power budget: the one-row
+    call of `wsee_rows`."""
+    return _one_row(wsee_rows, gains, pc, p_total)
 
 
-def wpee_ascent(gains, cfgs, p_total: float) -> Allocation:
-    """Maximize the weighted product of link EEs under a total power budget:
-    the one-row call of `wpee_rows`."""
-    return _one_row(wpee_rows, gains, cfgs, p_total)
+def wpee_ascent(gains, pc, p_total: float) -> Allocation:
+    """Maximize the product of link EEs under a total power budget: the
+    one-row call of `wpee_rows`."""
+    return _one_row(wpee_rows, gains, pc, p_total)
 
 
-def wsee_rows(gains, pc, weight, cap, budget: float):
-    """Maximize the weighted sum of link EEs under a total power budget, for
-    every row of a (rows, n) gain array; pc, weight and cap (inf for none)
-    are per-link constants that broadcast against the gains.
+def wsee_rows(gains, pc, budget: float):
+    """Maximize the sum of link EEs under a total power budget, for every row
+    of a (rows, n) gain array; pc holds per-link circuit powers that
+    broadcast against the gains.
 
-    Each link's EE rises up to its peak (`eepa`, clipped to its cap), so the
-    capped peaks are optimal whenever they fit the budget. Otherwise they are
-    scaled onto the budget face and improved by pairwise power transfers,
-    sweep after sweep, each exact (`_pair_step`): a transfer's objective
-    rises while the giving link is above its peak, is concave while both are
-    in [0, peak] and falls once the taking link passes its peak. Each link
-    term is concave on [0, min(peak, cap)] and no optimum puts a link above
-    that bound, so this is a concave program and a point no pairwise transfer
-    improves is its global optimum. Each row sweeps on its own, and stops
-    once a whole sweep raises its objective by at most an absolute 1e-9, not
-    a relative amount, so a row whose objective is far below 1 can stop
-    early. Cross-checked against a grid oracle in tests.
+    Each link's EE rises up to its peak (`eepa`), so the peaks are optimal
+    whenever they fit the budget. Otherwise they are scaled onto the budget
+    face and improved by pairwise power transfers, sweep after sweep, each
+    exact (`_pair_step`): a transfer's objective rises while the giving link
+    is above its peak, is concave while both are in [0, peak] and falls once
+    the taking link passes its peak. Each link term is concave on [0, peak]
+    and no optimum puts a link above its peak, so this is a concave program
+    and a point no pairwise transfer improves is its global optimum. Each
+    row sweeps on its own, and stops once a whole sweep raises its objective
+    by at most an absolute 1e-9, not a relative amount, so a row whose
+    objective is far below 1 can stop early. Cross-checked against a grid
+    oracle in tests.
 
     Returns (powers, objective) of shapes (rows, n) and (rows,). A bad value
     names the first row that holds it.
     """
-    return _budget_ascent(gains, pc, weight, cap, budget, log_terms=False)
+    return _budget_ascent(gains, pc, budget, log_terms=False)
 
 
-def wpee_rows(gains, pc, weight, cap, budget: float):
-    """Maximize the weighted product of link EEs under a total power budget,
-    for every row, as `wsee_rows` does the sum.
+def wpee_rows(gains, pc, budget: float):
+    """Maximize the product of link EEs under a total power budget, for
+    every row, as `wsee_rows` does the sum.
 
-    Works on the monotone transform sum_i log(w_i EE_i); the reported
-    objective is the product itself. Any link with zero gain collapses the
-    product identically to zero, so the first row holding one is rejected.
+    Works on the monotone transform sum_i log(EE_i); the reported objective
+    is the product itself. Any link with zero gain collapses the product
+    identically to zero, so the first row holding one is rejected.
     """
-    return _budget_ascent(gains, pc, weight, cap, budget, log_terms=True)
+    return _budget_ascent(gains, pc, budget, log_terms=True)
 
 
-def _pair_step(gi, ci, wi, gj, cj, wj, pi: float, pj: float, t_lo: float, t_hi: float, log_terms: bool) -> float:
-    """The transfer t in [t_lo, t_hi] maximizing T_i(pi + t) + T_j(pj - t),
-    for links (gain, pc, weight) i = (gi, ci, wi) and j = (gj, cj, wj).
+def _pair_step(gi, ci, gj, cj, pi: float, pj: float, log_terms: bool) -> float:
+    """The transfer t in [-pi, pj] maximizing T_i(pi + t) + T_j(pj - t), for
+    links (gain, pc) i = (gi, ci) and j = (gj, cj).
 
     phi'(t) = T_i'(pi + t) - T_j'(pj - t) is positive left of the optimum and
     negative right of it; [a, b] keeps that sign bracket from t = 0 on. A
@@ -436,16 +429,16 @@ def _pair_step(gi, ci, wi, gj, cj, wj, pi: float, pj: float, t_lo: float, t_hi: 
     bisects. Stops at a Newton step or bracket of at most 1e-15 (pi + pj).
     """
     log1p, inf = math.log1p, math.inf
-    tol, a, b, t = 1e-15 * (pi + pj), t_lo, t_hi, 0.0
+    tol, a, b, t = 1e-15 * (pi + pj), -pi, pj, 0.0
     a_open = b_open = True
     for _ in range(100):
-        # T', T'' of each link's term w L / D or its log, L = log1p(g x) and
+        # T', T'' of each link's term L / D or its log, L = log1p(g x) and
         # D = pc + x; a log term's T' is +inf where L = 0
         x = pi + t
         d, rate, e1 = ci + x, log1p(gi * x), gi / (1.0 + gi * x)
         if not log_terms:
             rise = e1 * d - rate
-            d1i, d2i = wi * rise / (d * d), -wi * (e1 * e1 * d * d + 2.0 * rise) / (d * d * d)
+            d1i, d2i = rise / (d * d), -(e1 * e1 * d * d + 2.0 * rise) / (d * d * d)
         elif rate > 0.0:
             r = e1 / rate
             d1i, d2i = r - 1.0 / d, -r * r - e1 * e1 / rate + 1.0 / (d * d)
@@ -455,7 +448,7 @@ def _pair_step(gi, ci, wi, gj, cj, wj, pi: float, pj: float, t_lo: float, t_hi: 
         d, rate, e1 = cj + x, log1p(gj * x), gj / (1.0 + gj * x)
         if not log_terms:
             rise = e1 * d - rate
-            d1j, d2j = wj * rise / (d * d), -wj * (e1 * e1 * d * d + 2.0 * rise) / (d * d * d)
+            d1j, d2j = rise / (d * d), -(e1 * e1 * d * d + 2.0 * rise) / (d * d * d)
         elif rate > 0.0:
             r = e1 / rate
             d1j, d2j = r - 1.0 / d, -r * r - e1 * e1 / rate + 1.0 / (d * d)
@@ -478,44 +471,43 @@ def _pair_step(gi, ci, wi, gj, cj, wj, pi: float, pj: float, t_lo: float, t_hi: 
     return t
 
 
-def _budget_ascent(gains, pc, weight, cap, budget: float, log_terms: bool):
-    g, pc, weight, cap = _link_rows(gains, pc, weight, cap, budget)
+def _budget_ascent(gains, pc, budget: float, log_terms: bool):
+    g, pc = _link_rows(gains, pc, budget)
     dead = np.any(g == 0.0, axis=1) & log_terms
     if dead.any():
         row = int(np.argmax(dead))
         raise InfeasibleError(f"row {row}: product objective is degenerate when a link has zero gain", row=row)
-    peaks = _peaks(g, pc, cap)
+    peaks = _peaks(g, pc)
     powers, objective = np.empty_like(peaks), np.empty(g.shape[0])
     pairs = [(i, j) for i in range(g.shape[1]) for j in range(i + 1, g.shape[1])]
     log, log1p, exp, inf = math.log, math.log1p, math.exp, math.inf
     # the sweeps run on Python floats, each row's constants from one list per
-    # array; a term is w * ee_of(g, x, cfg) (no transfer leaves [t_lo, t_hi],
-    # so no power goes below 0) or its log, inline. Each link's current term is
+    # array; a term is ee_of(g, x, pc) (no transfer leaves [-pi, pj], so no
+    # power goes below 0) or its log, inline. Each link's current term is
     # kept in `terms`, and a total adds them from link 0 on (from Python 3.12
     # on, sum() compensates float sums and would round differently)
-    for r, (gs, pcs, ws, caps, p) in enumerate(zip(g.tolist(), pc.tolist(), weight.tolist(), cap.tolist(), peaks.tolist())):
-        # every term rises on [0, peak], so min(peak, cap) maximizes each
+    for r, (gs, pcs, p) in enumerate(zip(g.tolist(), pc.tolist(), peaks.tolist())):
+        # every term rises on [0, peak], so the peak maximizes each
         # coordinate; scaled onto the budget face, each coordinate's best
         # point within its remaining budget is its current power, and only
         # pairwise transfers along the face can still raise the objective
         s = float(peaks[r].sum())
         if s > budget:
             p = (peaks[r] * (budget / s)).tolist()
-        terms = [w * (log1p(gi * x) / (c + x)) for gi, c, w, x in zip(gs, pcs, ws, p)]
+        terms = [log1p(gi * x) / (c + x) for gi, c, x in zip(gs, pcs, p)]
         if log_terms:
             terms = [log(v) if v > 0.0 else -inf for v in terms]
         obj = reduce(add, terms, 0.0)
         for _ in range(500 if s > budget else 0):
             for i, j in pairs:
                 pi, pj = p[i], p[j]
-                t_lo, t_hi = pj - caps[j], caps[i] - pi  # max(-pi, t_lo), min(pj, t_hi)
-                t_lo, t_hi = t_lo if t_lo > -pi else -pi, t_hi if t_hi < pj else pj
-                if t_hi - t_lo <= 1e-12:
+                # the transfer interval [-pi, pj] is too short to move
+                if pi + pj <= 1e-12:
                     continue
-                gi, ci, wi, gj, cj, wj = gs[i], pcs[i], ws[i], gs[j], pcs[j], ws[j]
-                t = _pair_step(gi, ci, wi, gj, cj, wj, pi, pj, t_lo, t_hi, log_terms)
+                gi, ci, gj, cj = gs[i], pcs[i], gs[j], pcs[j]
+                t = _pair_step(gi, ci, gj, cj, pi, pj, log_terms)
                 xi, xj = pi + t, pj - t
-                ui, uj = wi * (log1p(gi * xi) / (ci + xi)), wj * (log1p(gj * xj) / (cj + xj))
+                ui, uj = log1p(gi * xi) / (ci + xi), log1p(gj * xj) / (cj + xj)
                 if log_terms:
                     ui, uj = log(ui) if ui > 0.0 else -inf, log(uj) if uj > 0.0 else -inf
                 if ui + uj > terms[i] + terms[j]:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .allocator import GeeProblem, LinkConfig, eepa, ee_of, gee_dinkelbach, wmee_maxmin, wpa, wpee_ascent, wsee_ascent
+from .allocator import GeeProblem, eepa, ee_of, gee_dinkelbach, wmee_maxmin, wpa, wpee_ascent, wsee_ascent
 from .channel import stream_uniforms
 from .errors import PowerControlError
 from .experiments import EXPERIMENTS, ExperimentSpec, default_spec, run
@@ -300,8 +300,7 @@ def _cmd_verify(args) -> int:
     for i in range(args.trials):
         gains = np.exp(u[i, :dims] * (math.log(3.0) - math.log(0.3)) + math.log(0.3))
         pcs = 0.5 + 1.5 * u[i, dims:]
-        cfgs = [LinkConfig(pc) for pc in pcs]
-        shortfall = _verify_instance(args.objective, gains, cfgs)
+        shortfall = _verify_instance(args.objective, gains, pcs)
         if shortfall > worst:
             worst, worst_trial = shortfall, (i, gains, pcs)
     status = "ok" if worst <= tol else "FAIL"
@@ -318,32 +317,31 @@ def _cmd_verify(args) -> int:
     return 2
 
 
-def _verify_instance(objective: str, gains, cfgs) -> float:
+def _verify_instance(objective: str, gains, pcs) -> float:
     dims = len(gains)
     steps = VERIFY[objective][1][dims]
     if objective == "ee_siso":
-        cfg = cfgs[0]
-        p = eepa(gains[0], cfg)
-        solver_obj = ee_of(gains[0], p, cfg)
+        p = eepa(gains[0], pcs[0])
+        solver_obj = ee_of(gains[0], p, pcs[0])
         grid = GridSpec(0.0, max(4.0, 3.0 * p + 1.0), steps)
-        oracle = grid_argmax("ee_siso", gains, cfgs, grid)
+        oracle = grid_argmax("ee_siso", gains, pcs, grid)
     elif objective == "gee":
-        prob = GeeProblem(gains, cfgs[0].pc)
+        prob = GeeProblem(gains, pcs[0])
         alloc = gee_dinkelbach(prob)
         solver_obj = alloc.objective
         top = max(4.0, 1.5 * float(alloc.powers.max()) + 1.0)
-        oracle = grid_argmax("gee", gains, cfgs, GridSpec(0.0, top, steps))
+        oracle = grid_argmax("gee", gains, pcs, GridSpec(0.0, top, steps))
     elif objective == "sumrate":
         p_avg = 0.5
         alloc = wpa(gains, p_avg)
         solver_obj = alloc.objective
         budget = p_avg * dims
-        oracle = grid_argmax("sumrate", gains, cfgs, GridSpec(0.0, budget, steps), budget=budget)
+        oracle = grid_argmax("sumrate", gains, pcs, GridSpec(0.0, budget, steps), budget=budget)
     else:
         budget = 0.75 * dims
         solve = {"wsee": wsee_ascent, "wpee": wpee_ascent, "wmee": wmee_maxmin}[objective]
-        solver_obj = solve(gains, cfgs, budget).objective
-        oracle = grid_argmax(objective, gains, cfgs, GridSpec(0.0, budget, steps), budget=budget)
+        solver_obj = solve(gains, pcs, budget).objective
+        oracle = grid_argmax(objective, gains, pcs, GridSpec(0.0, budget, steps), budget=budget)
     return max(0.0, oracle.objective - solver_obj)
 
 

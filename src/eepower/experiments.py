@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .allocator import LinkConfig, _gee_solve, gee_rows, water_level, wmee_rows, wpee_rows, wsee_rows
+from .allocator import _gee_solve, gee_rows, water_level, wmee_rows, wpee_rows, wsee_rows
 from .channel import draw_gain_rows, matrices_from_uniforms, stream_uniforms
 from .errors import PowerControlError
 from .metrics import evaluate, trace_ee_se
@@ -164,11 +164,10 @@ def run_siso_profiles(spec: ExperimentSpec) -> list[CurveSet]:
     stream=0).
     """
     pc = spec.pc_values[0]
-    cfg = LinkConfig(pc)
     sample = draw_gain_rows(spec.seed, 1, spec.trials)[0]
     level = float(water_level(sample, spec.budget * sample.size))
 
-    p_ee, se_ee, ee_ee = trace_ee_se(cfg, GAMMA_GRID)
+    p_ee, se_ee, ee_ee = trace_ee_se(pc, GAMMA_GRID)
     p_wf = np.maximum(0.0, level - 1.0 / GAMMA_GRID)
     se_wf = np.log1p(GAMMA_GRID * p_wf)
     rows = np.column_stack([GAMMA_GRID, p_ee, p_wf, se_ee, se_wf, ee_ee, se_wf / (pc + p_wf)]).tolist()
@@ -189,7 +188,7 @@ def run_siso_ee_se(spec: ExperimentSpec) -> list[CurveSet]:
     columns = [("gamma", "1"), ("se", "nats_per_s_per_Hz"), ("ee", "nats_per_J")]
     curves = []
     for pc in spec.pc_values:
-        _p, se, ee = trace_ee_se(LinkConfig(pc), GAMMA_GRID)
+        _p, se, ee = trace_ee_se(pc, GAMMA_GRID)
         curves.append(CurveSet(f"siso_ee_se_pc{pc:g}", columns, [[g, s, e] for g, s, e in zip(GAMMA_GRID, se, ee)]))
     return curves
 
@@ -324,9 +323,9 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
     try:
         powers = {
             "gee": gee_rows(gains, pcs.sum(axis=1), spec.budget)[0],
-            "wmee": wmee_rows(gains, pcs, 1.0, math.inf, spec.budget)[0],
-            "wsee": wsee_rows(gains, pcs, 1.0, math.inf, spec.budget)[0],
-            "wpee": wpee_rows(gains, pcs, 1.0, math.inf, spec.budget)[0],
+            "wmee": wmee_rows(gains, pcs, spec.budget)[0],
+            "wsee": wsee_rows(gains, pcs, spec.budget)[0],
+            "wpee": wpee_rows(gains, pcs, spec.budget)[0],
         }
     except PowerControlError as exc:
         t = exc.row

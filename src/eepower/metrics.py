@@ -1,7 +1,8 @@
 """Figures of merit for a given allocation: per-link EE, the four aggregate
-EE definitions (global / weighted sum / weighted product / weighted minimum),
-Jain's fairness index, and the parametric EE-SE curve traced by the
-energy-efficient power as the channel gain varies."""
+EE definitions (global, and the sum / product / minimum of the link EEs,
+the weighted forms at unit weights), Jain's fairness index, and the
+parametric EE-SE curve traced by the energy-efficient power as the channel
+gain varies."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import LinkConfig, eepa
+from .allocator import eepa
 
 
 @dataclass
@@ -34,34 +35,33 @@ def jain_index(values):
     return np.where(zero, 1.0, s * s / (v.shape[-1] * np.where(zero, 1.0, sq)))[()]
 
 
-def evaluate(gains, pc, powers, weight=1.0) -> MultiLinkReport:
+def evaluate(gains, pc, powers) -> MultiLinkReport:
     """Evaluate all aggregate EE definitions for given per-link powers, of
     one vector of links or of each row of (rows, n) arrays. The circuit
-    powers pc and the weights broadcast against the gains and powers."""
-    g, pc, p, w = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (gains, pc, powers, weight)))
+    powers pc broadcast against the gains and powers."""
+    g, pc, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (gains, pc, powers)))
     if np.any(p < 0.0):
         raise ValueError("powers must be non-negative")
     se = np.log1p(g * p)
     ee = se / (pc + p)
-    weighted = w * ee
     return MultiLinkReport(
         per_link_ee=ee,
         gee=se.sum(axis=-1) / (pc.sum(axis=-1) + p.sum(axis=-1)),
-        wsee=weighted.sum(axis=-1),
-        wpee=np.prod(weighted, axis=-1),
-        wmee=weighted.min(axis=-1),
+        wsee=ee.sum(axis=-1),
+        wpee=np.prod(ee, axis=-1),
+        wmee=ee.min(axis=-1),
         jain=jain_index(ee),
     )
 
 
-def trace_ee_se(cfg: LinkConfig, gamma_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """EE-optimal power, SE and EE at that power, one array entry per gain in
-    the grid.
+def trace_ee_se(pc, gamma_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """EE-optimal power, SE and EE at that power at circuit power pc, one
+    array entry per gain in the grid.
 
     A pure pointwise map: an ascending gain grid yields the parametric EE-SE
     curve, along which both coordinates increase together.
     """
     gammas = np.asarray(gamma_grid, dtype=float)
-    p = eepa(gammas, cfg)
+    p = eepa(gammas, pc)
     se = np.log1p(gammas * p)
-    return p, se, se / (cfg.pc + p)
+    return p, se, se / (pc + p)

@@ -64,12 +64,14 @@ def lambert_w0_offset(d) -> np.ndarray:
     the residual (v e^v - expm1(v)) / e - d (1e-16 / p). Elsewhere four Halley
     steps on that residual polish a start from the series (p < 1) or from
     Winitzki's log approximation. Within 3e-14 relative of mpmath for d from
-    1e-300 to 1e300.
+    1e-300 to 1e300. Where 2 e d overflows (d above 3.3e307) p is +inf,
+    which only picks the log start; from d = 6.6e307 on, v e^v overflows and
+    v is NaN.
     """
     d = np.asarray(d, dtype=float)
-    p = np.sqrt(2.0 * math.e * d)
     # an element takes one branch's value; the other branches may overflow
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        p = np.sqrt(2.0 * math.e * d)
         series = 0.0
         for coef in _BRANCH_SERIES:
             series = (series + coef) * p

@@ -7,7 +7,7 @@ solvers. A total-power budget may filter the grid for every objective but
 of the per-point values, bit for bit.
 
 Every objective combines per-link terms that depend on that link's own power
-only (log1p(g*p), or w*log1p(g*p)/(pc+p)), folded from the first link on.
+only (log1p(g*p), or log1p(g*p)/(pc+p)), folded from the first link on.
 A row is one point of axes 0..n-2 with the last link's axis as its contents
 (one row when n == 1), so a row's values are combine(head, t_k) for its head
 value and the last link's terms t_k (for "gee", divided by pc + (P + p_k)
@@ -122,22 +122,23 @@ class GridSpec:
         return np.linspace(self.p_min, self.p_max, self.steps)
 
 
-def grid_argmax(objective: str, gains, cfgs, grid: GridSpec, budget: float | None = None) -> Allocation:
+def grid_argmax(objective: str, gains, pc, grid: GridSpec, budget: float | None = None) -> Allocation:
     """Best grid point for the named objective.
 
     budget, when given, keeps only points whose summed power is at most the
     budget; "gee" takes no budget (a ValueError). Gains must be finite and
     non-negative, one to three of them (grid search only), and g*p_max must
-    not overflow. For "gee" the shared circuit power is taken from the first
-    config.
+    not overflow. pc holds one positive, finite circuit power per gain; "gee"
+    takes pc[0] as the shared one.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-    g = np.asarray(gains, dtype=float)
-    cfgs = list(cfgs)
+    g, pc = np.asarray(gains, dtype=float), np.asarray(pc, dtype=float)
     n = g.size
-    if n != len(cfgs):
-        raise ValueError(f"got {n} gains but {len(cfgs)} configs")
+    if pc.shape != g.shape:
+        raise ValueError(f"got {n} gains but circuit powers of shape {pc.shape}")
+    if not np.all(np.isfinite(pc) & (pc > 0.0)):
+        raise ValueError(f"circuit powers must be positive and finite, got {pc}")
     if objective == "ee_siso" and n != 1:
         raise ValueError("ee_siso is a single-dimension objective")
     if not 1 <= n <= 3:
@@ -156,13 +157,11 @@ def grid_argmax(objective: str, gains, cfgs, grid: GridSpec, budget: float | Non
 
     steps = grid.steps
     axis = grid.axis()
-    pc = np.array([c.pc for c in cfgs])
-    w = np.array([c.weight for c in cfgs])
 
     # each link's term depends on its own power only: evaluate it once per
     # axis point, (n, steps)
     se = np.log1p(g[:, None] * axis)
-    term = se if objective in ("sumrate", "gee") else w[:, None] * se / (pc[:, None] + axis)
+    term = se if objective in ("sumrate", "gee") else se / (pc[:, None] + axis)
     combine = _COMBINE.get(objective, np.add)
     identity = _IDENTITY.get(objective, -0.0)
     t_last = term[-1]

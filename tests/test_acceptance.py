@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from eepower.allocator import GeeProblem, LinkConfig, ee_of, eepa, gee_dinkelbach
+from eepower.allocator import GeeProblem, ee_of, eepa, gee_dinkelbach
 from eepower.cli import main
 from eepower.experiments import default_spec, fairness_medians, run
 from eepower.metrics import trace_ee_se
@@ -33,10 +33,9 @@ def test_criterion_1_closed_form_vs_grid_oracle():
     for _ in range(200):
         gamma = 10.0 ** rng.uniform(-2, 2)
         pc = 10.0 ** rng.uniform(-1, 1)
-        cfg = LinkConfig(pc)
-        p = eepa(gamma, cfg)
+        p = eepa(gamma, pc)
         assert p < 90.0
-        oracle = grid_argmax("ee_siso", [gamma], [cfg], grid)
+        oracle = grid_argmax("ee_siso", [gamma], [pc], grid)
         worst_gap = max(worst_gap, abs(p - oracle.powers[0]))
         rhs = (1.0 + gamma * p) * math.log1p(gamma * p)
         worst_residual = max(worst_residual, abs(gamma * (pc + p) - rhs) / abs(rhs))
@@ -68,7 +67,7 @@ def test_criterion_3_no_tradeoff_curve():
     grid = np.logspace(-2, 2, 200)
     violations = 0
     for pc in (0.25, 0.5, 1.0, 2.0):
-        _p, se, ee = trace_ee_se(LinkConfig(pc), grid)
+        _p, se, ee = trace_ee_se(pc, grid)
         violations += int(np.sum(np.diff(se) <= 0.0)) + int(np.sum(np.diff(ee) <= 0.0))
     elapsed = time.perf_counter() - started
     ok = violations == 0 and elapsed < 5.0
@@ -104,7 +103,7 @@ def test_criterion_5_dinkelbach_vs_oracle():
         alloc = gee_dinkelbach(GeeProblem(gains, pc))
         top = max(2.0, 1.5 * float(alloc.powers.max()) + 0.5)
         steps = int(round(top / step)) + 1
-        oracle = grid_argmax("gee", gains, [LinkConfig(pc)] * 2, GridSpec(0.0, top, steps))
+        oracle = grid_argmax("gee", gains, [pc] * 2, GridSpec(0.0, top, steps))
         assert np.all(oracle.powers < top - step)  # optimum interior to the window
         worst_shortfall = max(worst_shortfall, oracle.objective - alloc.objective)
         worst_power_gap = max(worst_power_gap, float(np.max(np.abs(oracle.powers - alloc.powers))))

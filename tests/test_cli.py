@@ -220,9 +220,9 @@ def test_reused_parser_runs_each_call_as_a_fresh_one(tmp_path, monkeypatch, caps
     dims = []
     verify_instance = cli._verify_instance
 
-    def record_dims(objective, gains, cfgs):
+    def record_dims(objective, gains, pcs):
         dims.append(len(gains))
-        return verify_instance(objective, gains, cfgs)
+        return verify_instance(objective, gains, pcs)
 
     monkeypatch.setattr(cli, "_verify_instance", record_dims)
 
@@ -262,8 +262,8 @@ def test_verify_failure_names_worst_trial_and_replay_command(monkeypatch, capsys
     shortfalls = [0.0, 0.5, 0.2]
     seen = []
 
-    def fake_instance(objective, gains, cfgs):
-        seen.append((gains.tolist(), [float(c.pc) for c in cfgs]))
+    def fake_instance(objective, gains, pcs):
+        seen.append((gains.tolist(), pcs.tolist()))
         return shortfalls[len(seen) - 1]
 
     monkeypatch.setattr("eepower.cli._verify_instance", fake_instance)
@@ -381,6 +381,25 @@ def test_non_finite_parameter_exits_1_naming_it(tmp_path, capsys, flag, bad, nam
     assert not (tmp_path / "d").exists()
 
 
+def test_circuit_power_that_overflows_exits_2_with_a_replay(tmp_path, capsys):
+    # pc times a trial's largest gain overflows: the run names the trial and
+    # the command that replays it, and writes nothing
+    rc = main(["ofdm-sweep", "--trials", "2", "--pc", "1e308", "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("eepower: numerical error: ofdm trial ")
+    assert "circuit power times the largest gain overflows; replay: eepower ofdm-sweep --seed 1 --n " in err
+    assert not (tmp_path / "d").exists()
+    replay = err.rstrip("\n").rpartition("replay: eepower ")[2].split()
+    assert main([*replay, "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == err
+    # a circuit power just below that still gives finite rows
+    assert main(["ofdm-sweep", "--trials", "2", "--pc", "1e300", "--out", str(tmp_path / "e")]) == 0
+    rows = (tmp_path / "e" / "ofdm_scaling_pc1e+300.csv").read_text().splitlines()[1:]
+    assert len(rows) == 7
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
 def test_numerical_errors_exit_2(tmp_path, monkeypatch):
     def boom(spec):
         raise InfeasibleError("synthetic failure")
@@ -394,7 +413,7 @@ def test_numerical_errors_exit_2(tmp_path, monkeypatch):
 def test_fairness_failure_names_trial_and_replay_command(tmp_path, monkeypatch, capsys, budget_flag, budget):
     calls = []
 
-    def fail_on_trial_2(gains, pc, weight, cap, budget):
+    def fail_on_trial_2(gains, pc, budget):
         # one call solves every trial; its row 2 fails
         calls.append(gains.shape[0])
         raise InfeasibleError("synthetic failure", row=2)

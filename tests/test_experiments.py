@@ -7,7 +7,6 @@ import pytest
 from eepower import experiments
 from eepower.allocator import (
     GeeProblem,
-    LinkConfig,
     ee_of,
     eepa,
     gee_dinkelbach,
@@ -176,11 +175,10 @@ def test_ofdm_scaling_monotone_and_reduces_to_siso():
     se = curve.column("se_mean")
     assert np.all(np.diff(ee) > 0)
     assert np.all(np.diff(se) > 0)
-    cfg = LinkConfig(1.0)
     direct = []
     for t in range(spec.trials):
         g = draw_gains(spec.seed, 1, stream=t)[0]
-        direct.append(ee_of(g, eepa(g, cfg), cfg))
+        direct.append(ee_of(g, eepa(g, 1.0), 1.0))
     assert abs(ee[0] - np.mean(direct)) < 1e-8
 
 
@@ -189,11 +187,10 @@ def test_mimo_scaling_monotone_and_reduces_to_siso():
     (curve,) = run(spec)
     ee = curve.column("ee_mean")
     assert np.all(np.diff(ee) > 0)
-    cfg = LinkConfig(1.0)
     direct = []
     for t in range(spec.trials):
         g = abs(draw_matrix(spec.seed, 1, 1, stream=t)[0, 0]) ** 2
-        direct.append(ee_of(g, eepa(g, cfg), cfg))
+        direct.append(ee_of(g, eepa(g, 1.0), 1.0))
     assert abs(ee[0] - np.mean(direct)) < 1e-8
 
 
@@ -257,9 +254,9 @@ def test_fairness_block_draws_equal_per_trial_draws(monkeypatch):
     spec = default_spec("fairness", seed=7, trials=6)
     seen = []
 
-    def record(gains, pc, weight, cap, budget):
+    def record(gains, pc, budget):
         seen.append((gains, pc))
-        return wsee_rows(gains, pc, weight, cap, budget)
+        return wsee_rows(gains, pc, budget)
 
     monkeypatch.setattr(experiments, "wsee_rows", record)
     run(spec)
@@ -275,7 +272,7 @@ def test_fairness_block_draws_equal_per_trial_draws(monkeypatch):
 
 def fairness_per_trial_loop(spec):
     """The fairness trial rows as a plain loop, one trial at a time: its own
-    streams, one-row solver calls on LinkConfig lists, then the per-link EE
+    streams, one-row solver calls, then the per-link EE
     and Jain index of each allocation, with the arithmetic of the per-link
     metrics (numpy sums over the link vector)."""
     lo, hi = experiments.FAIRNESS_PC_RANGE
@@ -284,12 +281,11 @@ def fairness_per_trial_loop(spec):
     for t in range(spec.trials):
         gains = draw_gains(spec.seed, links, stream=t)
         pcs = lo + (hi - lo) * rng_for(spec.seed, t, experiments._AUX_STREAM).random(links)
-        cfgs = [LinkConfig(pc) for pc in pcs]
         powers = {
             "gee": gee_dinkelbach(GeeProblem(gains, pcs.sum(), spec.budget)).powers,
-            "wsee": wsee_ascent(gains, cfgs, spec.budget).powers,
-            "wpee": wpee_ascent(gains, cfgs, spec.budget).powers,
-            "wmee": wmee_maxmin(gains, cfgs, spec.budget).powers,
+            "wsee": wsee_ascent(gains, pcs, spec.budget).powers,
+            "wpee": wpee_ascent(gains, pcs, spec.budget).powers,
+            "wmee": wmee_maxmin(gains, pcs, spec.budget).powers,
         }
         ee, jain = {}, {}
         for name, p in powers.items():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eepower.allocator import LinkConfig, eepa
+from eepower.allocator import eepa
 from eepower.metrics import evaluate, jain_index, trace_ee_se
 
 E = math.e
@@ -35,13 +35,6 @@ def test_evaluate_direct_arithmetic():
     assert report.gee == pytest.approx((1.0 + math.log1p(2.0 * p)) / (2.0 + 2.0 * p), abs=1e-12)
 
 
-def test_evaluate_respects_weights():
-    report = evaluate([1.0, 1.0], 1.0, [1.0, 1.0], weight=[2.0, 0.5])
-    ee = report.per_link_ee[0]
-    assert report.wsee == pytest.approx(2.5 * ee, abs=1e-12)
-    assert report.wmee == pytest.approx(0.5 * ee, abs=1e-12)
-
-
 def test_evaluate_length_mismatch():
     with pytest.raises(ValueError):
         evaluate([1.0, 2.0], [1.0, 1.0, 1.0], [0.1, 0.2])
@@ -57,14 +50,14 @@ def test_evaluate_rows_equal_one_vector_calls():
     rng = np.random.default_rng(3)
     gains = 10.0 ** rng.uniform(-2.0, 2.0, (9, 5))
     gains[2, 1] = 0.0
-    pc, weight = rng.uniform(0.25, 2.0, (9, 5)), rng.uniform(0.5, 2.0, 5)
+    pc = rng.uniform(0.25, 2.0, (9, 5))
     powers = rng.uniform(0.0, 2.0, (9, 5))
     powers[4] = 0.0
-    rows = evaluate(gains, pc, powers, weight)
+    rows = evaluate(gains, pc, powers)
     assert rows.per_link_ee.shape == (9, 5) and rows.jain.shape == (9,)
     assert rows.jain[4] == 1.0 and rows.wmee[2] == 0.0
     for r in range(9):
-        alone = evaluate(gains[r], pc[r], powers[r], weight)
+        alone = evaluate(gains[r], pc[r], powers[r])
         np.testing.assert_array_equal(alone.per_link_ee, rows.per_link_ee[r])
         for field in ("gee", "wsee", "wpee", "wmee", "jain"):
             assert getattr(alone, field) == getattr(rows, field)[r]
@@ -105,7 +98,7 @@ def test_n_wmee_below_wsee_for_unit_weights():
 
 
 def test_trace_single_point():
-    p, se, ee = trace_ee_se(LinkConfig(1.0), [1.0])
+    p, se, ee = trace_ee_se(1.0, [1.0])
     assert len(p) == len(se) == len(ee) == 1
     assert p[0] == pytest.approx(E - 1.0, abs=1e-12)
     assert se[0] == pytest.approx(1.0, abs=1e-12)
@@ -114,15 +107,15 @@ def test_trace_single_point():
 
 def test_trace_jointly_increasing():
     grid = np.logspace(-2, 2, 100)
-    _p, se, ee = trace_ee_se(LinkConfig(1.0), grid)
+    _p, se, ee = trace_ee_se(1.0, grid)
     assert all(b > a for a, b in zip(se, se[1:]))
     assert all(b > a for a, b in zip(ee, ee[1:]))
 
 
 def test_trace_reversed_grid_maps_pointwise():
     grid = np.logspace(-1, 1, 20)
-    fwd = trace_ee_se(LinkConfig(0.5), grid)
-    rev = trace_ee_se(LinkConfig(0.5), grid[::-1])
+    fwd = trace_ee_se(0.5, grid)
+    rev = trace_ee_se(0.5, grid[::-1])
     for a, b in zip(fwd, rev):
         assert b.tolist() == a.tolist()[::-1]
 
@@ -130,16 +123,15 @@ def test_trace_reversed_grid_maps_pointwise():
 @pytest.mark.parametrize("pc", [0.25, 1.0, 4.0])
 def test_trace_no_tradeoff_over_wide_grid(pc):
     grid = np.logspace(-2, 4, 120)
-    _p, se, ee = trace_ee_se(LinkConfig(pc), grid)
+    _p, se, ee = trace_ee_se(pc, grid)
     assert np.all(np.diff(se) > 0.0)
     assert np.all(np.diff(ee) > 0.0)
 
 
 def test_trace_matches_eepa_pointwise():
-    cfg = LinkConfig(2.0)
     grid = np.logspace(-1, 1, 10)
-    p_trace, se, _ee = trace_ee_se(cfg, grid)
+    p_trace, se, _ee = trace_ee_se(2.0, grid)
     for gamma, p_t, se_t in zip(grid, p_trace, se):
-        p = eepa(gamma, cfg)
+        p = eepa(gamma, 2.0)
         assert p_t == p
         assert se_t == pytest.approx(math.log1p(gamma * p), abs=1e-14)
