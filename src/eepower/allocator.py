@@ -8,7 +8,9 @@ multi-link solvers for the sum, product, and max-min of the link EEs.
 Water-filling levels come from one exact sort-and-threshold rule
 (`water_level`). The global-EE optimum is water-filling at a Lambert-W level
 found without iteration, for every row of a (rows, n) gain array and every
-circuit power at once (`gee_rows`); `gee_dinkelbach` is its one-row call.
+circuit power at once (`gee_rows`), or for blocks of several n with one
+Lambert-W stage over all of them (`_gee_solve`); `gee_dinkelbach` is its
+one-row call.
 The Lambert W function also gives a link's power at a given EE level, so the
 max-min solver finds only each row's common level, by a bracketed Newton
 iteration (`wmee_rows`); the sum and product solvers (`wsee_rows`,
@@ -96,18 +98,28 @@ def eepa(gamma, pc):
     Closed form: (exp(1 + W((gamma * pc - 1) / e)) - 1) / gamma with W the
     principal Lambert branch, as expm1(v) / gamma with v = 1 + W at the offset
     gamma * pc / e from the branch point, where no digit cancels. A zero gain
-    gets 0 W.
+    gets 0 W. A ValueError names the first gain and pc whose power is not
+    finite: gamma * pc from about 1.78e308 on, where the Lambert stage
+    overflows, 1 % short of the float range's end.
     """
     g = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(g)) or np.any(g < 0.0):
         raise ValueError(f"gain must be finite and non-negative, got {gamma}")
     _check_positive("circuit power", pc)
-    return _peaks(g, pc)[()]
+    peaks = _peaks(g, pc)
+    bad = ~np.isfinite(peaks)
+    if bad.any():
+        i = np.argmax(bad)
+        g_bad, pc_bad = (float(np.broadcast_to(v, bad.shape).flat[i]) for v in (g, pc))
+        raise ValueError(f"gain times circuit power overflows the EE-optimal power: gain {g_bad!r}, pc {pc_bad!r}")
+    return peaks[()]
 
 
 def _peaks(g, pc):
-    """`eepa`'s powers for gains and circuit powers."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero gain's 0 / 0
+    """`eepa`'s powers for gains and circuit powers; NaN where g * pc
+    overflows the Lambert stage."""
+    # a zero gain's 0 / 0, and g * pc near or past the float range
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         return np.where(g > 0.0, np.expm1(lambert_w0_offset(g * pc / math.e)) / g, 0.0)
 
 
@@ -176,23 +188,68 @@ def gee_rows(gains, pc, p_max_total: float | None = None):
     d = (pc / s_1 - sum delta + k expm1(m)) / (k e e^m); the powers are
     s_1 (expm1(m + v) - delta_i), w - s_i without its cancellation (none for
     a zero gain, whose floor is infinite). The EE is unimodal in the total
-    power, so a row over the cap is cut back to `water_level(g, cap)`. The
-    offsets delta_i are formed once, in place on the floors, and sorted for
-    the search, and the powers are built in place: 500 rows of 64 links at
-    two circuit powers take about 1.7 ms warm (best of 30 rounds, numpy 2.4,
-    2 vCPUs).
+    power, so a row over the cap is cut back to `water_level(g, cap)`.
+    The one-block call of `_gee_solve`.
 
     Returns (powers, objective) of shapes (..., rows, n) and (..., rows), with
     pc's leading axes. Errors name the first failing row, also in its `row`:
     a PowerControlError where pc times the row's largest gain overflows, or
     its optimum is not finite.
     """
-    return _gee_solve(gains, pc, p_max_total)[:2]
+    objective, _, (powers,) = _gee_solve([(gains, pc)], p_max_total, keep_powers=True)
+    return powers, objective
 
 
-def _gee_solve(gains, pc, p_max_total: float | None):
-    """gee_rows, returning (powers, objective, rate sum): the rate sum is
-    each row's sum of log1p(g p), the objective's numerator."""
+def _gee_solve(blocks, p_max_total: float | None, keep_powers: bool = False):
+    """`gee_rows` for a list of (gains, pc) blocks, which may differ in n but
+    share pc's leading axes, in stages: each block's checks, sorted floor
+    offsets, active count k, m and sum delta; then the level d, the Lambert
+    W and expm1(m + v) once over every block's rows; then each block's
+    powers, cap and rate sum; then the objective once. Every stage is
+    elementwise or reduces each row on its own, so a block gets the bits of
+    its own one-block call. Only (..., rows) arrays outlive a block's stage,
+    so no block's (rows, n) work arrays are alive while the next is built.
+
+    Returns (objective, rate sum, powers): the first two with every block's
+    rows concatenated along the last axis, the rate sum being each row's
+    sum of log1p(g p) that the objective divides; powers is the list of
+    each block's powers if keep_powers, else empty. Errors name a row of
+    the first block that fails its checks, else the first row, counted over
+    the concatenated rows, whose optimum is not finite.
+    """
+    gs, parts = zip(*(_gee_floors(gains, pc, p_max_total) for gains, pc in blocks))
+    scaled_pc, sum_delta, k, m = (np.concatenate(part, axis=-1) for part in zip(*parts))
+    del parts
+    d = (scaled_pc - sum_delta + k * np.expm1(m)) / (k * math.e * np.exp(m))
+    levels = np.expm1(m + lambert_w0_offset(d))
+    del scaled_pc, sum_delta, k, m, d
+    rate_sums, totals, kept = [], [], []
+    stop = 0
+    for g, (_, pc) in zip(gs, blocks):
+        start, stop = stop, stop + g.shape[0]
+        # s_1 (expm1(m + v) - delta_i), built in place
+        offsets, s1 = _offsets(g)
+        powers = levels[..., start:stop, None] - offsets
+        del offsets
+        powers *= s1
+        np.maximum(0.0, powers, out=powers)
+        if p_max_total is not None:
+            over = powers.sum(axis=-1) > p_max_total
+            g_over = np.broadcast_to(g, powers.shape)[over]
+            powers[over] = np.maximum(0.0, water_level(g_over, p_max_total)[:, None] - _inverse(g_over))
+        rates = np.multiply(g, powers, order="C")
+        rate_sums.append(np.log1p(rates, out=rates).sum(axis=-1))
+        totals.append(pc + powers.sum(axis=-1))
+        if keep_powers:
+            kept.append(powers)
+        del powers, rates
+    rate_sum = np.concatenate(rate_sums, axis=-1)
+    return _finite_rows(rate_sum / np.concatenate(totals, axis=-1), "the optimum is not finite"), rate_sum, kept
+
+
+def _gee_floors(gains, pc, p_max_total: float | None):
+    """One block's checked (rows, n) gains, and the (scaled pc / s_1,
+    sum delta, k, m) of its (..., rows) problems."""
     g = np.asarray(gains, dtype=float)
     if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
         raise ValueError(f"gains must be a non-empty (rows, n) array, got shape {g.shape}")
@@ -212,17 +269,11 @@ def _gee_solve(gains, pc, p_max_total: float | None):
         row = int(np.argmax(dead))
         raise InfeasibleError(f"row {row}: at least one gain must be positive", row=row)
 
-    # the floor offsets s_i / s_1 - 1 of the powers, formed in place on the
-    # floors; sorting commutes with the monotone map, so their sort is delta.
-    # They, the powers and the rates are C-ordered whatever the layout of
-    # gains, so each row's sums add its links in one order
-    offsets = np.ascontiguousarray(_inverse(g))
-    s1 = offsets.min(axis=1, keepdims=True)
+    offsets, s1 = _offsets(g)
     with np.errstate(over="ignore"):
         scaled_pc = _finite_rows(pc / s1[:, 0], "circuit power times the largest gain overflows")
-    offsets /= s1
-    offsets -= 1.0
     delta = np.sort(offsets, axis=1)
+    del offsets
     cum_delta = np.cumsum(delta, axis=1)
     j = np.arange(1, g.shape[1] + 1)
     # R - (pc + P) / w at w = s_j is j logs - cum_log - spill, formed in an
@@ -240,20 +291,22 @@ def _gee_solve(gains, pc, p_max_total: float | None):
         k = np.count_nonzero(logs < spill, axis=-1)
     del logs, spill
     row = np.arange(g.shape[0])
-    m = cum_log[row, k - 1] / k
-    sum_delta = cum_delta[row, k - 1]
-    del cum_log, cum_delta
-    d = (scaled_pc - sum_delta + k * np.expm1(m)) / (k * math.e * np.exp(m))
-    powers = np.expm1(m + lambert_w0_offset(d))[..., None] - offsets
-    powers *= s1
-    np.maximum(0.0, powers, out=powers)
-    if p_max_total is not None:
-        over = powers.sum(axis=-1) > p_max_total
-        g_over = np.broadcast_to(g, powers.shape)[over]
-        powers[over] = np.maximum(0.0, water_level(g_over, p_max_total)[:, None] - _inverse(g_over))
-    rates = np.multiply(g, powers, order="C")
-    rate_sum = np.log1p(rates, out=rates).sum(axis=-1)
-    return powers, _finite_rows(rate_sum / (pc + powers.sum(axis=-1)), "the optimum is not finite"), rate_sum
+    return g, (scaled_pc, cum_delta[row, k - 1], k, cum_log[row, k - 1] / k)
+
+
+def _offsets(g):
+    """The floor offsets s_i / s_1 - 1 of (rows, n) gains, formed in place on
+    the floors, and each row's smallest floor s_1 as a (rows, 1) column.
+    Sorting commutes with the monotone map, so their sort is delta. They are
+    C-ordered whatever the layout of g, so each row's sums add its links in
+    one order; a floor over 1e308 times s_1 is an infinite offset, which
+    fills no power, as a zero gain's does."""
+    offsets = np.ascontiguousarray(_inverse(g))
+    s1 = offsets.min(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        offsets /= s1
+    offsets -= 1.0
+    return offsets, s1
 
 
 def _finite_rows(values, what: str):
@@ -284,9 +337,10 @@ def _one_row(solve, gains, pc, p_total: float) -> Allocation:
 
 
 def _link_rows(gains, pc, budget: float):
-    """The (rows, n) gains of a budgeted row solver and its per-link circuit
-    powers broadcast against them. A bad value names the first row that
-    holds it."""
+    """The (rows, n) gains of a budgeted row solver, its per-link circuit
+    powers broadcast against them and each link's peak power (`eepa`). A
+    bad value names the first row that holds it, as does a g * pc that
+    overflows the peak."""
     g = np.asarray(gains, dtype=float)
     if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
         raise ValueError(f"gains must be a non-empty (rows, n) array, got shape {g.shape}")
@@ -296,7 +350,12 @@ def _link_rows(gains, pc, budget: float):
         r = int(np.argmax(~ok.all(axis=1)))
         raise ValueError(f"row {r}: need finite gains g >= 0 and circuit powers pc > 0: g {g[r]}, pc {pc[r]}")
     _check_positive("budget", budget)
-    return g, pc
+    peaks = _peaks(g, pc)
+    finite = np.isfinite(peaks).all(axis=1)
+    if not finite.all():
+        r = int(np.argmax(~finite))
+        raise ValueError(f"row {r}: gain times circuit power overflows the EE-optimal power: g {g[r]}, pc {pc[r]}")
+    return g, pc, peaks
 
 
 def wmee_rows(gains, pc, budget: float):
@@ -318,8 +377,7 @@ def wmee_rows(gains, pc, budget: float):
     Returns (powers, level) of shapes (rows, n) and (rows,). A bad value
     names the first row that holds it.
     """
-    g, pc = _link_rows(gains, pc, budget)
-    peaks = _peaks(g, pc)
+    g, pc, peaks = _link_rows(gains, pc, budget)
     t_hi = (np.log1p(g * peaks) / (pc + peaks)).min(axis=1)
     top = _rising_powers(g, pc, peaks, t_hi)
     going = top.sum(axis=1) > budget
@@ -472,12 +530,11 @@ def _pair_step(gi, ci, gj, cj, pi: float, pj: float, log_terms: bool) -> float:
 
 
 def _budget_ascent(gains, pc, budget: float, log_terms: bool):
-    g, pc = _link_rows(gains, pc, budget)
+    g, pc, peaks = _link_rows(gains, pc, budget)
     dead = np.any(g == 0.0, axis=1) & log_terms
     if dead.any():
         row = int(np.argmax(dead))
         raise InfeasibleError(f"row {row}: product objective is degenerate when a link has zero gain", row=row)
-    peaks = _peaks(g, pc)
     powers, objective = np.empty_like(peaks), np.empty(g.shape[0])
     pairs = [(i, j) for i in range(g.shape[1]) for j in range(i + 1, g.shape[1])]
     log, log1p, exp, inf = math.log, math.log1p, math.exp, math.inf

@@ -8,7 +8,9 @@ per-trial substreams, and aggregation is plain numpy reductions over arrays
 held in trial order, so reruns are bit-identical. The scaling and fairness
 pipelines hold their trials as rows of (trials, n) arrays: each solver runs
 once over all rows (`gee_rows`, `wsee_rows`, `wpee_rows`, `wmee_rows`), and
-no trial is a Python object of its own.
+no trial is a Python object of its own. A scaling sweep solves every n in
+one staged call (`_gee_solve`) and summarises every (pc, n) with one mean
+and one std call per quantity.
 
 Each experiment is declared once, in EXPERIMENTS at the end of this module:
 its CLI command, its runner, the spec fields the runner reads and its
@@ -28,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .allocator import _gee_solve, gee_rows, water_level, wmee_rows, wpee_rows, wsee_rows
+from .allocator import _gee_solve, eepa, gee_rows, water_level, wmee_rows, wpee_rows, wsee_rows
 from .channel import draw_gain_rows, matrices_from_uniforms, stream_uniforms
 from .errors import PowerControlError
 from .metrics import evaluate, trace_ee_se
@@ -98,6 +100,20 @@ class ExperimentSpec:
             raise ValueError("need at least one pc value")
         if "n_values" in reads and (not ns or any(b <= a for a, b in zip(ns, ns[1:]))):
             raise ValueError(f"n values must be non-empty and strictly ascending, got {ns}")
+        # the solvers' inputs must stay in the float range: a MIMO pc is per
+        # antenna chain, so n times it, and the curves take eepa up to the
+        # largest grid gain (table1 runs at 1 W and its n, so it stays in range)
+        if self.experiment == "mimo_scaling":
+            over = [(pc, n) for pc in pcs for n in ns if not math.isfinite(pc * n)]
+            if over:
+                pc, n = over[0]
+                raise ValueError(f"pc values (--pc) are per antenna, and pc {pc!r} times n={n} overflows")
+        if self.experiment in ("siso_profiles", "siso_ee_se", "pc_sweep"):
+            for pc in pcs:
+                try:
+                    eepa(GAMMA_GRID[-1], pc)
+                except ValueError as exc:
+                    raise ValueError(f"pc values (--pc) must keep every grid gain's power finite: {exc}") from None
 
 
 def default_spec(experiment: str, **overrides) -> ExperimentSpec:
@@ -227,43 +243,49 @@ def _scaling_stats(spec: ExperimentSpec, tech: str, ns, pcs):
     Trial t always draws from stream t. Each stream is read once, as the
     largest block any n needs (max n gains, or the 2 max(n)^2 uniforms of a
     square matrix); every (n, trial) draw is a prefix of its row, so the
-    values equal per-(n, trial) draw_gains / draw_matrix calls. Each n is
-    then solved for all trials and all pc values at once, the SE taken from
-    that solve's rate sums, and summarised by one mean and one std call per
-    quantity over all pcs, which give the bits of per-pc calls. At 500 OFDM
-    trials (warm, best of 30 rounds, numpy 2.4, 2 vCPUs) the SE and summary
-    of n = 64 take about 0.03 ms and the whole step about 6.4 ms.
+    values equal per-(n, trial) draw_gains / draw_matrix calls. Every n and
+    pc is then solved for all trials in one staged `_gee_solve` call, whose
+    Lambert-W level stage runs once over all of them, the SE taken from its
+    rate sums, and each quantity is summarised by one mean and one std call
+    over its (pcs, ns, trials) array; each gives the bits of a call per
+    (pc, n).
     """
     if tech == "ofdm":
         block = draw_gain_rows(spec.seed, spec.trials, max(ns))
+        gains = [block[:, :n] for n in ns]
     else:
         block = stream_uniforms(spec.seed, spec.trials, 2 * max(ns) ** 2)
-    stats: dict[tuple[float, int], tuple[float, float, float, float]] = {}
-    for n in ns:
-        gains = block[:, :n] if tech == "ofdm" else svd_gains(matrices_from_uniforms(block, n, n))
-        ee, se = _solve_trials(spec, tech, n, pcs, gains)
-        for pc, *row in zip(pcs, *_mean_stderr(ee), *_mean_stderr(se)):
-            stats[(pc, n)] = tuple(row)
-    return stats
+        gains = [svd_gains(matrices_from_uniforms(block, n, n)) for n in ns]
+    shape = (len(pcs), len(ns), spec.trials)
+    # ee mean, ee stderr, se mean, se stderr, each a (pcs, ns) nested list
+    summary = [q for v in _solve_trials(spec, tech, ns, pcs, gains) for q in _mean_stderr(v.reshape(shape))]
+    return {(pc, n): tuple(q[p][i] for q in summary) for i, n in enumerate(ns) for p, pc in enumerate(pcs)}
 
 
-def _solve_trials(spec: ExperimentSpec, tech: str, n: int, pcs, gains: np.ndarray):
-    """The global-EE optimum and its total SE of each trial's row of the
-    (trials, n) gains at each pc, as two (pcs, trials) arrays from one
-    closed-form `gee_rows` solve; a solver error is re-raised naming the
-    trial, n, the first pc and seed and the command that replays it."""
+def _solve_trials(spec: ExperimentSpec, tech: str, ns, pcs, gains):
+    """The global-EE optimum and its total SE of each trial's row of each n's
+    (trials, n) gains at each pc, as two (pcs, ns x trials) arrays from one
+    staged `_gee_solve` call. A solver error is reported as a solve per n
+    reports it: re-raised for the smallest n whose own solve fails, naming
+    the trial, n, the first pc and seed and the command that replays it."""
+    blocks = [(g, np.array(pcs)[:, None] * (n if tech == "mimo" else 1)) for n, g in zip(ns, gains)]
     try:
-        _, ee, se = _gee_solve(gains, np.array(pcs)[:, None] * (n if tech == "mimo" else 1), spec.budget)
-    except PowerControlError as exc:
-        if exc.row is None:
-            raise
-        raise _replayable(
-            exc,
-            spec,
-            exc.row,
-            f"{tech} trial {exc.row} (n={n}, pc={pcs[0]!r}, seed={spec.seed})",
-            f"eepower {tech}-sweep --seed {spec.seed} --n {n} --pc {pcs[0]!r} --trials {exc.row + 1}",
-        ) from exc
+        ee, se, _ = _gee_solve(blocks, spec.budget)
+    except (ValueError, PowerControlError):
+        for n, one in zip(ns, blocks):
+            try:
+                _gee_solve([one], spec.budget)
+            except PowerControlError as exc:
+                if exc.row is None:
+                    raise
+                raise _replayable(
+                    exc,
+                    spec,
+                    exc.row,
+                    f"{tech} trial {exc.row} (n={n}, pc={pcs[0]!r}, seed={spec.seed})",
+                    f"eepower {tech}-sweep --seed {spec.seed} --n {n} --pc {pcs[0]!r} --trials {exc.row + 1}",
+                ) from exc
+        raise
     return ee, se
 
 
@@ -277,11 +299,11 @@ def _replayable(exc: PowerControlError, spec: ExperimentSpec, trial: int, instan
 
 
 def _mean_stderr(values: np.ndarray):
-    """The mean and standard error of each row of (rows, trials) values, as
-    two lists of floats; one trial has a standard error of 0."""
+    """The mean and standard error over the last (trials) axis of values, as
+    two nested lists of floats; one trial has a standard error of 0."""
     trials = values.shape[-1]
     if trials < 2:
-        return values.mean(axis=-1).tolist(), [0.0] * len(values)
+        return values.mean(axis=-1).tolist(), np.zeros(values.shape[:-1]).tolist()
     return values.mean(axis=-1).tolist(), (values.std(axis=-1, ddof=1) / math.sqrt(trials)).tolist()
 
 

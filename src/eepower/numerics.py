@@ -65,8 +65,8 @@ def lambert_w0_offset(d) -> np.ndarray:
     steps on that residual polish a start from the series (p < 1) or from
     Winitzki's log approximation. Within 3e-14 relative of mpmath for d from
     1e-300 to 1e300. Where 2 e d overflows (d above 3.3e307) p is +inf,
-    which only picks the log start; from d = 6.6e307 on, v e^v overflows and
-    v is NaN.
+    which only picks the log start; from about d = 6.55e307 on, v e^v
+    overflows and v is NaN.
     """
     d = np.asarray(d, dtype=float)
     # an element takes one branch's value; the other branches may overflow

@@ -119,6 +119,20 @@ def test_eepa_rejects_bad_inputs():
         eepa([1.0, 2.0], [1.0, 1.0, 1.0])
 
 
+def test_eepa_names_the_gain_and_pc_whose_power_overflows():
+    # g pc past the float range, and just inside it, where the Lambert stage
+    # overflows, both raise instead of returning NaN, with no warning
+    with pytest.raises(ValueError, match=r"^gain times circuit power overflows the EE-optimal power: gain 1e\+300, pc 10000000000\.0$"):
+        eepa(1e300, 1e10)
+    with pytest.raises(ValueError, match=r"gain 100\.0, pc 1\.796e\+306$"):
+        eepa([1.0, 100.0], 1.796e306)
+    with pytest.raises(ValueError, match=r"gain 2\.0, pc 1e\+308$"):
+        eepa([1.0, 2.0], [1.0, 1e308])
+    # just below the edge the power is finite, and a zero gain still gets 0 W
+    assert math.isfinite(eepa(100.0, 1.7e306))
+    assert eepa([0.0, 1e300], 1e5)[0] == 0.0
+
+
 def test_eepa_stationarity_over_random_instances():
     rng = np.random.default_rng(17)
     for _ in range(200):
@@ -351,6 +365,36 @@ def test_gee_rows_name_the_row_whose_circuit_power_overflows():
     assert np.all(np.isfinite(powers)) and np.all(np.isfinite(objective))
 
 
+def test_gee_rows_solve_gains_spanning_more_than_the_float_range():
+    # the 1e-300 link's floor offset overflows to +inf; like a zero gain's it
+    # fills no power, and the 1e300 link gets its one-link optimum
+    powers, objective = gee_rows([[1e-300, 1e300]], 1.0)
+    alone_powers, alone_objective = gee_rows([[1e300]], 1.0)
+    assert powers[0, 0] == 0.0
+    assert powers[0, 1] == alone_powers[0, 0]
+    assert objective.tobytes() == alone_objective.tobytes()
+    # under a cap that binds, too
+    powers, objective = gee_rows([[1e300, 1e-300]], 1.0, 1e-3)
+    assert powers.tolist() == [[1e-3, 0.0]]
+    assert math.isfinite(objective[0])
+
+
+def test_gee_solve_blocks_equal_their_one_block_calls():
+    # blocks of different n solved together give each block's own bits, with
+    # the rows of the objective and the rate sum concatenated in block order
+    rng = np.random.default_rng(21)
+    pc = np.array([0.3, 4.0])[:, None]
+    blocks = [(10.0 ** rng.uniform(-2.0, 2.0, (rows, n)), pc * n) for rows, n in ((5, 1), (3, 6), (7, 2))]
+    blocks[1][0][1, 2:] = 0.0
+    for cap in (None, 0.5):
+        objective, rate_sum, powers = allocator._gee_solve(blocks, cap, keep_powers=True)
+        alone = [allocator._gee_solve([block], cap, keep_powers=True) for block in blocks]
+        assert objective.tobytes() == np.concatenate([a[0] for a in alone], axis=-1).tobytes()
+        assert rate_sum.tobytes() == np.concatenate([a[1] for a in alone], axis=-1).tobytes()
+        assert [p.tobytes() for p in powers] == [a[2][0].tobytes() for a in alone]
+        assert allocator._gee_solve(blocks, cap)[2] == []
+
+
 @pytest.mark.parametrize("cap", [None, 0.3])
 def test_gee_rows_pc_column_equals_one_pc_calls(cap):
     # one call over a (P, 1) column of circuit powers, or a (P, rows) array of
@@ -521,7 +565,7 @@ def test_gee_solve_rate_sum_is_the_objective_numerator():
     gains = 10.0 ** rng.uniform(-2.0, 2.0, (30, 5))
     gains[3, 1:] = 0.0
     pc = np.array([0.5, 2.0])[:, None]
-    powers, objective, rate_sum = allocator._gee_solve(gains, pc, 0.4)
+    objective, rate_sum, (powers,) = allocator._gee_solve([(gains, pc)], 0.4, keep_powers=True)
     assert rate_sum.tobytes() == np.log1p(gains * powers).sum(axis=-1).tobytes()
     assert objective.tobytes() == (rate_sum / (pc + powers.sum(axis=-1))).tobytes()
     assert objective.tobytes() == gee_rows(gains, pc, 0.4)[1].tobytes()
@@ -533,12 +577,16 @@ def test_gee_solve_bits_do_not_depend_on_the_gains_layout(pc, cap):
     # each row's sums add its links in one order whatever the memory layout:
     # column-major (as a transposed fill would hand it over), a transpose of
     # a transposed copy, a slice of a wider C-ordered block and a strided view
+    def solve(gains):
+        objective, rate_sum, (powers,) = allocator._gee_solve([(gains, pc)], cap, keep_powers=True)
+        return [a.tobytes() for a in (powers, objective, rate_sum)]
+
     wide = draw_gain_rows(1, 300, 128)
     for n in (8, 64):
         gains = np.ascontiguousarray(wide[:, :n])
-        want = [a.tobytes() for a in allocator._gee_solve(gains, pc, cap)]
+        want = solve(gains)
         for other in (np.asfortranarray(gains), gains.T.copy().T, wide[:, :n], np.repeat(gains, 2, axis=1)[:, ::2]):
-            assert [a.tobytes() for a in allocator._gee_solve(other, pc, cap)] == want
+            assert solve(other) == want
 
 
 def test_gee_rows_single_dimension_equals_eepa():
@@ -1139,8 +1187,7 @@ def reference_row_ascent(g, pc, peaks, p_total, log_terms, counts):
 
 def reference_rows(gains, pc, budget, log_terms, counts):
     """`wsee_rows`/`wpee_rows` as one `reference_row_ascent` per row."""
-    g, pc = allocator._link_rows(gains, pc, budget)
-    peaks = allocator._peaks(g, pc)
+    g, pc, peaks = allocator._link_rows(gains, pc, budget)
     powers, objective = np.empty_like(peaks), np.empty(g.shape[0])
     for r in range(g.shape[0]):
         powers[r], objective[r] = reference_row_ascent(g[r], pc[r], peaks[r], budget, log_terms, counts)
@@ -1226,6 +1273,14 @@ def test_wpee_rejects_zero_gain():
     with pytest.raises(InfeasibleError, match="^row 0: product objective is degenerate") as err:
         wpee_ascent([0.0, 1.0], [1.0] * 2, 1.0)
     assert err.value.row == 0
+
+
+@pytest.mark.parametrize("solver", [wsee_rows, wpee_rows, wmee_rows])
+def test_row_solvers_name_the_row_whose_peak_power_overflows(solver):
+    gains = [[1.0, 2.0], [1e300, 1.0], [1e300, 1e300]]
+    # the first row whose g pc overflows, with no warning
+    with pytest.raises(ValueError, match=r"^row 1: gain times circuit power overflows the EE-optimal power: g \["):
+        solver(gains, 1e10, 1.0)
 
 
 def test_link_mismatch_raises():

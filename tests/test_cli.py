@@ -400,6 +400,40 @@ def test_circuit_power_that_overflows_exits_2_with_a_replay(tmp_path, capsys):
     assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
 
 
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (["siso-ee-se", "--pc", "1e307"], "pc 1e+307"),
+        (["siso-profiles", "--pc", "1e307", "--trials", "2"], "pc 1e+307"),
+        (["pc-sweep", "--pc", "1,1e307"], "pc 1e+307"),
+        (["mimo-sweep", "--n", "1,2,32", "--pc", "1e307"], "pc 1e+307 times n=32"),
+    ],
+    ids=["siso-ee-se", "siso-profiles", "pc-sweep", "mimo-sweep"],
+)
+def test_pc_that_overflows_the_solved_inputs_exits_1_naming_it(tmp_path, capsys, args, names):
+    rc = main([*args, "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"eepower {args[0]}: pc values (--pc) ")
+    assert names in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_mimo_pc_whose_scaled_power_overflows_exits_2_with_a_replay(tmp_path, capsys):
+    # 32 pc is finite, but pc / s_1 overflows at n = 32: the staged solve over
+    # every n still names that n and its first trial, and the replay repeats it
+    rc = main(["mimo-sweep", "--trials", "3", "--n", "1,2,32", "--pc", "5e306", "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("eepower: numerical error: mimo trial 0 (n=32, pc=5e+306, seed=1): ")
+    assert not (tmp_path / "d").exists()
+    replay = err.rstrip("\n").rpartition("replay: eepower ")[2].split()
+    assert replay == ["mimo-sweep", "--seed", "1", "--n", "32", "--pc", "5e+306", "--trials", "1"]
+    assert main([*replay, "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == err
+
+
 def test_numerical_errors_exit_2(tmp_path, monkeypatch):
     def boom(spec):
         raise InfeasibleError("synthetic failure")

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eepower import experiments
+from eepower import allocator, experiments
 from eepower.allocator import (
     GeeProblem,
     ee_of,
@@ -17,7 +17,7 @@ from eepower.allocator import (
     wsee_rows,
 )
 from eepower.channel import draw_gain_rows, draw_gains, draw_matrix, matrices_from_uniforms, rng_for, stream_uniforms
-from eepower.errors import InfeasibleError
+from eepower.errors import InfeasibleError, PowerControlError
 from eepower.numerics import svd_gains
 from eepower.experiments import (
     CurveSet,
@@ -97,6 +97,19 @@ def test_spec_rejects_non_finite_budget_and_pc(bad):
         default_spec("ofdm_scaling", budget=bad)
     with pytest.raises(ValueError, match="pc values"):
         default_spec("ofdm_scaling", pc_values=(1.0, bad))
+
+
+def test_spec_rejects_a_pc_that_overflows_what_the_experiment_solves():
+    # a MIMO pc is per antenna chain, so n times it must stay finite
+    with pytest.raises(ValueError, match=r"^pc values \(--pc\) are per antenna, and pc 1e\+307 times n=32 overflows$"):
+        default_spec("mimo_scaling", pc_values=(1.0, 1e307), n_values=(1, 2, 32))
+    assert default_spec("mimo_scaling", pc_values=(5e306,), n_values=(1, 2, 32)).pc_values == (5e306,)
+    # the SISO curves take the EE-optimal power up to the largest grid gain
+    for experiment, pcs in (("siso_ee_se", (1e307,)), ("siso_profiles", (1.796e306,)), ("pc_sweep", (1.0, 1e307))):
+        with pytest.raises(ValueError, match=r"^pc values \(--pc\) must keep every grid gain's power finite: .*: gain 100\.0, pc 1"):
+            default_spec(experiment, pc_values=pcs)
+    (curve,) = run(default_spec("siso_ee_se", pc_values=(1.7e306,)))
+    assert np.all(np.isfinite(curve.rows))
 
 
 def test_curveset_validation():
@@ -385,6 +398,58 @@ def test_scaling_stats_equal_the_per_pc_summary_bit_for_bit(tech, trials, budget
         assert all(v[1] == v[3] == 0.0 for v in stats.values())
 
 
+def _per_n_gee_rows(spec, tech, ns, pcs, gains):
+    # reference: one gee_rows call per n, with SE from its powers, as
+    # (pcs, ns x trials) arrays; also whether any row was cut back to the cap
+    ee, se, capped = [], [], False
+    for n, g in zip(ns, gains):
+        powers, objective = gee_rows(g, np.array(pcs)[:, None] * (n if tech == "mimo" else 1), spec.budget)
+        ee.append(objective)
+        se.append(np.log1p(g * powers).sum(axis=-1))
+        if spec.budget is not None:
+            capped |= bool(np.any(np.isclose(powers.sum(axis=-1), spec.budget, rtol=1e-12)))
+    return np.concatenate(ee, axis=-1), np.concatenate(se, axis=-1), capped
+
+
+@pytest.mark.parametrize("budget", [None, 0.5])
+@pytest.mark.parametrize("pcs", [(1.0,), (0.5, 1.0, 3.0)])
+@pytest.mark.parametrize("trials", [1, 7, 500])
+@pytest.mark.parametrize("tech", ["ofdm", "mimo"])
+def test_staged_sweep_equals_per_n_gee_rows_bit_for_bit(tech, trials, pcs, budget):
+    spec = default_spec(f"{tech}_scaling", seed=5, trials=trials, pc_values=pcs, budget=budget)
+    ns = list(spec.n_values)
+    if tech == "ofdm":
+        block = draw_gain_rows(spec.seed, trials, max(ns))
+        gains = [block[:, :n] for n in ns]
+    else:
+        block = stream_uniforms(spec.seed, trials, 2 * max(ns) ** 2)
+        gains = [svd_gains(matrices_from_uniforms(block, n, n)) for n in ns]
+    ee, se = experiments._solve_trials(spec, tech, ns, pcs, gains)
+    ref_ee, ref_se, capped = _per_n_gee_rows(spec, tech, ns, pcs, gains)
+    assert ee.shape == se.shape == (len(pcs), len(ns) * trials)
+    assert ee.tobytes() == ref_ee.tobytes()
+    assert se.tobytes() == ref_se.tobytes()
+    assert capped == (budget is not None)
+
+
+@pytest.mark.parametrize("experiment, sweeps", [("ofdm_scaling", 1), ("mimo_scaling", 1), ("table1", 2)])
+def test_one_lambert_call_per_scaling_sweep(monkeypatch, experiment, sweeps):
+    # the level stage runs once over every n and pc of a sweep
+    counts = {"lambert": 0, "sweeps": 0}
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(allocator, "lambert_w0_offset", counted("lambert", allocator.lambert_w0_offset))
+    monkeypatch.setattr(experiments, "_scaling_stats", counted("sweeps", experiments._scaling_stats))
+    run(default_spec(experiment, trials=3))
+    assert counts == {"lambert": sweeps, "sweeps": sweeps}
+
+
 def _zero_row(real, row):
     def draw(*args):
         block = real(*args).copy()
@@ -426,6 +491,36 @@ def test_scaling_error_of_one_call_over_all_pcs_names_the_first_pc(monkeypatch):
     assert message.startswith("ofdm trial 3 (n=2, pc=2.0, seed=3): row 3: at least one gain must be positive")
     assert message.endswith("; replay: eepower ofdm-sweep --seed 3 --n 2 --pc 2.0 --trials 4")
     assert err.value.row == 3
+
+
+def test_scaling_error_names_the_smallest_n_that_fails_alone(monkeypatch):
+    # n = 2 fails the checks (pc times its gain 2 overflows) before n = 1
+    # reaches its objective, which is not finite; a solve per n reports n = 1
+    def draw(seed, trials, n):
+        block = np.ones((trials, n))
+        block[:, 1] = 2.0
+        return block
+
+    monkeypatch.setattr(experiments, "draw_gain_rows", draw)
+    spec = default_spec("ofdm_scaling", seed=3, trials=2, n_values=(1, 2), pc_values=(1.79e308,))
+    with pytest.raises(PowerControlError) as err:
+        run(spec)
+    assert str(err.value) == (
+        "ofdm trial 0 (n=1, pc=1.79e+308, seed=3): row 0: the optimum is not finite; "
+        "replay: eepower ofdm-sweep --seed 3 --n 1 --pc 1.79e+308 --trials 1"
+    )
+    # only the larger n fails: it is named, at its first failing trial
+    def draw_one(seed, trials, n):
+        block = np.ones((trials, n))
+        block[1, 3] = 1e300
+        return block
+
+    monkeypatch.setattr(experiments, "draw_gain_rows", draw_one)
+    spec = default_spec("ofdm_scaling", seed=3, trials=3, n_values=(1, 2, 4, 8), pc_values=(1e10,))
+    with pytest.raises(PowerControlError) as err:
+        run(spec)
+    assert str(err.value).startswith("ofdm trial 1 (n=4, pc=10000000000.0, seed=3): row 1: circuit power times")
+    assert err.value.row == 1
 
 
 def test_fairness_gee_failure_names_trial_and_seed(monkeypatch):
