@@ -11,7 +11,7 @@ from .allocator import (
     eepa,
     gee_dinkelbach,
     gee_rows,
-    se_of,
+    link_terms,
     water_level,
     wmee_maxmin,
     wpa,
@@ -47,10 +47,10 @@ __all__ = [
     "grid_argmax",
     "jain_index",
     "lambert_w0",
+    "link_terms",
     "matrices_from_uniforms",
     "rng_for",
     "run",
-    "se_of",
     "stream_uniforms",
     "svd_gains",
     "trace_ee_se",

@@ -24,6 +24,9 @@ per row. Every link has unit weight and no power cap of its own.
 `wsee_ascent`, `wpee_ascent` and `wmee_maxmin` are their one-row calls, with
 one circuit power per link.
 
+A link's SE ln(1 + g p) and EE SE / (pc + p) over arrays come from
+`link_terms`; `ee_of` and the WSEE/WPEE ascent form them on Python floats.
+
 Conventions: rates are in nats (natural log); converting to bits is a
 reporting concern, never a solver concern. Noise power is normalized to 1,
 so a channel gain is the SNR delivered by 1 W of transmit power.
@@ -79,16 +82,20 @@ class GeeProblem:
             raise ValueError("gains must be a non-empty 1-D sequence")
 
 
-def se_of(gamma: float, p: float) -> float:
-    """Spectral efficiency ln(1 + gamma * p) in nats/s/Hz."""
-    if p < 0.0:
-        raise ValueError(f"power must be non-negative, got {p}")
-    return math.log1p(gamma * p)
+def link_terms(gains, powers, pc):
+    """Spectral efficiency ln(1 + g p) in nats/s/Hz and energy efficiency
+    se / (pc + p) in nats/J of links whose gains, powers and circuit powers
+    broadcast together: the one array form of the link formula."""
+    se = np.log1p(gains * powers)
+    return se, se / (pc + powers)
 
 
 def ee_of(gamma: float, p: float, pc: float) -> float:
-    """Energy efficiency se / (pc + p) in nats/J."""
-    return se_of(gamma, p) / (pc + p)
+    """Energy efficiency ln(1 + gamma * p) / (pc + p) of one link in nats/J,
+    on Python floats (`link_terms` is the array form)."""
+    if p < 0.0:
+        raise ValueError(f"power must be non-negative, got {p}")
+    return math.log1p(gamma * p) / (pc + p)
 
 
 def eepa(gamma, pc):
@@ -156,13 +163,25 @@ def water_level(gains, total):
     is positive and broadcasts against the rows. Exact up to rounding: with
     the floors 1/g sorted ascending into s, the k cheapest channels are active
     at level (total + s_1 + ... + s_k) / k, and the active count is the
-    largest k whose floor s_k lies below that level.
+    largest k whose floor s_k lies below that level, at least 1: a total
+    below the rounding of s_1 gets the level s_1, which fills no power.
+    Where the total is that small beside the floors, the level's rounding
+    can fill up to about twice the total; a level whose powers
+    max(0, w - s_i) sum to more than total (1 + 1e-13) steps down an ulp at
+    a time until they fit, and never below s_1.
     """
     floors = np.sort(_inverse(np.asarray(gains, dtype=float)), axis=-1)
     count = np.arange(1, floors.shape[-1] + 1)
-    levels = (np.asarray(total, dtype=float)[..., None] + np.cumsum(floors, axis=-1)) / count
-    active = np.count_nonzero(floors < levels, axis=-1)
-    return np.take_along_axis(levels, active[..., None] - 1, axis=-1)[..., 0]
+    total = np.asarray(total, dtype=float)
+    levels = (total[..., None] + np.cumsum(floors, axis=-1)) / count
+    active = np.maximum(np.count_nonzero(floors < levels, axis=-1), 1)
+    level = np.take_along_axis(levels, active[..., None] - 1, axis=-1)[..., 0]
+    while True:
+        spent = np.maximum(0.0, level[..., None] - floors).sum(axis=-1)
+        over = (spent > total * (1.0 + 1e-13)) & (level > floors[..., 0])
+        if not over.any():
+            return level
+        level = np.where(over, np.nextafter(level, -np.inf), level)
 
 
 def gee_dinkelbach(prob: GeeProblem) -> Allocation:
@@ -378,7 +397,7 @@ def wmee_rows(gains, pc, budget: float):
     names the first row that holds it.
     """
     g, pc, peaks = _link_rows(gains, pc, budget)
-    t_hi = (np.log1p(g * peaks) / (pc + peaks)).min(axis=1)
+    t_hi = link_terms(g, peaks, pc)[1].min(axis=1)
     top = _rising_powers(g, pc, peaks, t_hi)
     going = top.sum(axis=1) > budget
     # a row whose top level fits is done at it; the others start from t = 0,

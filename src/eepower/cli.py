@@ -27,7 +27,7 @@ from .allocator import GeeProblem, eepa, ee_of, gee_dinkelbach, wmee_maxmin, wpa
 from .channel import stream_uniforms
 from .errors import PowerControlError
 from .experiments import EXPERIMENTS, ExperimentSpec, default_spec, run
-from .oracle import OBJECTIVES, GridSpec, grid_argmax
+from .oracle import GridSpec, grid_argmax
 
 # Unused here: perfbench/child.py wraps this name on this module when it
 # traces a run, so it must stay importable from it.
@@ -35,10 +35,11 @@ from .channel import rng_for  # noqa: F401
 
 _LN2 = math.log(2.0)
 
-# per objective: the objective-value shortfall tolerated when its solver is
-# compared against the grid oracle, and the oracle's points per axis by
-# dimension, which are also the dimensions verify offers; 301 keeps dims 3
-# within the oracle's point limit
+# the objectives verify offers, each with the objective-value shortfall
+# tolerated when its solver is compared against the grid oracle, and the
+# oracle's points per axis by dimension, which are also the dimensions verify
+# offers; 301 keeps dims 3 within the oracle's point limit. ee_siso is the
+# one-link EE, which the oracle checks as "wsee"
 VERIFY = {
     "ee_siso": (1e-6, {1: 40_001}),
     "gee": (2e-3, {1: 40_001, 2: 2001, 3: 301}),
@@ -117,7 +118,7 @@ def build_parser() -> _Parser:
             p.add_argument(f"--{flag}", **kw)
         p.add_argument("--config", help="key=value config file; flags take precedence")
     v = sub.add_parser("verify", description="compare a solver against the grid oracle")
-    v.add_argument("--objective", choices=OBJECTIVES, required=True)
+    v.add_argument("--objective", choices=tuple(VERIFY), required=True)
     v.add_argument("--dims", type=int, help="1..3 (default 2); 1 for ee_siso")
     v.add_argument("--trials", type=int, default=10)
     v.add_argument("--seed", type=int, default=1)
@@ -324,7 +325,7 @@ def _verify_instance(objective: str, gains, pcs) -> float:
         p = eepa(gains[0], pcs[0])
         solver_obj = ee_of(gains[0], p, pcs[0])
         grid = GridSpec(0.0, max(4.0, 3.0 * p + 1.0), steps)
-        oracle = grid_argmax("ee_siso", gains, pcs, grid)
+        oracle = grid_argmax("wsee", gains, pcs, grid)
     elif objective == "gee":
         prob = GeeProblem(gains, pcs[0])
         alloc = gee_dinkelbach(prob)

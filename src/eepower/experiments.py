@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .allocator import _gee_solve, eepa, gee_rows, water_level, wmee_rows, wpee_rows, wsee_rows
+from .allocator import _gee_solve, eepa, gee_rows, link_terms, water_level, wmee_rows, wpee_rows, wsee_rows
 from .channel import draw_gain_rows, matrices_from_uniforms, stream_uniforms
 from .errors import PowerControlError
 from .metrics import evaluate, trace_ee_se
@@ -185,8 +185,8 @@ def run_siso_profiles(spec: ExperimentSpec) -> list[CurveSet]:
 
     p_ee, se_ee, ee_ee = trace_ee_se(pc, GAMMA_GRID)
     p_wf = np.maximum(0.0, level - 1.0 / GAMMA_GRID)
-    se_wf = np.log1p(GAMMA_GRID * p_wf)
-    rows = np.column_stack([GAMMA_GRID, p_ee, p_wf, se_ee, se_wf, ee_ee, se_wf / (pc + p_wf)]).tolist()
+    se_wf, ee_wf = link_terms(GAMMA_GRID, p_wf, pc)
+    rows = np.column_stack([GAMMA_GRID, p_ee, p_wf, se_ee, se_wf, ee_ee, ee_wf]).tolist()
     columns = [
         ("gamma", "1"),
         ("p_eepa", "W"),
@@ -289,10 +289,11 @@ def _solve_trials(spec: ExperimentSpec, tech: str, ns, pcs, gains):
     return ee, se
 
 
-def _replayable(exc: PowerControlError, spec: ExperimentSpec, trial: int, instance: str, replay: str):
-    """exc again for the failing trial, its message prefixed with the
-    instance and ending in the eepower command (plus the run's --budget, unless
-    it is the experiment's default) that replays it."""
+def _replayable(exc: PowerControlError, spec: ExperimentSpec, trial: int | None, instance: str, replay: str):
+    """exc again for the failing trial (None for the run as a whole), its
+    message prefixed with the instance and ending in the eepower command
+    (plus the run's --budget, unless it is the experiment's default) that
+    replays it."""
     if spec.budget != EXPERIMENTS[spec.experiment].budget:
         replay += f" --budget {spec.budget!r}"
     return type(exc)(f"{instance}: {exc}; replay: {replay}", row=trial)
@@ -400,6 +401,11 @@ def run_table1(spec: ExperimentSpec) -> list[CurveSet]:
     mimo = _scaling_stats(spec, "mimo", mimo_ns, [pc])
     ofdm_base_ee, _, ofdm_base_se, _ = ofdm[(pc, 1)]
     mimo_base_ee, _, mimo_base_se, _ = mimo[(pc, 1)]
+    if 0.0 in (ofdm_base_ee, mimo_base_ee):
+        # every n = 1 trial got no power, so no gain over it is defined
+        exc = PowerControlError("the single-dimension EE is 0 under --budget, so the gains over it are undefined")
+        instance = f"table1 (seed={spec.seed}, budget={spec.budget!r})"
+        raise _replayable(exc, spec, None, instance, f"eepower table1 --seed {spec.seed} --trials {spec.trials}")
     rows = []
     for k, (n_ofdm, n_mimo) in enumerate(zip(TABLE1_OFDM_N, TABLE1_MIMO_N), start=1):
         o_ee, _, o_se, _ = ofdm[(pc, n_ofdm)]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import eepa
+from .allocator import eepa, link_terms
 
 
 @dataclass
@@ -42,8 +42,7 @@ def evaluate(gains, pc, powers) -> MultiLinkReport:
     g, pc, p = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (gains, pc, powers)))
     if np.any(p < 0.0):
         raise ValueError("powers must be non-negative")
-    se = np.log1p(g * p)
-    ee = se / (pc + p)
+    se, ee = link_terms(g, p, pc)
     return MultiLinkReport(
         per_link_ee=ee,
         gee=se.sum(axis=-1) / (pc.sum(axis=-1) + p.sum(axis=-1)),
@@ -63,5 +62,4 @@ def trace_ee_se(pc, gamma_grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     gammas = np.asarray(gamma_grid, dtype=float)
     p = eepa(gammas, pc)
-    se = np.log1p(gammas * p)
-    return p, se, se / (pc + p)
+    return (p, *link_terms(gammas, p, pc))

@@ -7,7 +7,8 @@ solvers. A total-power budget may filter the grid for every objective but
 of the per-point values, bit for bit.
 
 Every objective combines per-link terms that depend on that link's own power
-only (log1p(g*p), or log1p(g*p)/(pc+p)), folded from the first link on.
+only (the SE or the EE of `link_terms`), folded from the first link on; one
+link's EE is "wsee" at n == 1.
 A row is one point of axes 0..n-2 with the last link's axis as its contents
 (one row when n == 1), so a row's values are combine(head, t_k) for its head
 value and the last link's terms t_k (for "gee", divided by pc + (P + p_k)
@@ -16,7 +17,7 @@ that can hold the maximum are evaluated point by point. At most one
 row-sized array is alive at a time: a second one costs more in fresh pages
 than the pass that fills it.
 
-- Sum rate, WSEE, WPEE, WMEE, EE. add, multiply (the terms are >= 0) and
+- Sum rate, WSEE, WPEE, WMEE. add, multiply (the terms are >= 0) and
   minimum are monotone under rounding, so combine(head, max of t_k over a
   prefix) is exactly the best value of the row's points in that prefix.
   Without a budget the candidate rows are those whose bound over the whole
@@ -75,9 +76,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InfeasibleError
-from .allocator import Allocation
+from .allocator import Allocation, link_terms
 
-OBJECTIVES = ("ee_siso", "gee", "wsee", "wpee", "wmee", "sumrate")
+OBJECTIVES = ("gee", "wsee", "wpee", "wmee", "sumrate")
 
 _MAX_POINTS = 10**8
 # grid values evaluated per block of candidate rows (about 1 MB of float64)
@@ -139,8 +140,6 @@ def grid_argmax(objective: str, gains, pc, grid: GridSpec, budget: float | None 
         raise ValueError(f"got {n} gains but circuit powers of shape {pc.shape}")
     if not np.all(np.isfinite(pc) & (pc > 0.0)):
         raise ValueError(f"circuit powers must be positive and finite, got {pc}")
-    if objective == "ee_siso" and n != 1:
-        raise ValueError("ee_siso is a single-dimension objective")
     if not 1 <= n <= 3:
         raise ValueError(f"grid search supports 1 to 3 dimensions, got {n}")
     if not np.all(np.isfinite(g)) or np.any(g < 0.0):
@@ -160,8 +159,8 @@ def grid_argmax(objective: str, gains, pc, grid: GridSpec, budget: float | None 
 
     # each link's term depends on its own power only: evaluate it once per
     # axis point, (n, steps)
-    se = np.log1p(g[:, None] * axis)
-    term = se if objective in ("sumrate", "gee") else se / (pc[:, None] + axis)
+    se, ee = link_terms(g[:, None], axis, pc[:, None])
+    term = se if objective in ("sumrate", "gee") else ee
     combine = _COMBINE.get(objective, np.add)
     identity = _IDENTITY.get(objective, -0.0)
     t_last = term[-1]

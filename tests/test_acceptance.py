@@ -35,7 +35,7 @@ def test_criterion_1_closed_form_vs_grid_oracle():
         pc = 10.0 ** rng.uniform(-1, 1)
         p = eepa(gamma, pc)
         assert p < 90.0
-        oracle = grid_argmax("ee_siso", [gamma], [pc], grid)
+        oracle = grid_argmax("wsee", [gamma], [pc], grid)
         worst_gap = max(worst_gap, abs(p - oracle.powers[0]))
         rhs = (1.0 + gamma * p) * math.log1p(gamma * p)
         worst_residual = max(worst_residual, abs(gamma * (pc + p) - rhs) / abs(rhs))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ from eepower.allocator import (
     eepa,
     gee_dinkelbach,
     gee_rows,
-    se_of,
+    link_terms,
     water_level,
     wmee_maxmin,
     wmee_rows,
@@ -41,17 +42,31 @@ def grid_best(f, lo, hi, step):
     return xs[k], vals[k]
 
 
-def test_se_of_values():
-    assert se_of(1.0, 0.0) == 0.0
-    assert se_of(1.0, E - 1.0) == pytest.approx(1.0, abs=1e-14)
-    assert se_of(2.0, 0.5) == pytest.approx(math.log(2.0), abs=1e-14)
-    with pytest.raises(ValueError):
-        se_of(1.0, -0.1)
-
-
 def test_ee_of_values():
     assert ee_of(1.0, 0.0, 1.0) == 0.0
     assert ee_of(1.0, E - 1.0, 1.0) == pytest.approx(1.0 / E, abs=1e-14)
+    with pytest.raises(ValueError):
+        ee_of(1.0, -0.1, 1.0)
+
+
+def test_link_terms_equal_the_inline_expressions_bit_for_bit():
+    # the forms its callers wrote before it: log1p(g * p), then se / (pc + p),
+    # over broadcast shapes with zero gains and zero powers, a Python-float
+    # pc and the oracle's (links, 1) columns against one axis
+    rng = np.random.default_rng(25)
+    g = 10.0 ** rng.uniform(-8.0, 8.0, size=(6, 1, 5))
+    g[0] = 0.0
+    p = 10.0 ** rng.uniform(-8.0, 8.0, size=(1, 9, 5))
+    p[..., 1] = 0.0
+    pc = 10.0 ** rng.uniform(-3.0, 3.0, size=5)
+    axis = np.linspace(0.0, 3.0, 11)
+    for gains, powers, circuit in [(g, p, pc), (g, p, 0.7), (g[1, 0][:, None], axis, pc[:, None])]:
+        se, ee = link_terms(gains, powers, circuit)
+        ref_se = np.log1p(gains * powers)
+        ref_ee = ref_se / (circuit + powers)
+        assert se.shape == ref_se.shape and ee.shape == ref_ee.shape
+        assert se.tobytes() == ref_se.tobytes()
+        assert ee.tobytes() == ref_ee.tobytes()
 
 
 def test_ee_of_grid_argmax_at_closed_form():
@@ -257,6 +272,41 @@ def test_water_level_matches_bisection_rowwise():
     # a scalar total is shared by all rows; one row of gains gives one level
     np.testing.assert_array_equal(water_level(gains, 2.0), water_level(gains, np.full(40, 2.0)))
     assert water_level([1.0, 2.0], 0.25) == pytest.approx(1.0 / 2.0 + 0.25, rel=1e-15)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_water_filling_spends_at_most_the_total(seed, n):
+    # totals from 1e-300 to 1e3, with zero gains among the links: the water
+    # level, wpa and the gee_rows cap fill no more than the total
+    rng = np.random.default_rng(seed)
+    rows = 12
+    gains = 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, n))
+    gains[rng.random((rows, n)) < 0.2] = 0.0
+    gains[np.arange(rows), rng.integers(n, size=rows)] = 10.0 ** rng.uniform(-3.0, 3.0, size=rows)
+    totals = 10.0 ** rng.uniform(-300.0, 3.0, size=rows)
+    pcs = 10.0 ** rng.uniform(-2.0, 2.0, size=rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        spent = np.maximum(0.0, water_level(gains, totals)[:, None] - allocator._inverse(gains)).sum(axis=1)
+        assert np.all(spent <= totals * (1.0 + 1e-12))
+        for g, total, pc in zip(gains, totals, pcs):
+            p_avg = total / n
+            assert wpa(g, p_avg).powers.sum() <= p_avg * n * (1.0 + 1e-12)
+            powers, objective = gee_rows(g[None, :], pc, total)
+            assert powers.sum() <= total * (1.0 + 1e-12)
+            assert np.isfinite(objective).all()
+
+
+def test_totals_below_the_smallest_floor_fill_no_power():
+    # total + s_1 rounds to s_1, so no floor lies below its level; the level
+    # is s_1 (it was the level of every link, or infinite with a zero gain)
+    assert water_level([0.0, 1.0], 1e-300) == 1.0
+    assert water_level([1.0, 2.0], 0.0) == 0.5
+    np.testing.assert_array_equal(water_level([[1.0, 2.0], [4.0, 0.5]], 1e-17), [0.5, 0.25])
+    assert np.all(wpa([1.0, 2.0], 1e-17).powers == 0.0)
+    powers, objective = gee_rows([[1.0, 2.0, 0.5]], 1.0, 1e-17)
+    assert np.all(powers == 0.0) and np.all(objective == 0.0)
 
 
 def test_dinkelbach_single_dimension_equals_eepa():

@@ -420,6 +420,31 @@ def test_pc_that_overflows_the_solved_inputs_exits_1_naming_it(tmp_path, capsys,
     assert not (tmp_path / "d").exists()
 
 
+def test_budget_below_every_floor_gives_zero_ee_at_every_n(tmp_path):
+    # a cap far below the rounding of every link's floor 1/g fills no power,
+    # so no n gets EE or SE above 0
+    assert main(["ofdm-sweep", "--trials", "3", "--budget", "1e-300", "--out", str(tmp_path / "d")]) == 0
+    for pc in ("1", "2"):
+        lines = (tmp_path / "d" / f"ofdm_scaling_pc{pc}.csv").read_text().splitlines()
+        assert [row.split(",")[1:] for row in lines[1:]] == [["0"] * 4] * 7
+
+
+@pytest.mark.parametrize("budget", ["1e-300", "1e-200"])
+def test_table1_with_zero_single_dimension_ee_exits_2_with_a_replay(tmp_path, capsys, budget):
+    # the gain columns divide by the n = 1 EE, which a cap that fills no power
+    # leaves at 0
+    rc = main(["table1", "--trials", "2", "--budget", budget, "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"eepower: numerical error: table1 (seed=1, budget={float(budget)!r}): ")
+    assert "--budget" in err and "Traceback" not in err
+    assert not (tmp_path / "d").exists()
+    replay = err.rstrip("\n").rpartition("replay: eepower ")[2].split()
+    assert replay == ["table1", "--seed", "1", "--trials", "2", "--budget", repr(float(budget))]
+    assert main([*replay, "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == err
+
+
 def test_mimo_pc_whose_scaled_power_overflows_exits_2_with_a_replay(tmp_path, capsys):
     # 32 pc is finite, but pc / s_1 overflows at n = 32: the staged solve over
     # every n still names that n and its first trial, and the replay repeats it

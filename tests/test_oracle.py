@@ -28,7 +28,7 @@ def reference_argmax(objective, gains, pcs, grid, budget=None):
         value = sum(se) / (pc[0] + sum(coords))
     else:
         ee = [se[i] / (pc[i] + coords[i]) for i in range(g.size)]
-        if objective in ("ee_siso", "wsee"):
+        if objective == "wsee":
             value = sum(ee)
         else:
             value = ee[0]
@@ -48,7 +48,7 @@ def reference_argmax(objective, gains, pcs, grid, budget=None):
 @st.composite
 def grid_instances(draw):
     objective = draw(st.sampled_from(OBJECTIVES))
-    n = 1 if objective == "ee_siso" else draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
     steps = draw(st.integers(2, {1: 400, 2: 120, 3: 30}[n]))
     gains = [10.0 ** draw(st.floats(-6.0, 6.0)) for _ in range(n)]
     pcs = [10.0 ** draw(st.floats(-2.0, 2.0)) for _ in range(n)]
@@ -213,14 +213,15 @@ def test_grid_spec_validation():
 
 
 def test_ee_siso_argmax_near_closed_form():
-    alloc = grid_argmax("ee_siso", [1.0], [1.0], GridSpec(0.0, 5.0, 5001))
+    # one link's EE is the one-link wsee
+    alloc = grid_argmax("wsee", [1.0], [1.0], GridSpec(0.0, 5.0, 5001))
     assert abs(alloc.powers[0] - (E - 1.0)) <= 1e-3
     assert alloc.objective <= 1.0 / E + 1e-12
 
 
 def test_gee_single_dimension_equals_ee_siso():
     grid = GridSpec(0.0, 5.0, 5001)
-    a = grid_argmax("ee_siso", [1.0], [1.0], grid)
+    a = grid_argmax("wsee", [1.0], [1.0], grid)
     b = grid_argmax("gee", [1.0], [1.0], grid)
     assert a.powers[0] == b.powers[0]
     assert a.objective == pytest.approx(b.objective, abs=1e-15)
@@ -293,8 +294,9 @@ def test_guards():
         grid_argmax("sumrate", [1.0] * 4, [1.0] * 4, GridSpec(0.0, 1.0, 11))
     with pytest.raises(ValueError):
         grid_argmax("gee", [1.0] * 3, [1.0] * 3, GridSpec(0.0, 1.0, 1000))
-    with pytest.raises(ValueError):
-        grid_argmax("ee_siso", [1.0, 2.0], [1.0] * 2, GridSpec(0.0, 1.0, 11))
+    # the one-link EE is "wsee"; the oracle has no objective of its own for it
+    with pytest.raises(ValueError, match="unknown objective 'ee_siso'"):
+        grid_argmax("ee_siso", [1.0], [1.0], GridSpec(0.0, 1.0, 11))
     with pytest.raises(ValueError):
         grid_argmax("nonsense", [1.0], [1.0], GridSpec(0.0, 1.0, 11))
     with pytest.raises(ValueError):
