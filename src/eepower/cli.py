@@ -231,10 +231,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _format_value(v: float) -> str:
-    return format(float(v), ".12g")
-
-
 def _render_csv(curve, units: str) -> bytes:
     header = []
     scale = []
@@ -249,8 +245,8 @@ def _render_csv(curve, units: str) -> bytes:
             header.append(f"{name}_{unit}")
             scale.append(1.0)
     lines = [",".join(header)]
-    for row in curve.rows:
-        lines.append(",".join(_format_value(v * s) for v, s in zip(row, scale)))
+    for row in (curve.rows * scale).tolist():
+        lines.append(",".join(format(v, ".12g") for v in row))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 

@@ -10,7 +10,10 @@ pipelines hold their trials as rows of (trials, n) arrays: each solver runs
 once over all rows (`gee_rows`, `wsee_rows`, `wpee_rows`, `wmee_rows`), and
 no trial is a Python object of its own. A scaling sweep solves every n in
 one staged call (`_gee_solve`) and summarises every (pc, n) with one mean
-and one std call per quantity.
+and one std call per quantity, into one (4, pcs, ns) array. Every curve is
+one 2-D float array (`CurveSet.rows`) that a runner builds with
+`np.column_stack` from its sweep column and result arrays; the CLI writes
+it as it is.
 
 Each experiment is declared once, in EXPERIMENTS at the end of this module:
 its CLI command, its runner, the spec fields the runner reads and its
@@ -136,7 +139,8 @@ def _entry(experiment: str) -> Experiment:
 
 @dataclass
 class CurveSet:
-    """One plottable dataset: a label, (name, unit) columns, numeric rows.
+    """One plottable dataset: a label, (name, unit) columns, and the rows as
+    one 2-D float array with a column per entry of `columns`.
 
     The first column is the sweep variable and must be strictly increasing.
     Units are "1" (dimensionless), "W", "nats_per_J", or "nats_per_s_per_Hz".
@@ -144,21 +148,16 @@ class CurveSet:
 
     label: str
     columns: list[tuple[str, str]]
-    rows: list[list[float]]
+    rows: np.ndarray
 
     def column(self, name: str) -> np.ndarray:
-        for k, (col, _unit) in enumerate(self.columns):
-            if col == name:
-                return np.array([row[k] for row in self.rows])
-        raise KeyError(name)
+        """The named column, as a view of `rows`."""
+        return self.rows[:, [col for col, _unit in self.columns].index(name)]
 
     def validate(self) -> None:
-        width = len(self.columns)
-        for row in self.rows:
-            if len(row) != width:
-                raise ValueError(f"{self.label}: row width {len(row)} != {width} columns")
-        x = [row[0] for row in self.rows]
-        if any(b <= a for a, b in zip(x, x[1:])):
+        if self.rows.ndim != 2 or self.rows.shape[1] != len(self.columns):
+            raise ValueError(f"{self.label}: rows of shape {self.rows.shape} for {len(self.columns)} columns")
+        if np.any(self.rows[1:, 0] <= self.rows[:-1, 0]):
             raise ValueError(f"{self.label}: sweep column must be strictly increasing")
 
 
@@ -185,8 +184,14 @@ def run_siso_profiles(spec: ExperimentSpec) -> list[CurveSet]:
 
     p_ee, se_ee, ee_ee = trace_ee_se(pc, GAMMA_GRID)
     p_wf = np.maximum(0.0, level - 1.0 / GAMMA_GRID)
+    if not math.isfinite(GAMMA_GRID[-1].item() * p_wf[-1].item()):
+        # g p, largest at the largest grid gain, must stay finite for the SE
+        exc = PowerControlError("the water-filling power times the largest grid gain overflows under --budget")
+        instance = f"siso-profiles (seed={spec.seed}, budget={spec.budget!r})"
+        replay = f"eepower siso-profiles --seed {spec.seed} --pc {pc!r} --trials {spec.trials}"
+        raise _replayable(exc, spec, None, instance, replay)
     se_wf, ee_wf = link_terms(GAMMA_GRID, p_wf, pc)
-    rows = np.column_stack([GAMMA_GRID, p_ee, p_wf, se_ee, se_wf, ee_ee, ee_wf]).tolist()
+    rows = np.column_stack([GAMMA_GRID, p_ee, p_wf, se_ee, se_wf, ee_ee, ee_wf])
     columns = [
         ("gamma", "1"),
         ("p_eepa", "W"),
@@ -205,7 +210,7 @@ def run_siso_ee_se(spec: ExperimentSpec) -> list[CurveSet]:
     curves = []
     for pc in spec.pc_values:
         _p, se, ee = trace_ee_se(pc, GAMMA_GRID)
-        curves.append(CurveSet(f"siso_ee_se_pc{pc:g}", columns, [[g, s, e] for g, s, e in zip(GAMMA_GRID, se, ee)]))
+        curves.append(CurveSet(f"siso_ee_se_pc{pc:g}", columns, np.column_stack([GAMMA_GRID, se, ee])))
     return curves
 
 
@@ -222,19 +227,19 @@ def run_pc_sweep(spec: ExperimentSpec) -> list[CurveSet]:
         mask = (se_a >= lo) & (se_a <= hi)
         x = se_a[mask]
         ratio = np.interp(x, se_b, ee_b) / ee_a[mask]
-        rows = [[s, r] for s, r in zip(x, ratio)]
         ratios.append(
             CurveSet(
                 f"pc_ratio_pc{pc_a:g}_to_pc{pc_b:g}",
                 [("se_matched", "nats_per_s_per_Hz"), ("ee_ratio", "1")],
-                rows,
+                np.column_stack([x, ratio]),
             )
         )
     return curves + ratios
 
 
-def _scaling_stats(spec: ExperimentSpec, tech: str, ns, pcs):
-    """Mean/stderr of the optimized global EE and total SE per (pc, n).
+def _scaling_stats(spec: ExperimentSpec, tech: str, ns, pcs) -> np.ndarray:
+    """Mean/stderr of the optimized global EE and total SE per (pc, n), as
+    one (4, pcs, ns) array: ee mean, ee stderr, se mean, se stderr.
 
     OFDM dimensions share the circuit power (extra subcarriers are free);
     MIMO antennas each carry their own transceiver chain, so the circuit
@@ -257,9 +262,7 @@ def _scaling_stats(spec: ExperimentSpec, tech: str, ns, pcs):
         block = stream_uniforms(spec.seed, spec.trials, 2 * max(ns) ** 2)
         gains = [svd_gains(matrices_from_uniforms(block, n, n)) for n in ns]
     shape = (len(pcs), len(ns), spec.trials)
-    # ee mean, ee stderr, se mean, se stderr, each a (pcs, ns) nested list
-    summary = [q for v in _solve_trials(spec, tech, ns, pcs, gains) for q in _mean_stderr(v.reshape(shape))]
-    return {(pc, n): tuple(q[p][i] for q in summary) for i, n in enumerate(ns) for p, pc in enumerate(pcs)}
+    return np.array([q for v in _solve_trials(spec, tech, ns, pcs, gains) for q in _mean_stderr(v.reshape(shape))])
 
 
 def _solve_trials(spec: ExperimentSpec, tech: str, ns, pcs, gains):
@@ -301,19 +304,18 @@ def _replayable(exc: PowerControlError, spec: ExperimentSpec, trial: int | None,
 
 def _mean_stderr(values: np.ndarray):
     """The mean and standard error over the last (trials) axis of values, as
-    two nested lists of floats; one trial has a standard error of 0."""
+    two arrays; one trial has a standard error of 0."""
     trials = values.shape[-1]
     if trials < 2:
-        return values.mean(axis=-1).tolist(), np.zeros(values.shape[:-1]).tolist()
-    return values.mean(axis=-1).tolist(), (values.std(axis=-1, ddof=1) / math.sqrt(trials)).tolist()
+        return values.mean(axis=-1), np.zeros(values.shape[:-1])
+    return values.mean(axis=-1), values.std(axis=-1, ddof=1) / math.sqrt(trials)
 
 
 def run_scaling(spec: ExperimentSpec, tech: str) -> list[CurveSet]:
     """Mean optimized global EE and total SE versus subcarrier count (`tech`
     "ofdm") or antenna count ("mimo": square arrays, eigen-channels from the
     SVD of each drawn matrix), one curve per pc value."""
-    ns = list(spec.n_values)
-    stats = _scaling_stats(spec, tech, ns, spec.pc_values)
+    stats = _scaling_stats(spec, tech, spec.n_values, spec.pc_values)
     columns = [
         ("n", "1"),
         ("ee_mean", "nats_per_J"),
@@ -321,11 +323,10 @@ def run_scaling(spec: ExperimentSpec, tech: str) -> list[CurveSet]:
         ("se_mean", "nats_per_s_per_Hz"),
         ("se_stderr", "nats_per_s_per_Hz"),
     ]
-    curves = []
-    for pc in spec.pc_values:
-        rows = [[float(n), *stats[(pc, n)]] for n in ns]
-        curves.append(CurveSet(f"{tech}_scaling_pc{pc:g}", columns, rows))
-    return curves
+    return [
+        CurveSet(f"{tech}_scaling_pc{pc:g}", columns, np.column_stack([spec.n_values, *stats[:, p]]))
+        for p, pc in enumerate(spec.pc_values)
+    ]
 
 
 def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
@@ -359,7 +360,7 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
         [np.arange(spec.trials, dtype=float)]
         + [reports[name].jain for name in ("gee", "wsee", "wpee", "wmee")]
         + [reports[name].per_link_ee.min(axis=1) for name in ("gee", "wmee")]
-    ).tolist()
+    )
     columns = [
         ("trial", "1"),
         ("jain_gee", "1"),
@@ -372,7 +373,8 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
     curve = CurveSet("fairness_trials", columns, rows)
     medians = fairness_medians(curve)
     summary_columns = [("trials", "1")] + [(f"median_jain_{name}", "1") for name in medians]
-    return [curve, CurveSet("fairness_summary", summary_columns, [[float(spec.trials), *medians.values()]])]
+    summary = np.column_stack([float(spec.trials), *medians.values()])
+    return [curve, CurveSet("fairness_summary", summary_columns, summary)]
 
 
 def fairness_medians(curve: CurveSet) -> dict[str, float]:
@@ -394,37 +396,16 @@ def _median(values) -> float:
 def run_table1(spec: ExperimentSpec) -> list[CurveSet]:
     """EE and SE gain ratios over the single-dimension baseline for the
     standard subcarrier and antenna counts, at circuit power 1 W."""
-    pc = 1.0
-    ofdm_ns = [1, *TABLE1_OFDM_N]
-    mimo_ns = [1, *TABLE1_MIMO_N]
-    ofdm = _scaling_stats(spec, "ofdm", ofdm_ns, [pc])
-    mimo = _scaling_stats(spec, "mimo", mimo_ns, [pc])
-    ofdm_base_ee, _, ofdm_base_se, _ = ofdm[(pc, 1)]
-    mimo_base_ee, _, mimo_base_se, _ = mimo[(pc, 1)]
-    if 0.0 in (ofdm_base_ee, mimo_base_ee):
-        # every n = 1 trial got no power, so no gain over it is defined
-        exc = PowerControlError("the single-dimension EE is 0 under --budget, so the gains over it are undefined")
-        instance = f"table1 (seed={spec.seed}, budget={spec.budget!r})"
-        raise _replayable(exc, spec, None, instance, f"eepower table1 --seed {spec.seed} --trials {spec.trials}")
-    rows = []
-    for k, (n_ofdm, n_mimo) in enumerate(zip(TABLE1_OFDM_N, TABLE1_MIMO_N), start=1):
-        o_ee, _, o_se, _ = ofdm[(pc, n_ofdm)]
-        m_ee, _, m_se, _ = mimo[(pc, n_mimo)]
-        rows.append(
-            [
-                float(k),
-                float(n_ofdm),
-                o_ee,
-                o_ee / ofdm_base_ee,
-                o_se / ofdm_base_se,
-                float(n_mimo),
-                m_ee,
-                m_ee / mimo_base_ee,
-                m_se / mimo_base_se,
-                ofdm_base_ee,
-                mimo_base_ee,
-            ]
-        )
+    data, base = [np.arange(1.0, len(TABLE1_OFDM_N) + 1)], []
+    for tech, ns in (("ofdm", TABLE1_OFDM_N), ("mimo", TABLE1_MIMO_N)):
+        ee, _, se, _ = _scaling_stats(spec, tech, [1, *ns], [1.0])[:, 0]
+        if ee[0] == 0.0:
+            # every n = 1 trial got no power, so no gain over it is defined
+            exc = PowerControlError("the single-dimension EE is 0 under --budget, so the gains over it are undefined")
+            instance = f"table1 (seed={spec.seed}, budget={spec.budget!r})"
+            raise _replayable(exc, spec, None, instance, f"eepower table1 --seed {spec.seed} --trials {spec.trials}")
+        data += [ns, ee[1:], ee[1:] / ee[0], se[1:] / se[0]]
+        base.append(np.full(len(ns), ee[0]))
     columns = [
         ("row", "1"),
         ("n_ofdm", "1"),
@@ -438,7 +419,7 @@ def run_table1(spec: ExperimentSpec) -> list[CurveSet]:
         ("siso_ee_ofdm", "nats_per_J"),
         ("siso_ee_mimo", "nats_per_J"),
     ]
-    return [CurveSet("table1", columns, rows)]
+    return [CurveSet("table1", columns, np.column_stack(data + base))]
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,9 @@ import numpy as np
 
 from .allocator import eepa, link_terms
 
+# the normal float range: a sum of squares outside it has lost digits or overflowed
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
+
 
 @dataclass
 class MultiLinkReport:
@@ -28,8 +31,16 @@ class MultiLinkReport:
 
 def jain_index(values):
     """Jain's fairness index (sum x)^2 / (N sum x^2) over the last axis,
-    defined as 1 for all-zero input."""
+    defined as 1 for all-zero input. A row whose N sum x^2 leaves the normal
+    float range (its squares underflow or overflow) is first divided by its
+    largest |x|, which the index does not depend on; every other row is taken
+    as it is."""
     v = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        n_sq = v.shape[-1] * (v * v).sum(axis=-1, keepdims=True)
+    peak = np.abs(v).max(axis=-1, keepdims=True, initial=0.0)
+    scale = np.isfinite(peak) & (peak > 0.0) & ~((n_sq >= _TINY) & (n_sq <= _HUGE))
+    v = np.where(scale, v / np.where(scale, peak, 1.0), v)
     s, sq = v.sum(axis=-1), (v * v).sum(axis=-1)
     zero = sq == 0.0
     return np.where(zero, 1.0, s * s / (v.shape[-1] * np.where(zero, 1.0, sq)))[()]

@@ -459,6 +459,73 @@ def test_mimo_pc_whose_scaled_power_overflows_exits_2_with_a_replay(tmp_path, ca
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("trials, budget", [("1", "1e307"), ("3", "1.7e308"), ("10000", "1e305")])
+def test_siso_profiles_budget_whose_water_filling_overflows_exits_2_with_a_replay(tmp_path, capsys, trials, budget):
+    # the water level times the largest grid gain (100) overflows g p, also
+    # where the level itself is finite, so the run writes nothing
+    rc = main(["siso-profiles", "--trials", trials, "--budget", budget, "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (
+        f"eepower: numerical error: siso-profiles (seed=1, budget={float(budget)!r}): the water-filling power "
+        "times the largest grid gain overflows under --budget; replay: eepower siso-profiles --seed 1 --pc 1.0 "
+        f"--trials {trials} --budget {float(budget)!r}\n"
+    )
+    assert not (tmp_path / "d").exists()
+    replay = err.rstrip("\n").rpartition("replay: eepower ")[2].split()
+    assert main([*replay, "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("trials, budget", [("1", "1e306"), ("10000", "1e304")])
+def test_siso_profiles_budget_just_below_the_overflow_gives_finite_rows(tmp_path, trials, budget):
+    assert main(["siso-profiles", "--trials", trials, "--budget", budget, "--out", str(tmp_path)]) == 0
+    cells = np.loadtxt(tmp_path / "siso_profiles_pc1.csv", delimiter=",", skiprows=1)
+    assert cells.shape == (200, 7)
+    assert np.all(np.isfinite(cells))
+
+
+# the robustness sweep: every experiment command at each of these values of
+# each of --budget and --pc that it reads, at 1-3 trials where it draws
+EXTREMES = ("1e-300", "1e-150", "1e300", "1e306", "1e307", "1.7e308")
+SWEEP_TRIALS = {"siso-profiles": "1", "ofdm-sweep": "2", "mimo-sweep": "2", "fairness": "3", "table1": "2"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_every_command_at_extreme_budgets_and_pcs_exits_by_the_contract(tmp_path, capsys, command):
+    # each run exits 0 with every cell finite, 1 naming the flag, or 2 with
+    # a replay command that exits 2 again
+    trials = ["--trials", SWEEP_TRIALS[command]] if command in SWEEP_TRIALS else []
+    flags = [flag for flag in ("budget", "pc") if flag in cli._command_options(command)]
+    assert flags
+    for flag in flags:
+        for value in EXTREMES:
+            # pc-sweep reads at least two pc values
+            args = [command, *trials, f"--{flag}", f"1,{value}" if command == "pc-sweep" else value]
+            out = tmp_path / f"{flag}{value}"
+            rc = main([*args, "--out", str(out)])
+            err = capsys.readouterr().err
+            if rc == 0:
+                for csv in out.glob("*.csv"):
+                    cells = [v for line in csv.read_text().splitlines()[1:] for v in line.split(",")]
+                    assert all(math.isfinite(float(v)) for v in cells), (args, csv.name)
+            elif rc == 1:
+                assert f"--{flag}" in err, (args, err)
+            else:
+                assert rc == 2, (args, err)
+                replay = shlex.split(err.rstrip("\n").rpartition("; replay: eepower ")[2])
+                assert replay, (args, err)
+                assert main([*replay, "--out", str(tmp_path / "replay")]) == 2, (args, err)
+                assert capsys.readouterr().err == err
+    if command == "fairness":
+        # every link EE scales with a budget this small, so the Jain indices
+        # stay those of --budget 1e-150
+        tiny, small = (np.loadtxt(tmp_path / f"budget{b}" / "fairness_trials.csv", delimiter=",", skiprows=1)
+                       for b in ("1e-300", "1e-150"))
+        assert np.array_equal(tiny[:, 1:5], small[:, 1:5])
+
+
 def test_numerical_errors_exit_2(tmp_path, monkeypatch):
     def boom(spec):
         raise InfeasibleError("synthetic failure")

@@ -29,6 +29,12 @@ from eepower.experiments import (
 )
 
 
+def same_bits(a, b) -> bool:
+    """Whether a and b are float arrays of one shape with the same bytes."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         default_spec("nonsense")
@@ -88,7 +94,7 @@ def test_table1_spec_builds_without_pc_values():
     (table,) = run(spec)
     (expected,) = run(default_spec("table1", trials=5))
     assert table.columns == expected.columns
-    assert table.rows == expected.rows
+    assert same_bits(table.rows, expected.rows)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -113,11 +119,33 @@ def test_spec_rejects_a_pc_that_overflows_what_the_experiment_solves():
 
 
 def test_curveset_validation():
-    c = CurveSet("bad", [("x", "1"), ("y", "1")], [[1.0, 2.0], [1.0, 3.0]])
-    with pytest.raises(ValueError):
+    columns = [("x", "1"), ("y", "1")]
+    c = CurveSet("bad", columns, np.array([[1.0, 2.0], [1.0, 3.0]]))
+    with pytest.raises(ValueError, match="strictly increasing"):
         c.validate()
-    c = CurveSet("ragged", [("x", "1"), ("y", "1")], [[1.0, 2.0], [2.0]])
+    # a ragged row cannot become a rows array, and rows without one column
+    # per entry of `columns` are refused
     with pytest.raises(ValueError):
+        CurveSet("ragged", columns, np.array([[1.0, 2.0], [2.0]]))
+    for rows in (np.ones((2, 3)), np.ones((2, 1)), np.ones(2), np.ones((1, 1, 2))):
+        with pytest.raises(ValueError, match=r"rows of shape .* for 2 columns"):
+            CurveSet("wide", columns, rows).validate()
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[1.0, 2.0, 3.0], [3.0, 2.0], [1.0, math.nan, 0.5], [math.nan, math.nan]]
+    + [[1.0, math.inf, math.inf], [-math.inf, 0.0]],
+)
+def test_curveset_sweep_check_equals_the_pairwise_loop(x):
+    # the sweep column is refused where some value is <= the one before it,
+    # so a NaN neighbour refuses nothing
+    refused = any(b <= a for a, b in zip(x, x[1:]))
+    c = CurveSet("sweep", [("x", "1")], np.array(x).reshape(-1, 1))
+    if refused:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            c.validate()
+    else:
         c.validate()
 
 
@@ -227,7 +255,7 @@ def test_fairness_maxmin_protects_weakest_link():
     assert set(med) == {"gee", "wsee", "wpee", "wmee"}
     # the run's second curve is the one-row summary of the first
     assert summary.label == "fairness_summary"
-    assert summary.rows == [[40.0, med["gee"], med["wsee"], med["wpee"], med["wmee"]]]
+    assert same_bits(summary.rows, [[40.0, med["gee"], med["wsee"], med["wpee"], med["wmee"]]])
 
 
 @pytest.mark.parametrize("size", [1, 40, 41])
@@ -254,11 +282,11 @@ def test_runs_are_bit_reproducible():
     spec = default_spec("ofdm_scaling", seed=11, trials=30, n_values=(1, 4), pc_values=(1.0,))
     a = run(spec)[0]
     b = run(spec)[0]
-    assert a.rows == b.rows
+    assert same_bits(a.rows, b.rows)
     spec = default_spec("fairness", seed=11, trials=10)
     a = run(spec)[0]
     b = run(spec)[0]
-    assert a.rows == b.rows
+    assert same_bits(a.rows, b.rows)
 
 
 def test_fairness_block_draws_equal_per_trial_draws(monkeypatch):
@@ -315,7 +343,7 @@ def test_fairness_equals_per_trial_loop(seed, trials, budget):
     # one-trial-at-a-time pipeline, bit for bit
     spec = default_spec("fairness", seed=seed, trials=trials, budget=budget)
     curve, _summary = run(spec)
-    assert curve.rows == fairness_per_trial_loop(spec)
+    assert same_bits(curve.rows, fairness_per_trial_loop(spec))
 
 
 def test_doubling_trials_is_statistically_stable():
@@ -357,7 +385,7 @@ def test_scaling_equals_per_trial_loop(tech, budget):
         f"{tech}_scaling", seed=17, trials=6, n_values=(1, 2, 3, 8), pc_values=(0.5, 2.0), budget=budget
     )
     curves = run(spec)
-    assert [c.rows for c in curves] == _per_trial_loop(spec, tech)
+    assert same_bits([c.rows for c in curves], _per_trial_loop(spec, tech))
 
 
 def _stderr(values):
@@ -369,18 +397,18 @@ def _stderr(values):
 def _scaling_stats_per_pc(spec, tech, ns, pcs):
     # reference: _scaling_stats before it summarised all pcs of one n at once,
     # with SE from its own pass over the gee_rows powers and scalar mean and
-    # stderr calls per (pc, n)
+    # stderr calls per (pc, n), into a (4, pcs, ns) array
     if tech == "ofdm":
         block = draw_gain_rows(spec.seed, spec.trials, max(ns))
     else:
         block = stream_uniforms(spec.seed, spec.trials, 2 * max(ns) ** 2)
-    stats = {}
-    for n in ns:
+    stats = np.empty((4, len(pcs), len(ns)))
+    for i, n in enumerate(ns):
         gains = block[:, :n] if tech == "ofdm" else svd_gains(matrices_from_uniforms(block, n, n))
         powers, ee = gee_rows(gains, np.array(pcs)[:, None] * (n if tech == "mimo" else 1), spec.budget)
         se = np.log1p(gains * powers).sum(axis=-1)
-        for pc, ee_pc, se_pc in zip(pcs, ee, se):
-            stats[(pc, n)] = (float(ee_pc.mean()), _stderr(ee_pc), float(se_pc.mean()), _stderr(se_pc))
+        for p, (ee_pc, se_pc) in enumerate(zip(ee, se)):
+            stats[:, p, i] = (float(ee_pc.mean()), _stderr(ee_pc), float(se_pc.mean()), _stderr(se_pc))
     return stats
 
 
@@ -392,10 +420,9 @@ def test_scaling_stats_equal_the_per_pc_summary_bit_for_bit(tech, trials, budget
     ns, pcs = list(spec.n_values), spec.pc_values
     stats = experiments._scaling_stats(spec, tech, ns, pcs)
     reference = _scaling_stats_per_pc(spec, tech, ns, pcs)
-    assert list(stats) == list(reference)
-    assert np.array(list(stats.values())).tobytes() == np.array(list(reference.values())).tobytes()
+    assert same_bits(stats, reference)
     if trials == 1:
-        assert all(v[1] == v[3] == 0.0 for v in stats.values())
+        assert not stats[[1, 3]].any()
 
 
 def _per_n_gee_rows(spec, tech, ns, pcs, gains):

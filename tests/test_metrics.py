@@ -76,6 +76,28 @@ def test_jain_bounds_and_scaling():
     np.testing.assert_array_equal(jain_index([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0]]), [1.0, 1.0, 0.5])
 
 
+@pytest.mark.parametrize("exponent", range(-300, 301, 25))
+def test_jain_does_not_change_with_the_scale_of_the_values(exponent):
+    # also where the squares underflow or overflow: such a row is scaled by
+    # its largest value first
+    rng = np.random.default_rng(exponent + 300)
+    v = rng.random((40, int(rng.integers(2, 9))))
+    v[::7, 0] = 0.0
+    scale = 10.0**exponent
+    np.testing.assert_allclose(jain_index(scale * v), jain_index(v), rtol=0.0, atol=1e-15)
+
+
+def test_jain_takes_a_row_whose_squares_stay_normal_as_it_is():
+    # only the rows whose sum of squares leaves the normal range are scaled
+    v = np.array([[0.3, 1.0, 2.5], [3e-160, 1e-160, 2.5e-160], [1e-150, 2e-150, 0.0], [1e200, 1.0, 3.0]])
+    assert np.all((v[[0, 2]] ** 2).sum(axis=1) >= np.finfo(float).tiny)
+    j = jain_index(v)
+    for row, direct in zip(v[[0, 2]], j[[0, 2]]):
+        assert direct == row.sum() ** 2 / (row.size * (row * row).sum())
+    for k in (1, 3):
+        assert j[k] == jain_index(v[k] / v[k].max())
+
+
 def test_gee_between_min_and_max_ee_for_symmetric_costs():
     rng = np.random.default_rng(14)
     for _ in range(30):
