@@ -233,8 +233,8 @@ def _gee_solve(blocks, p_max_total: float | None, keep_powers: bool = False):
     rows concatenated along the last axis, the rate sum being each row's
     sum of log1p(g p) that the objective divides; powers is the list of
     each block's powers if keep_powers, else empty. Errors name a row of
-    the first block that fails its checks, else the first row, counted over
-    the concatenated rows, whose optimum is not finite.
+    the first block that fails its checks, else the first row of the first
+    block whose optimum is not finite, each counted within its block.
     """
     gs, parts = zip(*(_gee_floors(gains, pc, p_max_total) for gains, pc in blocks))
     scaled_pc, sum_delta, k, m = (np.concatenate(part, axis=-1) for part in zip(*parts))
@@ -242,7 +242,7 @@ def _gee_solve(blocks, p_max_total: float | None, keep_powers: bool = False):
     d = (scaled_pc - sum_delta + k * np.expm1(m)) / (k * math.e * np.exp(m))
     levels = np.expm1(m + lambert_w0_offset(d))
     del scaled_pc, sum_delta, k, m, d
-    rate_sums, totals, kept = [], [], []
+    rate_sums, objectives, kept = [], [], []
     stop = 0
     for g, (_, pc) in zip(gs, blocks):
         start, stop = stop, stop + g.shape[0]
@@ -258,12 +258,11 @@ def _gee_solve(blocks, p_max_total: float | None, keep_powers: bool = False):
             powers[over] = np.maximum(0.0, water_level(g_over, p_max_total)[:, None] - _inverse(g_over))
         rates = np.multiply(g, powers, order="C")
         rate_sums.append(np.log1p(rates, out=rates).sum(axis=-1))
-        totals.append(pc + powers.sum(axis=-1))
+        objectives.append(_finite_rows(rate_sums[-1] / (pc + powers.sum(axis=-1)), "the optimum is not finite"))
         if keep_powers:
             kept.append(powers)
         del powers, rates
-    rate_sum = np.concatenate(rate_sums, axis=-1)
-    return _finite_rows(rate_sum / np.concatenate(totals, axis=-1), "the optimum is not finite"), rate_sum, kept
+    return np.concatenate(objectives, axis=-1), np.concatenate(rate_sums, axis=-1), kept
 
 
 def _gee_floors(gains, pc, p_max_total: float | None):
@@ -387,11 +386,14 @@ def wmee_rows(gains, pc, budget: float):
     budget, by a bracketed Newton iteration on F(t) = sum_i p_i(t) - budget
     from t = 0. F is increasing, and a link below its peak has
     p_i' = (pc + p_i) / (g / (1 + g p_i) - t) (0 at its peak). A step
-    that would leave the bracket bisects it, and one shorter than half the
-    stop width is lengthened by that half, so it lands across the root and
-    the bracket closes. The bracket stops at most 1e-13 of its upper end
-    wide, and the row takes its feasible end, so the link EEs are equal
-    whenever the budget binds. A zero gain gives a zero level.
+    that would leave the bracket bisects it, and one shorter than 0.5e-13 t
+    is lengthened by that much, so it lands across the root and the bracket
+    closes: half the stop width at t, whichever end of the bracket t is, so
+    also where the root lies many decades below the top level (a tiny
+    budget); the first step, from t = 0, is never lengthened. The bracket
+    stops at most 1e-13 of its upper end wide, and the row takes its
+    feasible end, so the link EEs are equal whenever the budget binds. A
+    zero gain gives a zero level.
 
     Returns (powers, level) of shapes (rows, n) and (rows,). A bad value
     names the first row that holds it.
@@ -412,7 +414,7 @@ def wmee_rows(gains, pc, budget: float):
         with np.errstate(divide="ignore", invalid="ignore"):
             slope = np.where(p < peaks, (pc + p) / (g / (1.0 + g * p) - t[:, None]), 0.0).sum(axis=1)
             step = excess / slope
-        half = 0.5e-13 * hi
+        half = 0.5e-13 * t
         nxt = t - np.where(np.abs(step) < half, step + np.where(excess > 0.0, half, -half), step)
         t = np.where(going, np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi)), t)
         p = _rising_powers(g, pc, peaks, t)

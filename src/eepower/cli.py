@@ -186,7 +186,9 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return 1
     except (PowerControlError, FloatingPointError) as exc:
-        print(f"eepower: numerical error: {exc}", file=sys.stderr)
+        # experiments.run gives its errors the spec that replays them
+        replay = f"; replay: {_render_replay(exc.spec)}" if getattr(exc, "spec", None) else ""
+        print(f"eepower: numerical error: {exc}{replay}", file=sys.stderr)
         return 2
 
 
@@ -250,16 +252,27 @@ def _render_csv(curve, units: str) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _read_fields(spec) -> list:
+    """(flag, value) of each field spec's experiment reads, in field order,
+    at the value in effect."""
+    flags = {kw["dest"]: name for name, kw in _OPTIONS.items()}
+    reads = EXPERIMENTS[spec.experiment].reads
+    return [(flags[field.name], getattr(spec, field.name)) for field in fields(spec) if field.name in reads]
+
+
+def _render_replay(spec) -> str:
+    """The eepower command that runs spec: its experiment's command and a
+    flag per field it reads, valued as in the manifest; a None budget (no
+    cap, the default) takes no flag."""
+    args = [f"--{flag} {_manifest_value(value)}" for flag, value in _read_fields(spec) if value is not None]
+    return " ".join(["eepower", EXPERIMENTS[spec.experiment].command, *args])
+
+
 def _render_manifest(command: str, spec, units: str, written) -> bytes:
     """The run's header, each field its experiment reads at the value in
-    effect (named by its flag where it has one), the units and a digest per
-    written file."""
-    names = {kw["dest"]: name for name, kw in _OPTIONS.items()}
-    reads = EXPERIMENTS[spec.experiment].reads
+    effect (named by its flag), the units and a digest per written file."""
     lines = [f"command: {command}", f"version: {__version__}", f"experiment: {spec.experiment}"]
-    for field in fields(spec):
-        if field.name in reads:
-            lines.append(f"{names.get(field.name, field.name)}: {_manifest_value(getattr(spec, field.name))}")
+    lines += [f"{flag}: {_manifest_value(value)}" for flag, value in _read_fields(spec)]
     lines.append(f"units: {units}")
     for name, digest in written:
         lines.append(f"file: {name} sha256={digest}")
@@ -269,7 +282,8 @@ def _render_manifest(command: str, spec, units: str, written) -> bytes:
 def _manifest_value(value) -> str:
     """value as a manifest entry: "-" for None, a tuple comma-separated, an
     int in full, and a float in `g` form when that reads back as the same
-    float (repr otherwise), so a run replays from its manifest."""
+    float (repr otherwise), so a run replays from its manifest, and a
+    failing run from its replay command."""
     if value is None:
         return "-"
     if isinstance(value, tuple):

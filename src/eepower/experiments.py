@@ -22,6 +22,11 @@ all follow that record. What no command sets is fixed here as a module
 constant: the gain grid of the curves, the fairness instances and the table1
 dimension counts. Every draw is unit-mean Rayleigh (eepower.channel) from
 the spec's seed.
+
+A failing run has one description, its spec: `run` narrows a failing spec
+to the first n, pc and trial that still fail (see `run`) and hands it on
+with the error, and the CLI renders it as the command that replays the
+failure, from the same fields and values as the run manifest.
 """
 
 from __future__ import annotations
@@ -162,8 +167,33 @@ class CurveSet:
 
 
 def run(spec: ExperimentSpec) -> list[CurveSet]:
-    """Run the pipeline registered for spec.experiment."""
-    curves = EXPERIMENTS[spec.experiment].runner(spec)
+    """Run the pipeline registered for spec.experiment.
+
+    A PowerControlError leaves with the spec that replays it as its `spec`:
+    n_values narrowed to the first single value whose run still fails alone,
+    then pc_values the same way, and trials cut to row + 1 when the error
+    names a row (trial t draws from stream t, so the prefix fails at the
+    same row). The error is that of the last failing run, so the narrowed
+    spec raises it again."""
+    runner = EXPERIMENTS[spec.experiment].runner
+    try:
+        curves = runner(spec)
+    except PowerControlError as exc:
+        for name in ("n_values", "pc_values"):
+            values = getattr(spec, name)
+            if len(values) < 2:
+                continue
+            for value in values:
+                one = replace(spec, **{name: (value,)})
+                try:
+                    runner(one)
+                except PowerControlError as alone:
+                    spec, exc = one, alone
+                    break
+        if exc.row is not None:
+            spec = replace(spec, trials=exc.row + 1)
+        exc.spec = spec
+        raise exc
     for c in curves:
         c.validate()
     return curves
@@ -186,10 +216,7 @@ def run_siso_profiles(spec: ExperimentSpec) -> list[CurveSet]:
     p_wf = np.maximum(0.0, level - 1.0 / GAMMA_GRID)
     if not math.isfinite(GAMMA_GRID[-1].item() * p_wf[-1].item()):
         # g p, largest at the largest grid gain, must stay finite for the SE
-        exc = PowerControlError("the water-filling power times the largest grid gain overflows under --budget")
-        instance = f"siso-profiles (seed={spec.seed}, budget={spec.budget!r})"
-        replay = f"eepower siso-profiles --seed {spec.seed} --pc {pc!r} --trials {spec.trials}"
-        raise _replayable(exc, spec, None, instance, replay)
+        raise PowerControlError("the water-filling power times the largest grid gain overflows under --budget")
     se_wf, ee_wf = link_terms(GAMMA_GRID, p_wf, pc)
     rows = np.column_stack([GAMMA_GRID, p_ee, p_wf, se_ee, se_wf, ee_ee, ee_wf])
     columns = [
@@ -261,45 +288,10 @@ def _scaling_stats(spec: ExperimentSpec, tech: str, ns, pcs) -> np.ndarray:
     else:
         block = stream_uniforms(spec.seed, spec.trials, 2 * max(ns) ** 2)
         gains = [svd_gains(matrices_from_uniforms(block, n, n)) for n in ns]
-    shape = (len(pcs), len(ns), spec.trials)
-    return np.array([q for v in _solve_trials(spec, tech, ns, pcs, gains) for q in _mean_stderr(v.reshape(shape))])
-
-
-def _solve_trials(spec: ExperimentSpec, tech: str, ns, pcs, gains):
-    """The global-EE optimum and its total SE of each trial's row of each n's
-    (trials, n) gains at each pc, as two (pcs, ns x trials) arrays from one
-    staged `_gee_solve` call. A solver error is reported as a solve per n
-    reports it: re-raised for the smallest n whose own solve fails, naming
-    the trial, n, the first pc and seed and the command that replays it."""
     blocks = [(g, np.array(pcs)[:, None] * (n if tech == "mimo" else 1)) for n, g in zip(ns, gains)]
-    try:
-        ee, se, _ = _gee_solve(blocks, spec.budget)
-    except (ValueError, PowerControlError):
-        for n, one in zip(ns, blocks):
-            try:
-                _gee_solve([one], spec.budget)
-            except PowerControlError as exc:
-                if exc.row is None:
-                    raise
-                raise _replayable(
-                    exc,
-                    spec,
-                    exc.row,
-                    f"{tech} trial {exc.row} (n={n}, pc={pcs[0]!r}, seed={spec.seed})",
-                    f"eepower {tech}-sweep --seed {spec.seed} --n {n} --pc {pcs[0]!r} --trials {exc.row + 1}",
-                ) from exc
-        raise
-    return ee, se
-
-
-def _replayable(exc: PowerControlError, spec: ExperimentSpec, trial: int | None, instance: str, replay: str):
-    """exc again for the failing trial (None for the run as a whole), its
-    message prefixed with the instance and ending in the eepower command
-    (plus the run's --budget, unless it is the experiment's default) that
-    replays it."""
-    if spec.budget != EXPERIMENTS[spec.experiment].budget:
-        replay += f" --budget {spec.budget!r}"
-    return type(exc)(f"{instance}: {exc}; replay: {replay}", row=trial)
+    ee, se, _ = _gee_solve(blocks, spec.budget)
+    shape = (len(pcs), len(ns), spec.trials)
+    return np.array([q for v in (ee, se) for q in _mean_stderr(v.reshape(shape))])
 
 
 def _mean_stderr(values: np.ndarray):
@@ -338,23 +330,17 @@ def run_fairness(spec: ExperimentSpec) -> list[CurveSet]:
     one total power budget. Each objective solves all trials in one row
     solver call (`gee_rows` with each trial's summed pc, then `wmee_rows`,
     `wsee_rows` and `wpee_rows`), and its powers are evaluated in one
-    `evaluate` call. A solver error is re-raised naming the trial, seed and
-    budget and the command that replays it."""
+    `evaluate` call."""
     lo, hi = FAIRNESS_PC_RANGE
     gains = draw_gain_rows(spec.seed, spec.trials, FAIRNESS_LINKS)
     u = stream_uniforms(spec.seed, spec.trials, FAIRNESS_LINKS, _AUX_STREAM)
     pcs = lo + (hi - lo) * u
-    try:
-        powers = {
-            "gee": gee_rows(gains, pcs.sum(axis=1), spec.budget)[0],
-            "wmee": wmee_rows(gains, pcs, spec.budget)[0],
-            "wsee": wsee_rows(gains, pcs, spec.budget)[0],
-            "wpee": wpee_rows(gains, pcs, spec.budget)[0],
-        }
-    except PowerControlError as exc:
-        t = exc.row
-        instance = f"fairness trial {t} (seed={spec.seed}, budget={spec.budget!r})"
-        raise _replayable(exc, spec, t, instance, f"eepower fairness --seed {spec.seed} --trials {t + 1}") from exc
+    powers = {
+        "gee": gee_rows(gains, pcs.sum(axis=1), spec.budget)[0],
+        "wmee": wmee_rows(gains, pcs, spec.budget)[0],
+        "wsee": wsee_rows(gains, pcs, spec.budget)[0],
+        "wpee": wpee_rows(gains, pcs, spec.budget)[0],
+    }
     reports = {name: evaluate(gains, pcs, p) for name, p in powers.items()}
     rows = np.column_stack(
         [np.arange(spec.trials, dtype=float)]
@@ -401,9 +387,7 @@ def run_table1(spec: ExperimentSpec) -> list[CurveSet]:
         ee, _, se, _ = _scaling_stats(spec, tech, [1, *ns], [1.0])[:, 0]
         if ee[0] == 0.0:
             # every n = 1 trial got no power, so no gain over it is defined
-            exc = PowerControlError("the single-dimension EE is 0 under --budget, so the gains over it are undefined")
-            instance = f"table1 (seed={spec.seed}, budget={spec.budget!r})"
-            raise _replayable(exc, spec, None, instance, f"eepower table1 --seed {spec.seed} --trials {spec.trials}")
+            raise PowerControlError("the single-dimension EE is 0 under --budget, so the gains over it are undefined")
         data += [ns, ee[1:], ee[1:] / ee[0], se[1:] / se[0]]
         base.append(np.full(len(ns), ee[0]))
     columns = [

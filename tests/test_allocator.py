@@ -25,7 +25,7 @@ from eepower.allocator import (
     wsee_ascent,
     wsee_rows,
 )
-from eepower.channel import draw_gain_rows
+from eepower.channel import draw_gain_rows, stream_uniforms
 from eepower.errors import InfeasibleError, PowerControlError
 from eepower.metrics import evaluate
 from eepower.numerics import lambert_w0, lambert_w0_offset
@@ -409,6 +409,11 @@ def test_gee_rows_name_the_row_whose_circuit_power_overflows():
     assert err.value.row == 2
     with pytest.raises(PowerControlError, match="^row 1: the optimum is not finite$") as err:
         gee_rows([[2.0], [1.0]], [1e300, 1.79e308])
+    assert err.value.row == 1
+    # in a staged solve, the row is counted within its own block: the trial
+    blocks = [(np.ones((3, 1)), 1e300), (np.array([[2.0], [1.0]]), np.array([1e300, 1.79e308]))]
+    with pytest.raises(PowerControlError, match="^row 1: the optimum is not finite$") as err:
+        allocator._gee_solve(blocks, None)
     assert err.value.row == 1
     # a large pc whose level is finite solves
     powers, objective = gee_rows([[1.0, 2.0, 3.0]], 1e300)
@@ -869,6 +874,18 @@ def test_wmee_stop_is_relative_at_a_tight_budget():
         _ref_powers, ref_level = wmee_reference(gains[r], pc[r], 1e-6, stop=1e-15)
         assert level[r] == pytest.approx(ref_level, rel=1e-12, abs=0.0)
         assert powers[r].sum() <= 1e-6 * (1.0 + 1e-12)
+
+
+def test_wmee_level_at_tiny_budgets_spends_the_budget():
+    # fairness' seed-1 instances: the root lies over 100 decades below each
+    # row's top level, where a stop width taken from the top gave trial 1 a
+    # zero level from 1e-104 W on and every trial one from 1e-118 W on
+    gains = draw_gain_rows(1, 3, 4)
+    pc = 0.25 + 1.75 * stream_uniforms(1, 3, 4, 1)
+    for budget in 10.0 ** -np.arange(100, 301, 20):
+        powers, level = wmee_rows(gains, pc, budget)
+        assert np.all(level > 0.0), budget
+        np.testing.assert_allclose(powers.sum(axis=1), budget, rtol=1e-12, atol=0.0)
 
 
 def rising_powers_calls(case):

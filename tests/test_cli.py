@@ -381,17 +381,23 @@ def test_non_finite_parameter_exits_1_naming_it(tmp_path, capsys, flag, bad, nam
     assert not (tmp_path / "d").exists()
 
 
+def _replay_of(err: str) -> list[str]:
+    """The eepower arguments of the replay command that ends an exit-2 message."""
+    return shlex.split(err.rstrip("\n").rpartition("; replay: eepower ")[2])
+
+
 def test_circuit_power_that_overflows_exits_2_with_a_replay(tmp_path, capsys):
-    # pc times a trial's largest gain overflows: the run names the trial and
-    # the command that replays it, and writes nothing
+    # pc times a trial's largest gain overflows, first at n = 8: the run
+    # names the trial and the command that replays it, and writes nothing
     rc = main(["ofdm-sweep", "--trials", "2", "--pc", "1e308", "--out", str(tmp_path / "d")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("eepower: numerical error: ofdm trial ")
-    assert "circuit power times the largest gain overflows; replay: eepower ofdm-sweep --seed 1 --n " in err
+    assert err == (
+        "eepower: numerical error: row 0: circuit power times the largest gain overflows; "
+        "replay: eepower ofdm-sweep --seed 1 --pc 1e+308 --n 8 --trials 1\n"
+    )
     assert not (tmp_path / "d").exists()
-    replay = err.rstrip("\n").rpartition("replay: eepower ")[2].split()
-    assert main([*replay, "--out", str(tmp_path / "d")]) == 2
+    assert main([*_replay_of(err), "--out", str(tmp_path / "d")]) == 2
     assert capsys.readouterr().err == err
     # a circuit power just below that still gives finite rows
     assert main(["ofdm-sweep", "--trials", "2", "--pc", "1e300", "--out", str(tmp_path / "e")]) == 0
@@ -436,27 +442,30 @@ def test_table1_with_zero_single_dimension_ee_exits_2_with_a_replay(tmp_path, ca
     rc = main(["table1", "--trials", "2", "--budget", budget, "--out", str(tmp_path / "d")])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith(f"eepower: numerical error: table1 (seed=1, budget={float(budget)!r}): ")
-    assert "--budget" in err and "Traceback" not in err
+    assert err == (
+        "eepower: numerical error: the single-dimension EE is 0 under --budget, so the gains over it are "
+        f"undefined; replay: eepower table1 --seed 1 --trials 2 --budget {budget}\n"
+    )
     assert not (tmp_path / "d").exists()
-    replay = err.rstrip("\n").rpartition("replay: eepower ")[2].split()
-    assert replay == ["table1", "--seed", "1", "--trials", "2", "--budget", repr(float(budget))]
-    assert main([*replay, "--out", str(tmp_path / "d")]) == 2
+    assert main([*_replay_of(err), "--out", str(tmp_path / "d")]) == 2
     assert capsys.readouterr().err == err
 
 
 def test_mimo_pc_whose_scaled_power_overflows_exits_2_with_a_replay(tmp_path, capsys):
     # 32 pc is finite, but pc / s_1 overflows at n = 32: the staged solve over
-    # every n still names that n and its first trial, and the replay repeats it
-    rc = main(["mimo-sweep", "--trials", "3", "--n", "1,2,32", "--pc", "5e306", "--out", str(tmp_path / "d")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert err.startswith("eepower: numerical error: mimo trial 0 (n=32, pc=5e+306, seed=1): ")
-    assert not (tmp_path / "d").exists()
-    replay = err.rstrip("\n").rpartition("replay: eepower ")[2].split()
-    assert replay == ["mimo-sweep", "--seed", "1", "--n", "32", "--pc", "5e+306", "--trials", "1"]
-    assert main([*replay, "--out", str(tmp_path / "d")]) == 2
-    assert capsys.readouterr().err == err
+    # every n still names that n, pc and its first trial, also when the pc
+    # that fails is not the first, and the replay repeats it
+    for pc in ("5e306", "1,5e306"):
+        rc = main(["mimo-sweep", "--trials", "3", "--n", "1,2,32", "--pc", pc, "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (
+            "eepower: numerical error: row 0: circuit power times the largest gain overflows; "
+            "replay: eepower mimo-sweep --seed 1 --pc 5e+306 --n 32 --trials 1\n"
+        )
+        assert not (tmp_path / "d").exists()
+        assert main([*_replay_of(err), "--out", str(tmp_path / "d")]) == 2
+        assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("trials, budget", [("1", "1e307"), ("3", "1.7e308"), ("10000", "1e305")])
@@ -467,13 +476,11 @@ def test_siso_profiles_budget_whose_water_filling_overflows_exits_2_with_a_repla
     err = capsys.readouterr().err
     assert rc == 2
     assert err == (
-        f"eepower: numerical error: siso-profiles (seed=1, budget={float(budget)!r}): the water-filling power "
-        "times the largest grid gain overflows under --budget; replay: eepower siso-profiles --seed 1 --pc 1.0 "
-        f"--trials {trials} --budget {float(budget)!r}\n"
+        "eepower: numerical error: the water-filling power times the largest grid gain overflows under "
+        f"--budget; replay: eepower siso-profiles --seed 1 --pc 1 --trials {trials} --budget {float(budget):g}\n"
     )
     assert not (tmp_path / "d").exists()
-    replay = err.rstrip("\n").rpartition("replay: eepower ")[2].split()
-    assert main([*replay, "--out", str(tmp_path / "d")]) == 2
+    assert main([*_replay_of(err), "--out", str(tmp_path / "d")]) == 2
     assert capsys.readouterr().err == err
 
 
@@ -486,7 +493,9 @@ def test_siso_profiles_budget_just_below_the_overflow_gives_finite_rows(tmp_path
 
 
 # the robustness sweep: every experiment command at each of these values of
-# each of --budget and --pc that it reads, at 1-3 trials where it draws
+# each of --budget and --pc that it reads, at 1-3 trials where it draws; the
+# scaling commands also at --pc 1,<value> over --n 1,2,32, and every command
+# that draws at a seed of 2**70
 EXTREMES = ("1e-300", "1e-150", "1e300", "1e306", "1e307", "1.7e308")
 SWEEP_TRIALS = {"siso-profiles": "1", "ofdm-sweep": "2", "mimo-sweep": "2", "fairness": "3", "table1": "2"}
 
@@ -497,33 +506,62 @@ def test_every_command_at_extreme_budgets_and_pcs_exits_by_the_contract(tmp_path
     # each run exits 0 with every cell finite, 1 naming the flag, or 2 with
     # a replay command that exits 2 again
     trials = ["--trials", SWEEP_TRIALS[command]] if command in SWEEP_TRIALS else []
-    flags = [flag for flag in ("budget", "pc") if flag in cli._command_options(command)]
+    options = cli._command_options(command)
+    flags = [flag for flag in ("budget", "pc") if flag in options]
     assert flags
-    for flag in flags:
-        for value in EXTREMES:
-            # pc-sweep reads at least two pc values
-            args = [command, *trials, f"--{flag}", f"1,{value}" if command == "pc-sweep" else value]
-            out = tmp_path / f"{flag}{value}"
-            rc = main([*args, "--out", str(out)])
-            err = capsys.readouterr().err
-            if rc == 0:
-                for csv in out.glob("*.csv"):
-                    cells = [v for line in csv.read_text().splitlines()[1:] for v in line.split(",")]
-                    assert all(math.isfinite(float(v)) for v in cells), (args, csv.name)
-            elif rc == 1:
-                assert f"--{flag}" in err, (args, err)
-            else:
-                assert rc == 2, (args, err)
-                replay = shlex.split(err.rstrip("\n").rpartition("; replay: eepower ")[2])
-                assert replay, (args, err)
-                assert main([*replay, "--out", str(tmp_path / "replay")]) == 2, (args, err)
-                assert capsys.readouterr().err == err
+    # (output directory, the flag an exit 1 must name, the arguments);
+    # pc-sweep reads at least two pc values
+    cases = [
+        (f"{flag}{value}", flag, [f"--{flag}", f"1,{value}" if command == "pc-sweep" else value])
+        for flag in flags
+        for value in EXTREMES
+    ]
+    if "n" in options:
+        # the pc that fails is not the first, and it may fail at one n only
+        cases += [(f"pcs{value}", "pc", ["--n", "1,2,32", "--pc", f"1,{value}"]) for value in EXTREMES]
+    if "seed" in options:
+        cases.append(("seed", "seed", ["--seed", str(2**70)]))
+    for name, flag, extra in cases:
+        args = [command, *trials, *extra]
+        out = tmp_path / name
+        rc = main([*args, "--out", str(out)])
+        err = capsys.readouterr().err
+        if rc == 0:
+            for csv in out.glob("*.csv"):
+                cells = [v for line in csv.read_text().splitlines()[1:] for v in line.split(",")]
+                assert all(math.isfinite(float(v)) for v in cells), (args, csv.name)
+        elif rc == 1:
+            assert f"--{flag}" in err, (args, err)
+        else:
+            assert rc == 2, (args, err)
+            replay = _replay_of(err)
+            assert replay, (args, err)
+            assert main([*replay, "--out", str(tmp_path / "replay")]) == 2, (args, err)
+            assert capsys.readouterr().err == err
     if command == "fairness":
         # every link EE scales with a budget this small, so the Jain indices
         # stay those of --budget 1e-150
         tiny, small = (np.loadtxt(tmp_path / f"budget{b}" / "fairness_trials.csv", delimiter=",", skiprows=1)
                        for b in ("1e-300", "1e-150"))
         assert np.array_equal(tiny[:, 1:5], small[:, 1:5])
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_replay_command_parses_back_to_its_spec(tmp_path, monkeypatch, command):
+    # a spec's replay command, run through the CLI, sets that same spec: at
+    # the command's defaults, and at a pc that %g would round
+    specs = []
+    monkeypatch.setattr(cli, "run", lambda spec: specs.append(spec) or [])
+    runs = [[]]
+    if "pc" in cli._command_options(command):
+        runs.append(["--pc", "0.30000000000000004,1" if command == "pc-sweep" else "0.30000000000000004"])
+    for args in runs:
+        assert main([command, *args, "--out", str(tmp_path)]) == 0
+        replay = shlex.split(cli._render_replay(specs[-1]))
+        assert replay[:2] == ["eepower", command]
+        assert main([*replay[1:], "--out", str(tmp_path)]) == 0
+        assert specs[-1] == specs[-2]
+    assert specs[-1].pc_values[0] == (0.30000000000000004 if len(runs) == 2 else 1.0)
 
 
 def test_numerical_errors_exit_2(tmp_path, monkeypatch):
@@ -548,13 +586,15 @@ def test_fairness_failure_names_trial_and_replay_command(tmp_path, monkeypatch, 
     rc = main(["fairness", "--trials", "5", "--seed", "3", *budget_flag, "--out", str(tmp_path / "d")])
     err = capsys.readouterr().err
     assert rc == 2
+    # the replay names the budget in effect, given or not, as the manifest does
+    budget = f"{float(budget):g}"
     assert err == (
-        f"eepower: numerical error: fairness trial 2 (seed=3, budget={budget}): synthetic failure; "
-        f"replay: eepower fairness --seed 3 --trials 3{' --budget 1.5' if budget_flag else ''}\n"
+        f"eepower: numerical error: synthetic failure; replay: eepower fairness --seed 3 --trials 3 --budget {budget}\n"
     )
     assert not (tmp_path / "d").exists()
     # the replay command ends on the same trial and reports it again
-    assert main(["fairness", "--seed", "3", "--trials", "3", *budget_flag, "--out", str(tmp_path / "d")]) == 2
+    assert _replay_of(err) == ["fairness", "--seed", "3", "--trials", "3", "--budget", budget]
+    assert main([*_replay_of(err), "--out", str(tmp_path / "d")]) == 2
     assert capsys.readouterr().err == err
     assert calls == [5, 3]
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -451,7 +452,8 @@ def test_staged_sweep_equals_per_n_gee_rows_bit_for_bit(tech, trials, pcs, budge
     else:
         block = stream_uniforms(spec.seed, trials, 2 * max(ns) ** 2)
         gains = [svd_gains(matrices_from_uniforms(block, n, n)) for n in ns]
-    ee, se = experiments._solve_trials(spec, tech, ns, pcs, gains)
+    blocks = [(g, np.array(pcs)[:, None] * (n if tech == "mimo" else 1)) for n, g in zip(ns, gains)]
+    ee, se, _ = allocator._gee_solve(blocks, spec.budget)
     ref_ee, ref_se, capped = _per_n_gee_rows(spec, tech, ns, pcs, gains)
     assert ee.shape == se.shape == (len(pcs), len(ns) * trials)
     assert ee.tobytes() == ref_ee.tobytes()
@@ -486,38 +488,48 @@ def _zero_row(real, row):
     return draw
 
 
+def _fails_again(err):
+    # the spec the error carries replays it: the same message, and the same spec
+    with pytest.raises(type(err.value)) as again:
+        run(err.value.spec)
+    assert str(again.value) == str(err.value)
+    assert again.value.spec == err.value.spec
+
+
 def test_scaling_errors_name_trial_n_pc_and_seed(monkeypatch):
     spec = default_spec("ofdm_scaling", seed=3, trials=5, n_values=(1, 4), pc_values=(2.0,))
     monkeypatch.setattr(experiments, "draw_gain_rows", _zero_row(experiments.draw_gain_rows, 2))
     with pytest.raises(InfeasibleError) as err:
         run(spec)
-    message = str(err.value)
-    assert "ofdm trial 2 (n=1, pc=2.0, seed=3)" in message
-    assert "eepower ofdm-sweep --seed 3 --n 1 --pc 2.0 --trials 3" in message
+    assert str(err.value) == "row 2: at least one gain must be positive"
+    assert err.value.spec == default_spec("ofdm_scaling", seed=3, trials=3, n_values=(1,), pc_values=(2.0,))
     assert err.value.row == 2
+    _fails_again(err)
 
     # a zero matrix has no positive eigen-channel gain
     monkeypatch.setattr(experiments, "stream_uniforms", _zero_row(experiments.stream_uniforms, 1))
     spec = default_spec("mimo_scaling", seed=4, trials=3, n_values=(2,), pc_values=(1.0,), budget=1.5)
     with pytest.raises(InfeasibleError) as err:
         run(spec)
-    message = str(err.value)
-    assert "mimo trial 1 (n=2, pc=1.0, seed=4)" in message
-    assert "eepower mimo-sweep --seed 4 --n 2 --pc 1.0 --trials 2 --budget 1.5" in message
+    assert str(err.value) == "row 1: at least one gain must be positive"
+    assert err.value.spec == default_spec(
+        "mimo_scaling", seed=4, trials=2, n_values=(2,), pc_values=(1.0,), budget=1.5
+    )
     assert err.value.row == 1
+    _fails_again(err)
 
 
 def test_scaling_error_of_one_call_over_all_pcs_names_the_first_pc(monkeypatch):
-    # every pc of one n is one gee_rows call; a dead row fails at the first pc,
-    # where the per-pc calls failed first
+    # every pc of one n is one gee_rows call; a dead row fails at every pc,
+    # so the first is the one that fails alone
     spec = default_spec("ofdm_scaling", seed=3, trials=5, n_values=(2, 4), pc_values=(2.0, 0.5))
     monkeypatch.setattr(experiments, "draw_gain_rows", _zero_row(experiments.draw_gain_rows, 3))
     with pytest.raises(InfeasibleError) as err:
         run(spec)
-    message = str(err.value)
-    assert message.startswith("ofdm trial 3 (n=2, pc=2.0, seed=3): row 3: at least one gain must be positive")
-    assert message.endswith("; replay: eepower ofdm-sweep --seed 3 --n 2 --pc 2.0 --trials 4")
+    assert str(err.value) == "row 3: at least one gain must be positive"
+    assert err.value.spec == default_spec("ofdm_scaling", seed=3, trials=4, n_values=(2,), pc_values=(2.0,))
     assert err.value.row == 3
+    _fails_again(err)
 
 
 def test_scaling_error_names_the_smallest_n_that_fails_alone(monkeypatch):
@@ -525,38 +537,41 @@ def test_scaling_error_names_the_smallest_n_that_fails_alone(monkeypatch):
     # reaches its objective, which is not finite; a solve per n reports n = 1
     def draw(seed, trials, n):
         block = np.ones((trials, n))
-        block[:, 1] = 2.0
+        block[:, 1:2] = 2.0
         return block
 
     monkeypatch.setattr(experiments, "draw_gain_rows", draw)
     spec = default_spec("ofdm_scaling", seed=3, trials=2, n_values=(1, 2), pc_values=(1.79e308,))
     with pytest.raises(PowerControlError) as err:
         run(spec)
-    assert str(err.value) == (
-        "ofdm trial 0 (n=1, pc=1.79e+308, seed=3): row 0: the optimum is not finite; "
-        "replay: eepower ofdm-sweep --seed 3 --n 1 --pc 1.79e+308 --trials 1"
-    )
-    # only the larger n fails: it is named, at its first failing trial
+    assert str(err.value) == "row 0: the optimum is not finite"
+    assert err.value.spec == replace(spec, n_values=(1,), trials=1)
+    _fails_again(err)
+
+    # only the larger n fail: the first of them is named, at its first
+    # failing trial, counted within its own block of trials
     def draw_one(seed, trials, n):
         block = np.ones((trials, n))
-        block[1, 3] = 1e300
+        block[1, 3:4] = 1e300
         return block
 
     monkeypatch.setattr(experiments, "draw_gain_rows", draw_one)
     spec = default_spec("ofdm_scaling", seed=3, trials=3, n_values=(1, 2, 4, 8), pc_values=(1e10,))
     with pytest.raises(PowerControlError) as err:
         run(spec)
-    assert str(err.value).startswith("ofdm trial 1 (n=4, pc=10000000000.0, seed=3): row 1: circuit power times")
+    assert str(err.value) == "row 1: circuit power times the largest gain overflows"
+    assert err.value.spec == replace(spec, n_values=(4,), trials=2)
     assert err.value.row == 1
+    _fails_again(err)
 
 
 def test_fairness_gee_failure_names_trial_and_seed(monkeypatch):
     # the global EE of all trials is one gee_rows call; its failing row is
-    # still reported as the trial, with the command that replays it
+    # still reported as the trial, in the spec that replays it
     monkeypatch.setattr(experiments, "draw_gain_rows", _zero_row(experiments.draw_gain_rows, 2))
     with pytest.raises(InfeasibleError) as err:
         run(default_spec("fairness", seed=5, trials=4))
-    message = str(err.value)
-    assert message.startswith("fairness trial 2 (seed=5, budget=2.0): row 2: at least one gain must be positive")
-    assert message.endswith("; replay: eepower fairness --seed 5 --trials 3")
+    assert str(err.value) == "row 2: at least one gain must be positive"
+    assert err.value.spec == default_spec("fairness", seed=5, trials=3)
     assert err.value.row == 2
+    _fails_again(err)
