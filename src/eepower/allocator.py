@@ -390,10 +390,12 @@ def wmee_rows(gains, pc, budget: float):
     is lengthened by that much, so it lands across the root and the bracket
     closes: half the stop width at t, whichever end of the bracket t is, so
     also where the root lies many decades below the top level (a tiny
-    budget); the first step, from t = 0, is never lengthened. The bracket
-    stops at most 1e-13 of its upper end wide, and the row takes its
-    feasible end, so the link EEs are equal whenever the budget binds. A
-    zero gain gives a zero level.
+    budget); the first step, from t = 0, is never lengthened. A step that
+    rounds to no move (at a subnormal level, where 0.5e-13 t underflows)
+    moves one float toward the root instead. The bracket stops at most
+    1e-13 of its upper end wide, or once no float lies strictly between its
+    ends, and the row takes its feasible end, so the link EEs are equal
+    whenever the budget binds. A zero gain gives a zero level.
 
     Returns (powers, level) of shapes (rows, n) and (rows,). A bad value
     names the first row that holds it.
@@ -416,6 +418,7 @@ def wmee_rows(gains, pc, budget: float):
             step = excess / slope
         half = 0.5e-13 * t
         nxt = t - np.where(np.abs(step) < half, step + np.where(excess > 0.0, half, -half), step)
+        nxt = np.where(nxt == t, np.nextafter(t, np.where(excess > 0.0, -np.inf, np.inf)), nxt)
         t = np.where(going, np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi)), t)
         p = _rising_powers(g, pc, peaks, t)
         excess = p.sum(axis=1) - budget
@@ -423,7 +426,7 @@ def wmee_rows(gains, pc, budget: float):
         lo = np.where(fits, t, lo)
         hi = np.where(going & ~fits, t, hi)
         p_lo = np.where(fits[:, None], p, p_lo)
-        going &= hi - lo > 1e-13 * hi
+        going &= (hi - lo > 1e-13 * hi) & (np.nextafter(lo, hi) < hi)
     return p_lo, lo
 
 

@@ -12,10 +12,10 @@ link's EE is "wsee" at n == 1.
 A row is one point of axes 0..n-2 with the last link's axis as its contents
 (one row when n == 1), so a row's values are combine(head, t_k) for its head
 value and the last link's terms t_k (for "gee", divided by pc + (P + p_k)
-with P the head's power sum). The rows are bounded first, and only the rows
-that can hold the maximum are evaluated point by point. At most one
-row-sized array is alive at a time: a second one costs more in fresh pages
-than the pass that fills it.
+with P the head's power sum). The rows are bounded first (at dims 3, cells
+of rows before rows), and only the rows that can hold the maximum are
+evaluated point by point. At most one array over every row is alive at a
+time: a second one costs more in fresh pages than the pass that fills it.
 
 - Sum rate, WSEE, WPEE, WMEE. add, multiply (the terms are >= 0) and
   minimum are monotone under rounding, so combine(head, max of t_k over a
@@ -37,7 +37,7 @@ than the pass that fills it.
   K_hi - 1 = floor(x + d); K_hi - K_lo is 2 or 3 while err is below h. The
   row's head combined with the best term over each of those two prefixes
   bounds its best feasible value from below and from above. Both bounds
-  read one vector over the 2*steps - 1 index sums through a Hankel view. A
+  read one vector over the index sums. A
   row with an empty prefix gets combine(head, floor), with floor -inf (0 for
   WPEE, whose -inf times a zero head would be NaN), which is no larger than
   any grid value. The rows whose upper bound reaches the largest lower
@@ -59,6 +59,22 @@ than the pass that fills it.
   the grid's largest magnitudes, so the rows whose surrogate is at or above
   -1e-9 of them hold every point at or above L, the maximum among them;
   these are the candidate rows.
+- Cells. At dims 3 the rows form a 2-D index grid (i, j), and the screens
+  bound cells of _CELL consecutive j of one i before they bound rows (the
+  last cell is padded with copies of the last j, whose rows are dropped). A
+  row's head is combine(H_i, t_j), H_i axis 0's head, and its prefix shrinks
+  as j grows, so the best last-link term over it shrinks too. So a cell's
+  H_i combined with its largest t_j and with the best term over its first
+  row's K_hi prefix, the longest any of its rows has, is at least the upper
+  bound of each of its rows: add, multiply on terms >= 0 and minimum are
+  monotone under rounding. The bar is the largest exact lower bound of the
+  cells' first rows, no larger than the largest lower bound of all rows. A
+  cell whose bound does not reach the bar holds no row whose upper bound
+  reaches that largest lower bound, and the cell holding the row that sets
+  it does reach the bar. Exact row bounds are formed only in the cells that
+  reach it, so the candidate rows are those of a screen of every row, bit
+  for bit. For gee a cell's bound is H_i plus its largest c_1 (the
+  surrogate's terms at L) against the fixed threshold.
 
 The candidate rows are evaluated in row-major order, in blocks of about
 _BLOCK points, with the per-point arithmetic (sums from the first link on)
@@ -95,6 +111,8 @@ _FLOOR = {"wpee": 0.0}
 # a gee row whose surrogate falls below -_GEE_MARGIN times its magnitudes
 # cannot reach the best value found; rounding moves a surrogate by ~1e-15
 _GEE_MARGIN = 1e-9
+# consecutive axis-1 indices per cell of a dims-3 grid's rows
+_CELL = 16
 _EPS = np.finfo(float).eps
 
 
@@ -247,7 +265,8 @@ def _screen(term, combine, identity, top, axis, slack):
     its index sum; combined with top (the best last-link term over each
     prefix, from the empty one on) at those lengths, its head bounds its best
     feasible value from below and above. The rows returned are those whose
-    upper bound reaches the largest lower bound."""
+    upper bound reaches the largest lower bound; at dims 3 only the rows of
+    the cells that can reach it are bounded."""
     n, steps = term.shape
     h = (axis[-1] - axis[0]) / (steps - 1)
     # every grid sum is below 2 n p_max, so a larger slack changes no mask
@@ -263,21 +282,65 @@ def _screen(term, combine, identity, top, axis, slack):
         lo, hi = x - d, x + d
     if not lo <= hi:  # NaN where the spacing underflows or the sums overflow
         lo, hi = -np.inf, np.inf
-    index_sum = np.arange((n - 1) * (steps - 1) + 1)
-    # a vector over index sums as seen from the rows: [i, j] -> v[i + j]
-    by_sum = {1: lambda v: v[0], 2: lambda v: v, 3: lambda v: sliding_window_view(v, steps)}[n]
-    everywhere = np.indices((steps,) * (n - 1), sparse=True)
 
-    def bound(reach):
-        length = np.clip(np.floor(reach) + 1.0 - index_sum, 0, steps).astype(np.intp)
-        # in place: a second row-sized array costs more in fresh pages than
-        # the pass itself
-        head = _fold(combine, identity, term, everywhere)
-        return combine(head, by_sum(top[length]), out=head)
+    def by_sum(reach, sums):
+        """The best last-link term over the prefix of each index sum below
+        sums, at the given reach; nonincreasing in the index sum."""
+        length = np.clip(np.floor(reach) + 1.0 - np.arange(sums), 0, steps).astype(np.intp)
+        return top[length]
 
-    best = bound(lo).max()
-    upper = bound(hi)
-    return np.flatnonzero(upper >= best if best > -np.inf else upper > best)
+    if n < 3:
+        head = _fold(combine, identity, term[:-1], (np.arange(steps),) * (n - 1))
+        sums = (n - 1) * (steps - 1) + 1
+        best = combine(head, by_sum(lo, sums)).max()
+        return np.flatnonzero(_reaches(combine(head, by_sum(hi, sums)), best))
+    cells = _cells(term[1])
+    first = np.arange(0, cells.size, _CELL)
+    # the padded cells reach index sums up to steps - 1 + cells.size - 1
+    low, high = by_sum(lo, steps - 1 + cells.size), by_sum(hi, steps - 1 + cells.size)
+    head = combine(identity, term[0])
+    # the first row of each cell bounds the best row from below; a cell's
+    # rows share axis 0's head, and its largest axis-1 term with the prefix
+    # of its first row, the longest, bounds each of them from above
+    at_first = np.arange(steps)[:, None] + first
+    bar = combine(combine(head[:, None], cells[:, 0]), low[at_first]).max()
+    upper = combine(combine(head[:, None], cells.max(axis=1)), high[at_first])
+    ci, cc = np.nonzero(_reaches(upper, bar))
+    row_head = _row_heads(combine, head, cells, ci, cc)
+    start = ci + first[cc]
+    lower = sliding_window_view(low, _CELL)[start]
+    best = combine(row_head, lower, out=lower).max(initial=-np.inf)
+    # two arrays over the bounded rows at a time: the heads and one gather
+    del lower
+    upper = combine(row_head, sliding_window_view(high, _CELL)[start], out=row_head)
+    return _cell_rows(_reaches(upper, best), ci, cc, steps)
+
+
+def _reaches(bound, bar):
+    """Where bound reaches bar: bound >= bar, or bound > bar where bar is
+    -inf (a bound of -inf belongs to a row with no feasible point)."""
+    return bound >= bar if bar > -np.inf else bound > bar
+
+
+def _cells(inner):
+    """inner, axis 1's terms, split into cells of _CELL consecutive entries,
+    (cells, _CELL); the last cell is padded with copies of the last entry."""
+    return np.append(inner, np.full(-inner.size % _CELL, inner[-1])).reshape(-1, _CELL)
+
+
+def _row_heads(combine, head, cells, ci, cc):
+    """The heads of the rows in the cells (ci, cc) of a dims-3 grid,
+    (cells, _CELL): axis 0's head at ci combined with the axis-1 terms of
+    cell cc, as at a single point."""
+    return combine(head[ci, None], cells[cc])
+
+
+def _cell_rows(keep, ci, cc, steps):
+    """Ascending indices of the rows of the cells (ci, cc) where keep,
+    (cells, _CELL), holds; the rows that pad the last cell are dropped."""
+    k, b = np.nonzero(keep)
+    j = cc[k] * _CELL + b
+    return (ci[k] * steps + j)[j < steps]
 
 
 def _feasible_prefix(axis, first, mid, slack):
@@ -317,5 +380,10 @@ def _gee_candidates(se, axis, pc, value_at):
         level = value
     scale = se.max(axis=1).sum() + level * (pc + n * axis[-1])
     floor = level * pc - c[-1].max() - _GEE_MARGIN * scale
-    surrogate = _fold(np.add, -0.0, c, np.indices((axis.size,) * (n - 1), sparse=True))
-    return np.flatnonzero(surrogate >= floor)
+    if n < 3:
+        return np.flatnonzero(_fold(np.add, -0.0, c, (np.arange(axis.size),) * (n - 1)) >= floor)
+    # a cell's surrogates are at most axis 0's head plus its largest c_1
+    head = -0.0 + c[0]
+    cells = _cells(c[1])
+    ci, cc = np.nonzero(head[:, None] + cells.max(axis=1) >= floor)
+    return _cell_rows(_row_heads(np.add, head, cells, ci, cc) >= floor, ci, cc, axis.size)

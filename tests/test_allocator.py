@@ -896,6 +896,21 @@ def rising_powers_calls(case):
     return counted.call_count, powers, level
 
 
+def test_wmee_level_at_subnormal_levels():
+    # fairness' seed-1 rows, whose levels are subnormal at these budgets: a
+    # Newton step that rounded to no move (its lengthening 0.5e-13 t
+    # underflows) bisected toward the top instead, and each row then ran to
+    # the 200-step limit
+    gains = draw_gain_rows(1, 200, 4)
+    pc = 0.25 + 1.75 * stream_uniforms(1, 200, 4, 1)
+    for budget in (1e-308, 1e-310, 1e-315):
+        calls, powers, level = rising_powers_calls((gains, pc, budget))
+        assert calls <= 10, budget
+        assert np.all(level > 0.0) and np.all(powers.sum(axis=1) <= budget), budget
+        if budget == 1e-308:
+            np.testing.assert_allclose(powers.sum(axis=1), budget, rtol=1e-12, atol=0.0)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(wmee_batches())
 def test_wmee_level_takes_few_kernel_calls(case):

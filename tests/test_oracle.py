@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from eepower import cli, oracle
 from eepower.allocator import wpa
 from eepower.errors import InfeasibleError
-from eepower.oracle import OBJECTIVES, GridSpec, grid_argmax
+from eepower.oracle import _EPS, _GEE_MARGIN, OBJECTIVES, GridSpec, _fold, grid_argmax
 
 E = math.e
 
@@ -43,6 +44,69 @@ def reference_argmax(objective, gains, pcs, grid, budget=None):
     if value[k] == -np.inf:
         raise InfeasibleError("no grid point satisfies the budget")
     return float(value[k]), np.array([c[k] for c in coords])
+
+
+def reference_screen(term, combine, identity, top, axis, slack):
+    """Indices of the rows that can hold the best value within the budget
+    (see the module docstring).
+
+    A row's feasible prefix is at least lo and at most hi points long, less
+    its index sum; combined with top (the best last-link term over each
+    prefix, from the empty one on) at those lengths, its head bounds its best
+    feasible value from below and above. The rows returned are those whose
+    upper bound reaches the largest lower bound."""
+    n, steps = term.shape
+    h = (axis[-1] - axis[0]) / (steps - 1)
+    # every grid sum is below 2 n p_max, so a larger slack changes no mask
+    slack = min(slack, 2.0 * n * float(axis[-1]))
+    # a grid sum is within err of n p_min + m h, m the sum of its indices:
+    # each of its n points is within dev of p_min + i h plus rounding, and
+    # n - 1 additions round; x rounds too, and d adds one index of headroom
+    with np.errstate(all="ignore"):  # an axis of subnormal or huge powers
+        dev = np.abs(axis - (axis[0] + np.arange(steps) * h)).max()
+        err = n * (dev + 8 * _EPS * axis[-1]) + 2 * _EPS * (abs(slack) + n * axis[0])
+        x = (slack - n * axis[0]) / h
+        d = 1.0 + err / h + 4 * _EPS * abs(x)
+        lo, hi = x - d, x + d
+    if not lo <= hi:  # NaN where the spacing underflows or the sums overflow
+        lo, hi = -np.inf, np.inf
+    index_sum = np.arange((n - 1) * (steps - 1) + 1)
+    # a vector over index sums as seen from the rows: [i, j] -> v[i + j]
+    by_sum = {1: lambda v: v[0], 2: lambda v: v, 3: lambda v: sliding_window_view(v, steps)}[n]
+    everywhere = np.indices((steps,) * (n - 1), sparse=True)
+
+    def bound(reach):
+        length = np.clip(np.floor(reach) + 1.0 - index_sum, 0, steps).astype(np.intp)
+        # in place: a second row-sized array costs more in fresh pages than
+        # the pass itself
+        head = _fold(combine, identity, term, everywhere)
+        return combine(head, by_sum(top[length]), out=head)
+
+    best = bound(lo).max()
+    upper = bound(hi)
+    return np.flatnonzero(upper >= best if best > -np.inf else upper > best)
+
+
+def reference_gee_candidates(se, axis, pc, value_at):
+    """Indices of the rows that can hold the largest gee value, without a budget.
+
+    se holds the links' rates, (n, steps), and value_at(point) is the grid
+    value at a point of per-axis indices. Dinkelbach steps on the separable
+    surrogate raise the level L through exact grid values until it stops
+    rising; a row is kept unless its surrogate at L is below -_GEE_MARGIN
+    times the grid's largest magnitudes (see the module docstring)."""
+    n = se.shape[0]
+    level = 0.0
+    while True:
+        c = se - level * axis
+        value = value_at(c.argmax(axis=1))
+        if not value > level:
+            break
+        level = value
+    scale = se.max(axis=1).sum() + level * (pc + n * axis[-1])
+    floor = level * pc - c[-1].max() - _GEE_MARGIN * scale
+    surrogate = _fold(np.add, -0.0, c, np.indices((axis.size,) * (n - 1), sparse=True))
+    return np.flatnonzero(surrogate >= floor)
 
 
 @st.composite
@@ -131,26 +195,92 @@ def test_verify_size_grid_is_bitwise_the_per_point_search(objective, gains, grid
     np.testing.assert_array_equal(alloc.powers, powers)
 
 
+@st.composite
+def dims3_screens(draw):
+    objective = draw(st.sampled_from(OBJECTIVES))
+    steps = draw(st.integers(2, 120))
+    gains = [draw(st.just(0.0) | st.floats(-6.0, 6.0).map(lambda e: 10.0**e)) for _ in range(3)]
+    pcs = [10.0 ** draw(st.floats(-2.0, 2.0)) for _ in range(3)]
+    p_max = 10.0 ** draw(st.floats(-2.0, 2.0))
+    p_min = draw(st.sampled_from([0.0, 0.1, 0.5])) * p_max
+    budget = None if objective == "gee" else draw(st.floats(0.1, 1.2)) * 3 * p_max
+    # from one row per cell to one cell per axis-0 index
+    cell = draw(st.integers(1, steps + 1))
+    return objective, gains, pcs, GridSpec(p_min, p_max, steps), budget, cell
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(dims3_screens())
+# the dims-3 examples of test_grid_argmax_is_bitwise_the_per_point_search:
+# the seed-5 sumrate grid, whose row with the largest upper bound has no
+# feasible point
+@example(("sumrate", [0.7589964250758349, 1.7010341640555473, 0.3228188687382762],
+          [0.5311270256485778, 0.6849325902073293, 1.3474897353633186],
+          GridSpec(0.0, 1.5, 101), 1.5, 16))
+# a zero last-link gain: every wpee value is 0, and so is every bound
+@example(("wpee", [0.9, 1.3, 0.0], [1.0, 0.5, 2.0], GridSpec(0.1, 1.0, 13), 1.2, 4))
+# p_min > 0 and a slack equal to a grid sum to the last bit
+@example(("sumrate", [7.4, 7.4, 4.8], [1.0] * 3, GridSpec(0.27, 0.9, 8), 1.43999999999756, 3))
+# every value is 0; a zero-gain first link makes every wpee value 0
+@example(("sumrate", [0.0, 0.0, 0.0], [1.0] * 3, GridSpec(0.1, 1.0, 5), 2.0, 2))
+@example(("wpee", [0.0, 1.5, 0.7], [1.0, 0.5, 2.0], GridSpec(0.0, 1.0, 9), 1.5, 16))
+# the best power sum rounds differently as p0 + (p1 + p2)
+@example(("gee", [2.8, 2.3, 2.1], [1.1] * 3, GridSpec(0.0, 1.0, 20), None, 7))
+def test_dims3_screens_keep_the_rows_of_the_full_screens(case):
+    # the cell screens return the rows the per-row screens return, bit for
+    # bit; grid_argmax supplies their arguments
+    objective, gains, pcs, grid, budget, cell = case
+    name, reference = ("_gee_candidates", reference_gee_candidates) if budget is None else ("_screen", reference_screen)
+    screen = getattr(oracle, name)
+    seen = []
+
+    def compare(*args):
+        rows = screen(*args)
+        seen.append(rows)
+        assert np.array_equal(rows, reference(*args))
+        return rows
+
+    with mock.patch.object(oracle, "_CELL", cell), mock.patch.object(oracle, name, compare):
+        try:
+            grid_argmax(objective, gains, pcs, grid, budget)
+        except InfeasibleError:
+            pass
+    assert len(seen) == 1
+    assert np.all(np.diff(seen[0]) > 0)
+
+
 @pytest.mark.parametrize("objective", ["gee", "sumrate", "wsee", "wpee", "wmee"])
 def test_screen_keeps_few_rows_of_the_verify_grids(objective, capsys):
     # over the dims-3 grids `eepower verify` searches at seeds 1-20 (301
     # steps), the rows whose feasible prefix is found exactly or, for gee
-    # (no budget), the rows the Dinkelbach steps keep
-    counted = []
+    # (no budget), the rows the Dinkelbach steps keep; and the rows whose
+    # exact bound or surrogate the cell screens form (every row without the
+    # cells)
+    counted, bounded = [], []
     name = "_gee_candidates" if objective == "gee" else "_feasible_prefix"
     rows_of = getattr(oracle, name)
+    heads_of = oracle._row_heads
 
     def count(*args):
         rows = rows_of(*args)
         counted.append(rows.size)
         return rows
 
-    with mock.patch.object(oracle, name, count):
+    def count_heads(*args):
+        heads = heads_of(*args)
+        bounded.append(heads.size)
+        return heads
+
+    with mock.patch.object(oracle, name, count), mock.patch.object(oracle, "_row_heads", count_heads):
         for seed in range(1, 21):
             assert cli.main(["verify", "--objective", objective, "--dims", "3", "--seed", str(seed), "--trials", "1"]) == 0
     capsys.readouterr()
-    assert len(counted) == 20
+    assert len(counted) == len(bounded) == 20
     assert max(counted) <= 0.1 * 301**2
+    assert max(bounded) <= 301**2 / 5
+    assert np.median(bounded) <= 301**2 / 20
 
 
 def test_budget_must_be_a_number():
