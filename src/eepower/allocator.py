@@ -12,10 +12,12 @@ circuit power at once (`gee_rows`), or for blocks of several n with one
 Lambert-W stage over all of them (`_gee_solve`); `gee_dinkelbach` is its
 one-row call.
 The Lambert W function also gives a link's power at a given EE level, so the
-max-min solver finds only each row's common level, by a bracketed Newton
-iteration (`wmee_rows`); the sum and product solvers (`wsee_rows`,
-`wpee_rows`) start from the per-link peaks and only trade power between
-pairs of links, each trade exact, row by row.
+max-min solver finds only each row's common level t, by bracketed Halley
+steps in s = sqrt(T - t) below the row's top level T, in which the budget
+equation is smooth, written in t so that T - s^2 is never formed
+(`wmee_rows`); the sum and product solvers (`wsee_rows`, `wpee_rows`) start
+from the per-link peaks and only trade power between pairs of links, each
+trade exact, row by row.
 
 The three budgeted solvers share one interface: (rows, n) gains, per-link
 circuit powers that broadcast against them, and one total budget, checked by
@@ -381,16 +383,27 @@ def wmee_rows(gains, pc, budget: float):
     budget, for every row of a (rows, n) gain array.
 
     pc holds per-link circuit powers that broadcast against the gains. Each
-    row finds its common level t below its lowest peak EE, where t is
-    feasible when the least powers reaching EE = t (`_rising_powers`) fit the
-    budget, by a bracketed Newton iteration on F(t) = sum_i p_i(t) - budget
-    from t = 0. F is increasing, and a link below its peak has
-    p_i' = (pc + p_i) / (g / (1 + g p_i) - t) (0 at its peak). A step
-    that would leave the bracket bisects it, and one shorter than 0.5e-13 t
-    is lengthened by that much, so it lands across the root and the bracket
-    closes: half the stop width at t, whichever end of the bracket t is, so
-    also where the root lies many decades below the top level (a tiny
-    budget); the first step, from t = 0, is never lengthened. A step that
+    row finds its common level t below its top level T, its lowest peak EE,
+    where t is feasible when the least powers reaching EE = t
+    (`_rising_powers`) fit the budget, by bracketed steps on
+    F(t) = sum_i p_i(t) - budget from t = 0. F is increasing; with
+    r = g / (1 + g p_i) and D = r - t, a link below its peak has
+    p_i' = (pc + p_i) / D and p_i'' = p_i' (2 + r^2 p_i') / D (both 0 at its
+    peak). The link that sets T has a square-root singularity there (p'
+    grows without bound), so Newton steps in t overshoot T; in
+    s = sqrt(T - t), G(s) = F(T - s^2) is smooth, and each step is Halley's
+    on G, written in t: with gap = T - t, F1 = sum p', F2 = sum p'' and
+    X = ds / s = -4 F F1 / (8 gap F1^2 + 2 F F1 - 4 F gap F2), the next
+    level is t - gap X (X - 2). T - s^2 is never formed: at a level many
+    decades below T (a tiny budget) it would lose the level to cancellation.
+    X > 1 puts s - ds past T; that step is reflected below T and kept to at
+    most s / 2 (X at most 1.5), since near X = 2 the reflection returns
+    almost to t. A step that would leave the bracket, or is not finite,
+    bisects it, and one shorter than 0.5e-13 t is lengthened by that much,
+    so it lands across the root and the bracket closes: half the stop width
+    at t, whichever end of the bracket t is, so also where the root lies
+    many decades below the top level (a tiny budget); the first step, from
+    t = 0, is never lengthened. A step that
     rounds to no move (at a subnormal level, where 0.5e-13 t underflows)
     moves one float toward the root instead. The bracket stops at most
     1e-13 of its upper end wide, or once no float lies strictly between its
@@ -412,10 +425,21 @@ def wmee_rows(gains, pc, budget: float):
     for _ in range(200):
         if not going.any():
             break
-        # a link at its peak (or a zero gain's 0 W peak) divides by zero here
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(p < peaks, (pc + p) / (g / (1.0 + g * p) - t[:, None]), 0.0).sum(axis=1)
-            step = excess / slope
+        # a link at its peak (or a zero gain's 0 W peak) divides 0 by 0 and
+        # overflows here; a non-finite step bisects below
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = g / (1.0 + g * p)
+            dist = r - t[:, None]
+            d1 = (pc + p) / dist
+            d2 = d1 * (2.0 + r * r * d1) / dist
+            below = p < peaks
+            f1 = np.where(below, d1, 0.0).sum(axis=1)
+            f2 = np.where(below, d2, 0.0).sum(axis=1)
+            gap = t_hi - t
+            x = -4.0 * excess * f1 / (8.0 * gap * f1 * f1 + 2.0 * excess * f1 - 4.0 * excess * gap * f2)
+            # past T (x > 1) the step reflects below it, to at most s / 2
+            x = np.minimum(x, 1.5)
+            step = gap * x * (x - 2.0)
         half = 0.5e-13 * t
         nxt = t - np.where(np.abs(step) < half, step + np.where(excess > 0.0, half, -half), step)
         nxt = np.where(nxt == t, np.nextafter(t, np.where(excess > 0.0, -np.inf, np.inf)), nxt)

@@ -315,13 +315,14 @@ def _cmd_verify(args) -> int:
         if shortfall > worst:
             worst, worst_trial = shortfall, (i, gains, pcs)
     status = "ok" if worst <= tol else "FAIL"
-    print(f"verify {args.objective}: max objective shortfall {worst:.3e} (tolerance {tol:.1e}) {status}")
+    label = f"verify {args.objective} --dims {dims}"
+    print(f"{label}: max objective shortfall {worst:.3e} (tolerance {tol:.1e}) {status}")
     if worst <= tol:
         return 0
     i, gains, pcs = worst_trial
     replay = f"eepower verify --objective {args.objective} --dims {dims} --seed {args.seed} --trials {i + 1}"
     print(
-        f"verify {args.objective}: worst trial {i} (seed={args.seed}): gains {gains.tolist()!r}, "
+        f"{label}: worst trial {i} (seed={args.seed}): gains {gains.tolist()!r}, "
         f"pcs {pcs.tolist()!r}; replay: {replay}",
         file=sys.stderr,
     )

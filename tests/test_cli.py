@@ -269,10 +269,10 @@ def test_verify_failure_names_worst_trial_and_replay_command(monkeypatch, capsys
     monkeypatch.setattr("eepower.cli._verify_instance", fake_instance)
     assert main(["verify", "--objective", "wsee", "--dims", "2", "--seed", "4", "--trials", "3"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "verify wsee: max objective shortfall 5.000e-01 (tolerance 1.0e-03) FAIL\n"
+    assert captured.out == "verify wsee --dims 2: max objective shortfall 5.000e-01 (tolerance 1.0e-03) FAIL\n"
     gains, pcs = seen[1]
     assert captured.err == (
-        f"verify wsee: worst trial 1 (seed=4): gains {gains!r}, pcs {pcs!r}; "
+        f"verify wsee --dims 2: worst trial 1 (seed=4): gains {gains!r}, pcs {pcs!r}; "
         "replay: eepower verify --objective wsee --dims 2 --seed 4 --trials 2\n"
     )
     # the replay command ends on the same instance and reports it again
