@@ -10,7 +10,14 @@ Water-filling levels come from one exact sort-and-threshold rule
 found without iteration, for every row of a (rows, n) gain array and every
 circuit power at once (`gee_rows`), or for blocks of several n with one
 Lambert-W stage over all of them (`_gee_solve`); `gee_dinkelbach` is its
-one-row call.
+one-row call. Which links are active is a test on the gains alone against
+pc / s_1 (s_1 the smallest floor 1/g). At the level w = s_1 e^(m + v), with
+v = 1 + W and m the mean log1p of the k active floors' offsets
+delta = s / s_1 - 1, each active link has 1 + g p = w / s, so the rate is
+the sum of m + v - log1p(delta) over them: k v nats, and the total power
+s_1 (k expm1(m + v) - sum delta). The objective is formed from these per-row
+values, so the (rows, n) powers are built only where a caller keeps them or
+a row's total is over the cap.
 The Lambert W function also gives a link's power at a given EE level, so the
 max-min solver finds only each row's common level t, by bracketed Halley
 steps in s = sqrt(T - t) below the row's top level T, in which the budget
@@ -208,14 +215,19 @@ def gee_rows(gains, pc, p_max_total: float | None = None):
     of log1p(delta) over them, w = s_1 exp(m + v), v = 1 + W0(-1/e + d) and
     d = (pc / s_1 - sum delta + k expm1(m)) / (k e e^m); the powers are
     s_1 (expm1(m + v) - delta_i), w - s_i without its cancellation (none for
-    a zero gain, whose floor is infinite). The EE is unimodal in the total
-    power, so a row over the cap is cut back to `water_level(g, cap)`.
-    The one-block call of `_gee_solve`.
+    a zero gain, whose floor is infinite). On an active link
+    1 + g_i p_i = w / s_i = e^(m + v) / (1 + delta_i), and k m is the sum of
+    log1p(delta) over the active links, so the rate is k v nats and the
+    total power s_1 (k expm1(m + v) - sum delta): the objective is formed
+    from these, not from the powers. The EE is unimodal in the total power,
+    so a row whose total is over the cap is cut back to
+    `water_level(g, cap)`, and its rate and total are summed from those
+    powers. The one-block call of `_gee_solve`.
 
     Returns (powers, objective) of shapes (..., rows, n) and (..., rows), with
     pc's leading axes. Errors name the first failing row, also in its `row`:
     a PowerControlError where pc times the row's largest gain overflows, or
-    its optimum is not finite.
+    its optimum is not finite (its rate, or pc plus its total power).
     """
     objective, _, (powers,) = _gee_solve([(gains, pc)], p_max_total, keep_powers=True)
     return powers, objective
@@ -225,51 +237,86 @@ def _gee_solve(blocks, p_max_total: float | None, keep_powers: bool = False):
     """`gee_rows` for a list of (gains, pc) blocks, which may differ in n but
     share pc's leading axes, in stages: each block's checks, sorted floor
     offsets, active count k, m and sum delta; then the level d, the Lambert
-    W and expm1(m + v) once over every block's rows; then each block's
-    powers, cap and rate sum; then the objective once. Every stage is
-    elementwise or reduces each row on its own, so a block gets the bits of
-    its own one-block call. Only (..., rows) arrays outlive a block's stage,
-    so no block's (rows, n) work arrays are alive while the next is built.
+    W, expm1(m + v) and every row's closed-form rate k v and total power
+    once over every block's rows; then each block's capped rows and
+    objective. Every stage is elementwise or reduces each row on its own,
+    so a block gets the bits of its own one-block call. Only (..., rows)
+    arrays outlive a block's stage, so no block's (rows, n) work arrays are
+    alive while the next is built.
+
+    A block's (..., rows, n) powers are built only if keep_powers; without
+    it, only the rows over the cap are, as (rows over, n) water-filled
+    powers. A scaling sweep thus forms no power or rate array of its pcs.
 
     Returns (objective, rate sum, powers): the first two with every block's
-    rows concatenated along the last axis, the rate sum being each row's
-    sum of log1p(g p) that the objective divides; powers is the list of
-    each block's powers if keep_powers, else empty. Errors name a row of
-    the first block that fails its checks, else the first row of the first
-    block whose optimum is not finite, each counted within its block.
+    rows concatenated along the last axis, the rate sum being the numerator
+    of each row's objective (k v, or the sum of log1p(g p) over a capped
+    row's powers); powers is the list of each block's powers if keep_powers,
+    else empty. Errors name a row of the first block that fails its checks,
+    else the first row of the first block whose optimum is not finite, each
+    counted within its block.
     """
     gs, parts = zip(*(_gee_floors(gains, pc, p_max_total) for gains, pc in blocks))
-    scaled_pc, sum_delta, k, m = (np.concatenate(part, axis=-1) for part in zip(*parts))
+    s1, scaled_pc, sum_delta, k, m = (np.concatenate(part, axis=-1) for part in zip(*parts))
     del parts
     d = (scaled_pc - sum_delta + k * np.expm1(m)) / (k * math.e * np.exp(m))
-    levels = np.expm1(m + lambert_w0_offset(d))
-    del scaled_pc, sum_delta, k, m, d
-    rate_sums, objectives, kept = [], [], []
+    v = lambert_w0_offset(d)
+    levels = np.expm1(m + v)
+    rate_sums = k * v
+    # a level that overflows gives an infinite or NaN total, refused below
+    with np.errstate(over="ignore"):
+        totals = s1 * (k * levels - sum_delta)
+    del scaled_pc, sum_delta, m, d, v
+    objectives, kept = [], []
     stop = 0
     for g, (_, pc) in zip(gs, blocks):
         start, stop = stop, stop + g.shape[0]
-        # s_1 (expm1(m + v) - delta_i), built in place
-        offsets, s1 = _offsets(g)
-        powers = levels[..., start:stop, None] - offsets
-        del offsets
-        powers *= s1
-        np.maximum(0.0, powers, out=powers)
-        if p_max_total is not None:
-            over = powers.sum(axis=-1) > p_max_total
-            g_over = np.broadcast_to(g, powers.shape)[over]
-            powers[over] = np.maximum(0.0, water_level(g_over, p_max_total)[:, None] - _inverse(g_over))
-        rates = np.multiply(g, powers, order="C")
-        rate_sums.append(np.log1p(rates, out=rates).sum(axis=-1))
-        objectives.append(_finite_rows(rate_sums[-1] / (pc + powers.sum(axis=-1)), "the optimum is not finite"))
+        rate, total = rate_sums[..., start:stop], totals[..., start:stop]
         if keep_powers:
+            # s_1 (expm1(m + v) - delta_i), the offsets delta_i = s_i / s_1 - 1
+            # formed in place on the floors, C-ordered whatever the layout of
+            # g, as the powers are; a floor over 1e308 times s_1 is an
+            # infinite offset, which fills no power, as a zero gain's does
+            s1_rows = s1[start:stop, None]
+            offsets = np.ascontiguousarray(_inverse(g))
+            with np.errstate(over="ignore"):
+                offsets /= s1_rows
+            offsets -= 1.0
+            powers = levels[..., start:stop, None] - offsets
+            del offsets
+            powers *= s1_rows
+            np.maximum(0.0, powers, out=powers)
             kept.append(powers)
-        del powers, rates
-    return np.concatenate(objectives, axis=-1), np.concatenate(rate_sums, axis=-1), kept
+        if p_max_total is not None:
+            over = total > p_max_total
+            if over.any():
+                g_over = np.broadcast_to(g, over.shape + g.shape[1:])[over]
+                capped = np.maximum(0.0, water_level(g_over, p_max_total)[:, None] - _inverse(g_over))
+                rate[over] = np.log1p(g_over * capped).sum(axis=-1)
+                total[over] = capped.sum(axis=-1)
+                if keep_powers:
+                    powers[over] = capped
+        # finite pc and total may overflow their sum near the float range's
+        # end, where the EE would read 0
+        with np.errstate(over="ignore"):
+            spent = pc + total
+        _finite_rows("the optimum is not finite", rate, spent)
+        objectives.append(rate / spent)
+    return np.concatenate(objectives, axis=-1), rate_sums, kept
 
 
 def _gee_floors(gains, pc, p_max_total: float | None):
-    """One block's checked (rows, n) gains, and the (scaled pc / s_1,
-    sum delta, k, m) of its (..., rows) problems."""
+    """One block's checked (rows, n) gains, and the (s_1, scaled pc / s_1,
+    sum delta, k, m) of its (..., rows) problems.
+
+    The floors 1/g are sorted before they are scaled into delta, which
+    gives the bits of scaling and then sorting, as the map is monotone. The
+    active count k is the number of floors j where the residual
+    R - (pc + P) / w at w = s_j is negative; multiplied by (1 + delta_j)
+    that is B_j < pc / s_1, with B_j = (1 + delta_j) (j log1p(delta_j) -
+    cum_log_j) - (j delta_j - cum_delta_j) a function of the gains alone,
+    so only the comparison spans pc's leading axes.
+    """
     g = np.asarray(gains, dtype=float)
     if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
         raise ValueError(f"gains must be a non-empty (rows, n) array, got shape {g.shape}")
@@ -289,55 +336,43 @@ def _gee_floors(gains, pc, p_max_total: float | None):
         row = int(np.argmax(dead))
         raise InfeasibleError(f"row {row}: at least one gain must be positive", row=row)
 
-    offsets, s1 = _offsets(g)
+    delta = _inverse(g)
+    delta.sort(axis=1)
+    s1 = delta[:, 0].copy()
     with np.errstate(over="ignore"):
-        scaled_pc = _finite_rows(pc / s1[:, 0], "circuit power times the largest gain overflows")
-    delta = np.sort(offsets, axis=1)
-    del offsets
+        scaled_pc = pc / s1
+        # a floor over 1e308 times s_1 is an infinite offset, as a zero
+        # gain's is; neither ever counts
+        delta /= s1[:, None]
+    _finite_rows("circuit power times the largest gain overflows", scaled_pc)
+    delta -= 1.0
     cum_delta = np.cumsum(delta, axis=1)
     j = np.arange(1, g.shape[1] + 1)
-    # R - (pc + P) / w at w = s_j is j logs - cum_log - spill, formed in an
-    # order that keeps few arrays alive, and its gain-only part once; an
-    # infinite floor gives NaN, which never counts
-    with np.errstate(invalid="ignore"):
-        spill = j * delta + scaled_pc[..., None]
-        spill -= cum_delta
-        spill /= 1.0 + delta
+    # B_j formed in an order that keeps few arrays alive; an infinite floor
+    # gives NaN or +inf, and a huge finite one may overflow to either
+    with np.errstate(over="ignore", invalid="ignore"):
         logs = np.log1p(delta)
-        del delta
         cum_log = np.cumsum(logs, axis=1)
         logs *= j
         logs -= cum_log
-        k = np.count_nonzero(logs < spill, axis=-1)
-    del logs, spill
+        logs *= 1.0 + delta
+        delta *= j
+        delta -= cum_delta
+        logs -= delta
+        del delta
+        k = np.count_nonzero(logs < scaled_pc[..., None], axis=-1)
+    del logs
     row = np.arange(g.shape[0])
-    return g, (scaled_pc, cum_delta[row, k - 1], k, cum_log[row, k - 1] / k)
+    return g, (s1, scaled_pc, cum_delta[row, k - 1], k, cum_log[row, k - 1] / k)
 
 
-def _offsets(g):
-    """The floor offsets s_i / s_1 - 1 of (rows, n) gains, formed in place on
-    the floors, and each row's smallest floor s_1 as a (rows, 1) column.
-    Sorting commutes with the monotone map, so their sort is delta. They are
-    C-ordered whatever the layout of g, so each row's sums add its links in
-    one order; a floor over 1e308 times s_1 is an infinite offset, which
-    fills no power, as a zero gain's does."""
-    offsets = np.ascontiguousarray(_inverse(g))
-    s1 = offsets.min(axis=1, keepdims=True)
-    with np.errstate(over="ignore"):
-        offsets /= s1
-    offsets -= 1.0
-    return offsets, s1
-
-
-def _finite_rows(values, what: str):
-    """values when all are finite; otherwise a PowerControlError "row r:
-    what" for the first row r (an index on the last axis) with a value that
-    is not."""
-    bad = ~np.isfinite(values)
+def _finite_rows(what: str, *arrays) -> None:
+    """A PowerControlError "row r: what" for the first row r (an index on
+    the last axis) where a value of one of arrays is not finite."""
+    bad = ~reduce(np.logical_and, map(np.isfinite, arrays))
     if bad.any():
         row = int(np.argmax(bad.any(axis=tuple(range(bad.ndim - 1)))))
         raise PowerControlError(f"row {row}: {what}", row=row)
-    return values
 
 
 def wmee_maxmin(gains, pc, p_total: float) -> Allocation:

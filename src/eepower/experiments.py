@@ -9,8 +9,11 @@ held in trial order, so reruns are bit-identical. The scaling and fairness
 pipelines hold their trials as rows of (trials, n) arrays: each solver runs
 once over all rows (`gee_rows`, `wsee_rows`, `wpee_rows`, `wmee_rows`), and
 no trial is a Python object of its own. A scaling sweep solves every n in
-one staged call (`_gee_solve`) and summarises every (pc, n) with one mean
-and one std call per quantity, into one (4, pcs, ns) array. Every curve is
+one staged call (`_gee_solve`), whose rate sums are the SE: k v nats per
+row, from the Lambert-W level's v and the active link count k, so it builds
+no power array except for rows cut back to a cap. It summarises every
+(pc, n) with one mean and one std call per quantity, into one (4, pcs, ns)
+array. Every curve is
 one 2-D float array (`CurveSet.rows`) that a runner builds with
 `np.column_stack` from its sweep column and result arrays; the CLI writes
 it as it is.
@@ -277,10 +280,11 @@ def _scaling_stats(spec: ExperimentSpec, tech: str, ns, pcs) -> np.ndarray:
     square matrix); every (n, trial) draw is a prefix of its row, so the
     values equal per-(n, trial) draw_gains / draw_matrix calls. Every n and
     pc is then solved for all trials in one staged `_gee_solve` call, whose
-    Lambert-W level stage runs once over all of them, the SE taken from its
-    rate sums, and each quantity is summarised by one mean and one std call
-    over its (pcs, ns, trials) array; each gives the bits of a call per
-    (pc, n).
+    Lambert-W level stage runs once over all of them. Its rate sums are the
+    SE: k v on a row under the cap (see `gee_rows`), the sum of log1p(g p)
+    over a capped row's water-filled powers; no other row's powers are
+    built. Each quantity is summarised by one mean and one std call over its
+    (pcs, ns, trials) array; each gives the bits of a call per (pc, n).
     """
     if tech == "ofdm":
         block = draw_gain_rows(spec.seed, spec.trials, max(ns))

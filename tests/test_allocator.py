@@ -569,8 +569,11 @@ def test_gee_rows_matches_the_dinkelbach_reference(case):
 
 def gee_rows_sorted_floors(gains, pc, cap=None):
     """gee_rows as it was before it formed the floor offsets s_i / s_1 - 1
-    once: delta from the sorted floors, the powers from the offsets formed
-    again, out of place."""
+    once: delta from the sorted floors, the active count from the residual
+    R - (pc + P) / w at each floor divided by 1 + delta_j (not from the
+    gain-only bound), the powers from the offsets formed again, out of
+    place; the rate k v and total s_1 (k expm1(m + v) - sum delta) of a row
+    under the cap, a capped row's summed from its powers."""
     g = np.asarray(gains, dtype=float)
     with np.errstate(divide="ignore"):
         inv = 1.0 / g
@@ -585,15 +588,19 @@ def gee_rows_sorted_floors(gains, pc, cap=None):
         cum_log = np.cumsum(logs, axis=1)
         k = np.count_nonzero(j * logs - cum_log < spill, axis=-1)
     row = np.arange(g.shape[0])
-    m = cum_log[row, k - 1] / k
-    d = (scaled_pc - cum_delta[row, k - 1] + k * np.expm1(m)) / (k * E * np.exp(m))
-    rise = np.expm1(m + lambert_w0_offset(d))
+    m, sum_delta = cum_log[row, k - 1] / k, cum_delta[row, k - 1]
+    d = (scaled_pc - sum_delta + k * np.expm1(m)) / (k * E * np.exp(m))
+    v = lambert_w0_offset(d)
+    rise = np.expm1(m + v)
     powers = np.maximum(0.0, s1 * (rise[..., None] - (inv / s1 - 1.0)))
+    rate, total = k * v, s1[:, 0] * (k * rise - sum_delta)
     if cap is not None:
-        over = powers.sum(axis=-1) > cap
+        over = total > cap
         g_over, inv_over = (np.broadcast_to(a, powers.shape)[over] for a in (g, inv))
         powers[over] = np.maximum(0.0, water_level(g_over, cap)[:, None] - inv_over)
-    return powers, np.log1p(g * powers).sum(axis=-1) / (pc + powers.sum(axis=-1))
+        rate[over] = np.log1p(g * powers).sum(axis=-1)[over]
+        total[over] = powers.sum(axis=-1)[over]
+    return powers, rate / (pc + total)
 
 
 @pytest.mark.parametrize("cap", [None, 0.3])
@@ -616,14 +623,109 @@ def test_gee_rows_offsets_keep_the_sorted_floor_bits(cap):
 
 
 def test_gee_solve_rate_sum_is_the_objective_numerator():
+    # the objective divides the rate sum by pc plus the total power: on a
+    # capped row both are summed from its powers, bit for bit, and on the
+    # others they are the closed form's, within rounding of those sums
     rng = np.random.default_rng(9)
     gains = 10.0 ** rng.uniform(-2.0, 2.0, (30, 5))
     gains[3, 1:] = 0.0
     pc = np.array([0.5, 2.0])[:, None]
     objective, rate_sum, (powers,) = allocator._gee_solve([(gains, pc)], 0.4, keep_powers=True)
-    assert rate_sum.tobytes() == np.log1p(gains * powers).sum(axis=-1).tobytes()
-    assert objective.tobytes() == (rate_sum / (pc + powers.sum(axis=-1))).tobytes()
+    rates, totals = np.log1p(gains * powers).sum(axis=-1), powers.sum(axis=-1)
+    free_totals = gee_rows(gains, pc)[0].sum(axis=-1)
+    capped = free_totals > 0.4
+    assert capped.any() and not capped.all() and not np.isclose(free_totals, 0.4, rtol=1e-9).any()
+    assert rate_sum[capped].tobytes() == rates[capped].tobytes()
+    assert objective[capped].tobytes() == (rates / (pc + totals))[capped].tobytes()
+    np.testing.assert_allclose(rate_sum, rates, rtol=4e-15, atol=0.0)
+    np.testing.assert_allclose(objective, rates / (pc + totals), rtol=4e-15, atol=0.0)
     assert objective.tobytes() == gee_rows(gains, pc, 0.4)[1].tobytes()
+
+
+def test_gee_closed_form_rate_and_ee_equal_their_sums_over_the_powers():
+    # k v and k v / (pc + s_1 (k expm1(m + v) - sum delta)) against the sum
+    # of log1p(g p) and it over pc + sum p from the solver's own powers, for
+    # gains 10**U(-15, 15), pc 10**U(-6, 6) and n from 1 to 64, with one
+    # zero gain in each of a fifth of the rows
+    for n in range(1, 65):
+        rng = np.random.default_rng(n)
+        gains = 10.0 ** rng.uniform(-15.0, 15.0, (40, n))
+        if n > 1:
+            gains[np.arange(8), rng.integers(1, n, size=8)] = 0.0
+        pc = 10.0 ** rng.uniform(-6.0, 6.0, 40)
+        objective, rate_sum, (powers,) = allocator._gee_solve([(gains, pc)], None, keep_powers=True)
+        rates = np.log1p(gains * powers).sum(axis=-1)
+        np.testing.assert_allclose(rate_sum, rates, rtol=4e-15, atol=0.0)
+        np.testing.assert_allclose(objective, rates / (pc + powers.sum(axis=-1)), rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("pc", [0.7, np.array([[0.05], [1.0], [20.0]])])
+def test_gee_capped_rows_sum_their_water_filled_powers(pc):
+    # a row whose closed-form total is over the cap gets the water-filled
+    # powers at the cap, and its rate and total are summed from them, bit for
+    # bit; without keep_powers only those rows' powers are built, to the same
+    # objective and rate bits
+    rng = np.random.default_rng(14)
+    gains = 10.0 ** rng.uniform(-2.0, 2.0, (40, 6))
+    gains[:10, ::2] = 0.0
+    cap = 0.5
+    objective, rate_sum, (powers,) = allocator._gee_solve([(gains, pc)], cap, keep_powers=True)
+    free_totals = gee_rows(gains, pc)[0].sum(axis=-1)
+    capped = free_totals > cap
+    assert capped.any() and not capped.all() and not np.isclose(free_totals, cap, rtol=1e-9).any()
+    filled = np.maximum(0.0, water_level(gains, cap)[:, None] - allocator._inverse(gains))
+    assert powers[capped].tobytes() == np.broadcast_to(filled, powers.shape)[capped].tobytes()
+    rates, totals = np.log1p(gains * powers).sum(axis=-1), powers.sum(axis=-1)
+    assert rate_sum[capped].tobytes() == rates[capped].tobytes()
+    assert objective[capped].tobytes() == (rates / (pc + totals))[capped].tobytes()
+    lean_objective, lean_rate_sum, _ = allocator._gee_solve([(gains, pc)], cap)
+    assert lean_objective.tobytes() == objective.tobytes()
+    assert lean_rate_sum.tobytes() == rate_sum.tobytes()
+
+
+def test_gee_row_whose_total_is_at_the_cap_agrees_with_both_branches():
+    # a cap within a few ulps of a row's free total may or may not cut it
+    # back; either branch gives the row's objective to 1e-15
+    rng = np.random.default_rng(15)
+    gains = 10.0 ** rng.uniform(-2.0, 2.0, (20, 6))
+    gains[:5, 1::2] = 0.0
+    pc = 10.0 ** rng.uniform(-1.0, 1.0, 20)
+    free_powers, free_objective = gee_rows(gains, pc)
+    branches = set()
+    for r, total in enumerate(free_powers.sum(axis=-1)):
+        g = gains[r]
+        for ulps in range(-4, 5):
+            cap = total + ulps * np.spacing(total)
+            powers, objective = gee_rows(g[None, :], pc[r], cap)
+            filled = np.maximum(0.0, water_level(g, cap) - allocator._inverse(g))
+            branches.add(powers.tobytes() == filled.tobytes())
+            at_cap = np.log1p(g * filled).sum() / (pc[r] + filled.sum())
+            assert objective[0] == pytest.approx(free_objective[r], rel=1e-15, abs=0.0)
+            assert objective[0] == pytest.approx(at_cap, rel=1e-15, abs=0.0)
+    assert branches == {True, False}
+
+
+def test_gee_optimum_whose_spent_power_overflows_is_refused():
+    # pc / s_1, the rate k v and the total P are finite, but pc + P is not:
+    # its EE would read k v / inf = 0, so the row is refused, as one whose
+    # level overflows is; it is the first such row that is named
+    with pytest.raises(PowerControlError, match="^row 1: the optimum is not finite$") as err:
+        gee_rows([[1.0, 2.0], [0.25, 0.2], [0.25, 0.2]], np.array([1.0, 1.797e308, 1.797e308]))
+    assert err.value.row == 1
+    # from pc / s_1 = 2.5e305 to its overflow, each row solves to a positive
+    # EE, the powers' own to 1e-14, or is refused; none reads 0
+    shapes = ([0.25], [0.25, 0.2], [0.25, 0.2, 0.1, 1e-3, 0.0], [1e-3, 9.9e-4])
+    for pc in np.linspace(1e306, 1.7976931348623157e308, 40):
+        for shape in shapes:
+            g = np.array([shape])
+            try:
+                powers, objective = gee_rows(g, pc)
+            except PowerControlError as refused:
+                assert str(refused) == "row 0: the optimum is not finite"
+                continue
+            assert objective[0] > 0.0 and np.all(np.isfinite(powers))
+            spent = pc + powers.sum()
+            assert objective[0] == pytest.approx(np.log1p(g * powers).sum() / spent, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("cap", [None, 3.0])
@@ -703,6 +805,16 @@ def test_gee_rate_is_no_worse_than_the_dinkelbach_reference(exponent, shape, exa
     error = abs(float(np.log1p(gains * powers[0]).sum()) - exact) / exact
     ref_error = abs(float(np.log1p(gains * ref_powers[0]).sum()) - exact) / exact
     assert error <= max(ref_error, 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("exponent, shape, exact", GEE_RATE_PINS)
+def test_gee_closed_form_rate_is_as_close_as_the_powers_sum(exponent, shape, exact):
+    # k v is no further from the exact rate than the sum of log1p(g p) over
+    # the same solve's powers, up to 1 ulp
+    gains = 10.0 ** exponent * np.array(GEE_RATE_SHAPES[shape])
+    _, rate_sum, (powers,) = allocator._gee_solve([(gains[None, :], 1.0)], None, keep_powers=True)
+    powers_error = abs(float(np.log1p(gains * powers[0]).sum()) - exact)
+    assert abs(float(rate_sum[0]) - exact) <= powers_error + np.spacing(exact)
 
 
 def test_dinkelbach_stop_is_relative_at_tiny_gain():

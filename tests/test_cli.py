@@ -451,6 +451,23 @@ def test_table1_with_zero_single_dimension_ee_exits_2_with_a_replay(tmp_path, ca
     assert capsys.readouterr().err == err
 
 
+def test_pc_plus_total_power_that_overflows_exits_2_with_a_replay(tmp_path, capsys):
+    # seed 3's first gain is below 1, so pc / s_1 and the optimum's rate
+    # and total power are finite, but pc plus that total is not: the EE
+    # would read 0, so the run fails at n = 1 and writes nothing
+    argv = ["ofdm-sweep", "--seed", "3", "--trials", "1", "--n", "1,2", "--pc", "1.797e308"]
+    rc = main([*argv, "--out", str(tmp_path / "d")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == (
+        "eepower: numerical error: row 0: the optimum is not finite; "
+        "replay: eepower ofdm-sweep --seed 3 --pc 1.797e+308 --n 1 --trials 1\n"
+    )
+    assert not (tmp_path / "d").exists()
+    assert main([*_replay_of(err), "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == err
+
+
 def test_mimo_pc_whose_scaled_power_overflows_exits_2_with_a_replay(tmp_path, capsys):
     # 32 pc is finite, but pc / s_1 overflows at n = 32: the staged solve over
     # every n still names that n, pc and its first trial, also when the pc

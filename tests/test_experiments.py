@@ -356,8 +356,15 @@ def test_doubling_trials_is_statistically_stable():
     assert gap <= 3.0 * a.column("ee_stderr")[0]
 
 
+def _one_block_se(gains, pc, budget):
+    # the SE of (rows, n) gains from a one-block GEE solve: its rate sums,
+    # k v on a row under the cap (see gee_rows)
+    return allocator._gee_solve([(gains, pc)], budget)[1]
+
+
 def _per_trial_loop(spec, tech):
-    # reference: one draw and one solve per (n, trial, pc), as a plain loop
+    # reference: one draw and one solve per (n, trial, pc), as a plain loop,
+    # the SE from a one-row solve
     rows = {pc: [] for pc in spec.pc_values}
     for n in spec.n_values:
         ee = {pc: [] for pc in spec.pc_values}
@@ -371,7 +378,7 @@ def _per_trial_loop(spec, tech):
                 pc_total = pc * n if tech == "mimo" else pc
                 alloc = gee_dinkelbach(GeeProblem(gains, pc_total, spec.budget))
                 ee[pc].append(alloc.objective)
-                se[pc].append(float(np.log1p(gains * alloc.powers).sum()))
+                se[pc].append(float(_one_block_se(gains[None, :], pc_total, spec.budget)[0]))
         for pc in spec.pc_values:
             e, s = np.array(ee[pc]), np.array(se[pc])
             stderr = [float(v.std(ddof=1) / math.sqrt(v.size)) for v in (e, s)]
@@ -397,8 +404,8 @@ def _stderr(values):
 
 def _scaling_stats_per_pc(spec, tech, ns, pcs):
     # reference: _scaling_stats before it summarised all pcs of one n at once,
-    # with SE from its own pass over the gee_rows powers and scalar mean and
-    # stderr calls per (pc, n), into a (4, pcs, ns) array
+    # with EE from gee_rows, SE from a one-block solve per n and scalar mean
+    # and stderr calls per (pc, n), into a (4, pcs, ns) array
     if tech == "ofdm":
         block = draw_gain_rows(spec.seed, spec.trials, max(ns))
     else:
@@ -406,8 +413,8 @@ def _scaling_stats_per_pc(spec, tech, ns, pcs):
     stats = np.empty((4, len(pcs), len(ns)))
     for i, n in enumerate(ns):
         gains = block[:, :n] if tech == "ofdm" else svd_gains(matrices_from_uniforms(block, n, n))
-        powers, ee = gee_rows(gains, np.array(pcs)[:, None] * (n if tech == "mimo" else 1), spec.budget)
-        se = np.log1p(gains * powers).sum(axis=-1)
+        pc = np.array(pcs)[:, None] * (n if tech == "mimo" else 1)
+        ee, se = gee_rows(gains, pc, spec.budget)[1], _one_block_se(gains, pc, spec.budget)
         for p, (ee_pc, se_pc) in enumerate(zip(ee, se)):
             stats[:, p, i] = (float(ee_pc.mean()), _stderr(ee_pc), float(se_pc.mean()), _stderr(se_pc))
     return stats
@@ -427,13 +434,15 @@ def test_scaling_stats_equal_the_per_pc_summary_bit_for_bit(tech, trials, budget
 
 
 def _per_n_gee_rows(spec, tech, ns, pcs, gains):
-    # reference: one gee_rows call per n, with SE from its powers, as
-    # (pcs, ns x trials) arrays; also whether any row was cut back to the cap
+    # reference: one gee_rows call and one one-block solve for the SE per n,
+    # as (pcs, ns x trials) arrays; also whether any row was cut back to the
+    # cap
     ee, se, capped = [], [], False
     for n, g in zip(ns, gains):
-        powers, objective = gee_rows(g, np.array(pcs)[:, None] * (n if tech == "mimo" else 1), spec.budget)
+        pc = np.array(pcs)[:, None] * (n if tech == "mimo" else 1)
+        powers, objective = gee_rows(g, pc, spec.budget)
         ee.append(objective)
-        se.append(np.log1p(g * powers).sum(axis=-1))
+        se.append(_one_block_se(g, pc, spec.budget))
         if spec.budget is not None:
             capped |= bool(np.any(np.isclose(powers.sum(axis=-1), spec.budget, rtol=1e-12)))
     return np.concatenate(ee, axis=-1), np.concatenate(se, axis=-1), capped
