@@ -434,16 +434,19 @@ def wmee_rows(gains, pc, budget: float):
     X > 1 puts s - ds past T; that step is reflected below T and kept to at
     most s / 2 (X at most 1.5), since near X = 2 the reflection returns
     almost to t. A step that would leave the bracket, or is not finite,
-    bisects it, and one shorter than 0.5e-13 t is lengthened by that much,
-    so it lands across the root and the bracket closes: half the stop width
-    at t, whichever end of the bracket t is, so also where the root lies
-    many decades below the top level (a tiny budget); the first step, from
-    t = 0, is never lengthened. A step that
-    rounds to no move (at a subnormal level, where 0.5e-13 t underflows)
-    moves one float toward the root instead. The bracket stops at most
-    1e-13 of its upper end wide, or once no float lies strictly between its
-    ends, and the row takes its feasible end, so the link EEs are equal
-    whenever the budget binds. A zero gain gives a zero level.
+    bisects it, except that one from a feasible level (F < 0) to or past the
+    infeasible end hi lands 0.5e-13 hi inside that end (or at the middle, if
+    that is higher): a root within half the stop width of hi then closes the
+    bracket in one call, not in a bisection's many. One shorter than
+    0.5e-13 t is lengthened by that much, so it lands across the root and
+    the bracket closes: half the stop width at t, whichever end of the
+    bracket t is, so also where the root lies many decades below the top
+    level (a tiny budget); the first step, from t = 0, is never lengthened.
+    A step that rounds to no move (at a subnormal level, where 0.5e-13 t
+    underflows) moves one float toward the root instead. The bracket stops
+    at most 1e-13 of its upper end wide, or once no float lies strictly
+    between its ends, and the row takes its feasible end, so the link EEs
+    are equal whenever the budget binds. A zero gain gives a zero level.
 
     Returns (powers, level) of shapes (rows, n) and (rows,). A bad value
     names the first row that holds it.
@@ -478,7 +481,9 @@ def wmee_rows(gains, pc, budget: float):
         half = 0.5e-13 * t
         nxt = t - np.where(np.abs(step) < half, step + np.where(excess > 0.0, half, -half), step)
         nxt = np.where(nxt == t, np.nextafter(t, np.where(excess > 0.0, -np.inf, np.inf)), nxt)
-        t = np.where(going, np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi)), t)
+        mid = 0.5 * (lo + hi)
+        jump = np.where((nxt >= hi) & (excess < 0.0), np.maximum(hi - 0.5e-13 * hi, mid), mid)
+        t = np.where(going, np.where((lo < nxt) & (nxt < hi), nxt, jump), t)
         p = _rising_powers(g, pc, peaks, t)
         excess = p.sum(axis=1) - budget
         fits = going & (excess <= 0.0)

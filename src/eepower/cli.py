@@ -64,13 +64,11 @@ def _list_of(kind: type):
     noun = "integers" if kind is int else "numbers"
 
     def parse(text: str) -> tuple:
+        # an empty item ("1,,2", "1,", "") is not a number, so it is rejected
         try:
-            values = tuple(kind(v) for v in text.split(",") if v != "")
+            return tuple(kind(v) for v in text.split(","))
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected a comma-separated list of {noun}, got {text!r}")
-        if not values:
-            raise argparse.ArgumentTypeError("empty list")
-        return values
 
     return parse
 
@@ -131,8 +129,8 @@ def load_config(path: str, command: str) -> dict:
 
     Keys are the command's flag names, offered and converted exactly as the
     flags are; returns a mapping of option destinations to values. Unknown
-    keys, keys the command does not read and malformed values are rejected
-    with the file and line number.
+    keys, keys the command does not read, a key given twice and malformed
+    values are rejected with the file and line number.
     """
     options = _command_options(command)
     out: dict = {}
@@ -154,6 +152,8 @@ def load_config(path: str, command: str) -> dict:
         if key not in options:
             raise UsageError(f"{path}:{lineno}: {command} does not read key {key!r}")
         kw = options[key]
+        if kw["dest"] in out:
+            raise UsageError(f"{path}:{lineno}: key {key!r} given twice")
         try:
             parsed = kw["type"](value) if "type" in kw else value
         except (ValueError, argparse.ArgumentTypeError):

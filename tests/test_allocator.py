@@ -1,5 +1,11 @@
+import functools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1048,7 +1054,10 @@ def test_wmee_level_takes_few_kernel_calls_on_the_verify_instances():
     assert np.median(calls) <= 5 and max(calls) <= 8
 
 
-@pytest.mark.parametrize("shortfall", [1e-3, 1e-9, 1e-14, 0.0])
+TAIL_SHORTFALLS = [1e-3, 1e-9, 1e-14, 0.0]
+
+
+@pytest.mark.parametrize("shortfall", TAIL_SHORTFALLS)
 def test_wmee_level_in_the_tail_below_the_top(shortfall):
     # link 0's peak EE (1/e at 1.72 W) is the lower one and sets the top
     # level T; p_0'(t) grows without bound as t nears T, so with the budget
@@ -1066,6 +1075,40 @@ def test_wmee_level_in_the_tail_below_the_top(shortfall):
     if shortfall == 0.0:
         assert level[0] == top[1][0]
         np.testing.assert_array_equal(powers, top[0])
+
+
+def _numpy_dispatch_groups():
+    """numpy's dispatched CPU feature groups, lowest first, and this CPU's features."""
+    umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath  # numpy.core before numpy 2
+    return list(umath.__cpu_dispatch__), umath.__cpu_features__
+
+
+@functools.cache
+def _tail_test_without_each_dispatch_group():
+    """{group: (exit code, output)} of the tail test in a child process per dispatch
+    group this CPU has, with that group and every higher one disabled, one per core."""
+    groups, has = _numpy_dispatch_groups()
+    present = [group for group in groups if has.get(group)]
+    code = f"import test_allocator as t\nfor s in {TAIL_SHORTFALLS!r}: t.test_wmee_level_in_the_tail_below_the_top(s)"
+    path = os.pathsep.join(str(d) for d in (Path(__file__).resolve().parent, Path(allocator.__file__).resolve().parents[1]))
+
+    def run(group):
+        env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(present[present.index(group) :])}
+        child = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], env=env, capture_output=True, text=True)
+        return child.returncode, child.stdout + child.stderr
+
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        return dict(zip(present, pool.map(run, present)))
+
+
+@pytest.mark.parametrize("group", _numpy_dispatch_groups()[0])
+def test_wmee_level_in_the_tail_below_the_top_without(group):
+    # a CPU without AVX-512 or AVX2 takes other numpy kernels, whose last
+    # bits differ; the level must close its bracket as fast there
+    runs = _tail_test_without_each_dispatch_group()
+    if group not in runs:
+        pytest.skip(f"numpy reports no {group} on this CPU (absent or already disabled), so no run disables it")
+    assert runs[group][0] == 0, runs[group][1]
 
 
 def test_wmee_level_where_a_halley_step_passes_the_top():

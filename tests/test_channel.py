@@ -243,10 +243,11 @@ def test_streams_seeded_on_python_ints_equal_the_array_path_and_rng_for(seed, ke
         assert _pcg64_states(seed, trials, *key) == [(state["state"], state["inc"]) for state in states]
 
 
-@pytest.mark.parametrize("trials, size", [(3, 65), (17, 1000), (500, 64), (64, 2048)])
+@pytest.mark.parametrize("trials, size", [(3, 65), (17, 1000), (500, 64), (64, 2048), (1, 10000)])
 def test_two_dimensional_blocks_equal_per_stream_generators(trials, size):
     # the doubling rounds fill contiguous row blocks of (size, trials) arrays
-    # and the block is transposed once; 65 and 1000 columns end mid-round
+    # and the block is transposed once; 65 and 1000 columns end mid-round;
+    # (1, 10000) is the one stream that siso-profiles draws by default
     rows = _per_stream_rows(2**130, trials, size, [7])
     assert np.array_equal(stream_uniforms(2**130, trials, size, 7), rows)
     block = _vector_fill(_seed_words(2**130, np.arange(trials, dtype=np.uint64), 7), size)

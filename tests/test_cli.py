@@ -296,6 +296,9 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert "--seed must be >= 0, got -1" in capsys.readouterr().err
     assert main(["ofdm-sweep", "--n", "1.5", "--out", str(tmp_path)]) == 1
     assert "list of integers, got '1.5'" in capsys.readouterr().err
+    for flag, noun in (("--pc", "numbers"), ("--n", "integers")):  # an empty item is not dropped
+        assert main(["ofdm-sweep", flag, "1,,2", "--out", str(tmp_path)]) == 1
+        assert f"argument {flag}: expected a comma-separated list of {noun}, got '1,,2'" in capsys.readouterr().err
     assert main(["fairness", "--seed", "-1", "--out", str(tmp_path / "d")]) == 1
     assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
@@ -563,6 +566,63 @@ def test_every_command_at_extreme_budgets_and_pcs_exits_by_the_contract(tmp_path
         assert np.array_equal(tiny[:, 1:5], small[:, 1:5])
 
 
+# runs that exit 0 under the suite's RuntimeWarning filter: the one-trial
+# summary, capped rows, the staged GEE solve, pcs and budgets at the ends of
+# the float range, subnormal WMEE levels, and the WSEE/WPEE/WMEE one-row calls
+# and dims-3 oracle screens over many instances
+CONSOLE_RUNS = [
+    "ofdm-sweep --trials 3",
+    "ofdm-sweep --trials 1",
+    "ofdm-sweep --trials 3 --budget 2",
+    "ofdm-sweep --trials 3 --pc 1e-300,1e306",
+    "mimo-sweep --trials 2 --n 1,2",
+    "mimo-sweep --trials 2 --n 1,2 --budget 1",
+    "mimo-sweep --trials 2 --n 1,2,32 --pc 1,2,3 --budget 1",
+    "mimo-sweep --trials 2 --n 1,2,32 --pc 1e-13,1e300",
+    "siso-profiles --trials 3 --budget 1e-300",
+    "fairness --trials 2",
+    "fairness --trials 2000",
+    "fairness --trials 2 --budget 1e-6",
+    "fairness --trials 200 --budget 1e-308",
+    "siso-ee-se --pc 1e-13,1e13",
+    "verify --objective wmee --dims 2 --trials 200",
+    "verify --objective wmee --dims 3 --trials 200",
+    "verify --objective wsee --dims 2 --trials 20",
+    "verify --objective wsee --dims 3 --trials 20",
+    "verify --objective wpee --dims 2 --trials 20",
+    "verify --objective wpee --dims 3 --trials 20",
+    "verify --objective gee --dims 3 --trials 20",
+    "verify --objective sumrate --dims 3 --trials 20",
+    "verify --objective sumrate --dims 3 --seed 5 --trials 20",
+]
+
+
+@pytest.mark.parametrize("line", CONSOLE_RUNS)
+def test_console_run_exits_0(tmp_path, line):
+    assert main(line.split() + ([] if line.startswith("verify") else ["--out", str(tmp_path)])) == 0
+
+
+# fairness runs whose fairness_trials.csv share bytes: the header and 64
+# trial rows of the Python (64 trials) and array (65) fills, and the Jain
+# index of WSEE (cut -d, -f3), whose link EEs scale with a budget this
+# small, at 1e-300 and 1e-150
+@pytest.mark.parametrize(
+    "runs, rows, columns",
+    [
+        (("--trials 64", "--trials 65"), 65, slice(None)),
+        (("--trials 2 --budget 1e-300", "--trials 2 --budget 1e-150"), None, slice(2, 3)),
+    ],
+    ids=["fill-rows", "jain-wsee"],
+)
+def test_fairness_runs_share_bytes(tmp_path, runs, rows, columns):
+    found = []
+    for i, flags in enumerate(runs):
+        assert main(["fairness", *flags.split(), "--out", str(tmp_path / str(i))]) == 0
+        lines = (tmp_path / str(i) / "fairness_trials.csv").read_text().splitlines()
+        found.append([line.split(",")[columns] for line in lines[:rows]])
+    assert found[0] == found[1]
+
+
 @pytest.mark.parametrize("command", SMALL_RUNS)
 def test_replay_command_parses_back_to_its_spec(tmp_path, monkeypatch, command):
     # a spec's replay command, run through the CLI, sets that same spec: at
@@ -638,6 +698,13 @@ def test_config_file_errors(tmp_path):
     bad.write_text("pc=2\nunits=furlongs\n")
     with pytest.raises(Exception, match=":2: bad value for 'units': 'furlongs'"):
         load_config(str(bad), "siso-ee-se")
+    bad.write_text("pc=1,,2\n")
+    with pytest.raises(Exception, match=":1: bad value for 'pc': '1,,2'"):
+        load_config(str(bad), "siso-ee-se")
+    bad.write_text("trials=3\npc=1\ntrials=5\n")
+    with pytest.raises(Exception, match=":3: key 'trials' given twice"):
+        load_config(str(bad), "ofdm-sweep")
+    assert main(["ofdm-sweep", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
     unknown = tmp_path / "unknown.cfg"
     unknown.write_text("mystery=1\n")
     with pytest.raises(Exception) as err:
