@@ -225,20 +225,41 @@ def gee_rows(gains, pc, p_max_total: float | None = None):
     powers. The one-block call of `_gee_solve`.
 
     Returns (powers, objective) of shapes (..., rows, n) and (..., rows), with
-    pc's leading axes. Errors name the first failing row, also in its `row`:
-    a PowerControlError where pc times the row's largest gain overflows, or
-    its optimum is not finite (its rate, or pc plus its total power).
+    pc's leading axes. The input is checked here, once, in this order: a
+    ValueError for gains that are not a non-empty (rows, n) array, or not
+    finite and non-negative; for a pc that is not positive and finite (a
+    scalar's message names the value, an array's the first row holding a
+    bad one and that row's values); and for a p_max_total that is neither
+    None nor positive and finite. The solve's own errors then name the
+    first failing row, also in their `row`: an InfeasibleError for a row
+    with no positive gain, and a PowerControlError where pc times the row's
+    largest gain overflows, or where its optimum is not finite (its rate, or
+    pc plus its total power).
     """
-    objective, _, (powers,) = _gee_solve([(gains, pc)], p_max_total, keep_powers=True)
+    g = np.asarray(gains, dtype=float)
+    if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
+        raise ValueError(f"gains must be a non-empty (rows, n) array, got shape {g.shape}")
+    if not np.all(np.isfinite(g)) or np.any(g < 0.0):
+        raise ValueError("gains must be finite and non-negative")
+    if np.ndim(pc) == 0:
+        _check_positive("circuit power", pc)
+    else:
+        pcs = np.broadcast_to(np.asarray(pc, dtype=float), np.broadcast_shapes(np.shape(pc), g.shape[:1]))
+        bad = ~(np.isfinite(pcs) & (pcs > 0.0))
+        if bad.any():
+            row = int(np.argmax(bad.any(axis=tuple(range(bad.ndim - 1)))))
+            raise ValueError(f"row {row}: circuit power must be positive and finite, got {pcs[..., row]}")
+    _check_positive("p_max_total", p_max_total, optional=True)
+    objective, _, (powers,) = _gee_solve([(g, pc)], p_max_total, keep_powers=True)
     return powers, objective
 
 
 def _gee_solve(blocks, p_max_total: float | None, keep_powers: bool = False):
     """`gee_rows` for a list of (gains, pc) blocks, which may differ in n but
-    share pc's leading axes, in stages: each block's checks, sorted floor
-    offsets, active count k, m and sum delta; then the level d, the Lambert
-    W, expm1(m + v) and every row's closed-form rate k v and total power
-    once over every block's rows; then each block's capped rows and
+    share pc's leading axes, in stages: each block's dead-row check, sorted
+    floor offsets, active count k, m and sum delta; then the level d, the
+    Lambert W, expm1(m + v) and every row's closed-form rate k v and total
+    power once over every block's rows; then each block's capped rows and
     objective. Every stage is elementwise or reduces each row on its own,
     so a block gets the bits of its own one-block call. Only (..., rows)
     arrays outlive a block's stage, so no block's (rows, n) work arrays are
@@ -248,15 +269,22 @@ def _gee_solve(blocks, p_max_total: float | None, keep_powers: bool = False):
     it, only the rows over the cap are, as (rows over, n) water-filled
     powers. A scaling sweep thus forms no power or rate array of its pcs.
 
+    It trusts its input as `gee_rows` checks it: each block's gains a
+    non-empty (rows, n) float array of finite non-negative values, pc and
+    p_max_total positive and finite (or None). Its callers guarantee that:
+    `gee_rows` by its checks, and `experiments._scaling_stats` by drawing
+    the gains (`draw_gain_rows`, or `svd_gains` of finite matrices) and
+    taking pc and the budget from a checked `ExperimentSpec`.
+
     Returns (objective, rate sum, powers): the first two with every block's
     rows concatenated along the last axis, the rate sum being the numerator
     of each row's objective (k v, or the sum of log1p(g p) over a capped
     row's powers); powers is the list of each block's powers if keep_powers,
-    else empty. Errors name a row of the first block that fails its checks,
-    else the first row of the first block whose optimum is not finite, each
-    counted within its block.
+    else empty. Errors name a row of the first block with a dead row or an
+    overflowing pc times gain, else the first row of the first block whose
+    optimum is not finite, each counted within its block.
     """
-    gs, parts = zip(*(_gee_floors(gains, pc, p_max_total) for gains, pc in blocks))
+    parts = [_gee_floors(g, pc) for g, pc in blocks]
     s1, scaled_pc, sum_delta, k, m = (np.concatenate(part, axis=-1) for part in zip(*parts))
     del parts
     d = (scaled_pc - sum_delta + k * np.expm1(m)) / (k * math.e * np.exp(m))
@@ -269,7 +297,7 @@ def _gee_solve(blocks, p_max_total: float | None, keep_powers: bool = False):
     del scaled_pc, sum_delta, m, d, v
     objectives, kept = [], []
     stop = 0
-    for g, (_, pc) in zip(gs, blocks):
+    for g, pc in blocks:
         start, stop = stop, stop + g.shape[0]
         rate, total = rate_sums[..., start:stop], totals[..., start:stop]
         if keep_powers:
@@ -305,9 +333,11 @@ def _gee_solve(blocks, p_max_total: float | None, keep_powers: bool = False):
     return np.concatenate(objectives, axis=-1), rate_sums, kept
 
 
-def _gee_floors(gains, pc, p_max_total: float | None):
-    """One block's checked (rows, n) gains, and the (s_1, scaled pc / s_1,
-    sum delta, k, m) of its (..., rows) problems.
+def _gee_floors(g, pc):
+    """The (s_1, scaled pc / s_1, sum delta, k, m) of the (..., rows)
+    problems of one block's (rows, n) gains g. Like `_gee_solve`, it trusts
+    g and pc as `gee_rows` checks them; it raises only for a row with no
+    positive gain and for pc / s_1 overflowing.
 
     The floors 1/g are sorted before they are scaled into delta, which
     gives the bits of scaling and then sorting, as the map is monotone. The
@@ -317,20 +347,6 @@ def _gee_floors(gains, pc, p_max_total: float | None):
     cum_log_j) - (j delta_j - cum_delta_j) a function of the gains alone,
     so only the comparison spans pc's leading axes.
     """
-    g = np.asarray(gains, dtype=float)
-    if g.ndim != 2 or g.shape[0] < 1 or g.shape[1] < 1:
-        raise ValueError(f"gains must be a non-empty (rows, n) array, got shape {g.shape}")
-    if not np.all(np.isfinite(g)) or np.any(g < 0.0):
-        raise ValueError("gains must be finite and non-negative")
-    if np.ndim(pc) == 0:
-        _check_positive("circuit power", pc)
-    else:
-        pcs = np.broadcast_to(np.asarray(pc, dtype=float), np.broadcast_shapes(np.shape(pc), g.shape[:1]))
-        bad = ~(np.isfinite(pcs) & (pcs > 0.0))
-        if bad.any():
-            row = int(np.argmax(bad.any(axis=tuple(range(bad.ndim - 1)))))
-            raise ValueError(f"row {row}: circuit power must be positive and finite, got {pcs[..., row]}")
-    _check_positive("p_max_total", p_max_total, optional=True)
     dead = ~np.any(g > 0.0, axis=1)
     if dead.any():
         row = int(np.argmax(dead))
@@ -363,7 +379,7 @@ def _gee_floors(gains, pc, p_max_total: float | None):
         k = np.count_nonzero(logs < scaled_pc[..., None], axis=-1)
     del logs
     row = np.arange(g.shape[0])
-    return g, (s1, scaled_pc, cum_delta[row, k - 1], k, cum_log[row, k - 1] / k)
+    return s1, scaled_pc, cum_delta[row, k - 1], k, cum_log[row, k - 1] / k
 
 
 def _finite_rows(what: str, *arrays) -> None:

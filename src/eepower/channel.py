@@ -16,7 +16,8 @@ one (see stream_uniforms): up to _SMALL_BLOCK uniforms, PCG64's 128-bit step
 and XSL-RR output on Python ints, about 1 us per uniform; up to
 _VECTOR_BLOCK, the same step as one uint64 array program over all streams,
 whose columns double by LCG jump-ahead in contiguous (size, trials) row
-blocks, about 0.1 ms plus 25 us per doubling plus 25-55 ns per uniform;
+blocks, about 0.1-0.15 ms plus 15-25 us per doubling plus 20-50 ns per
+uniform;
 above that, one reused numpy PCG64, about 6 ns per uniform. Only the last
 pays the 10-20 ms import that the first use of numpy.random costs a
 process, so `fairness`, `verify`, `ofdm` and `mimo` at the benchmark's
@@ -165,16 +166,29 @@ def _python_fill(states: list[tuple[int, int]], size: int) -> np.ndarray:
 
 def _mul128(a_hi, a_lo, b_hi, b_lo):
     """(a * b) mod 2**128 on (hi, lo) uint64 words, at least one operand an
-    array, so that every product wraps as an array op and none warns. The
-    high word of a_lo * b_lo is summed from its 32-bit limb products, none of
+    array, so that every product wraps as an array op and none warns; a and
+    b broadcast, as a (trials,) row against a (rounds, 1) column. The high
+    word of a_lo * b_lo is summed from its 32-bit limb products, none of
     whose partial sums exceeds 64 bits; the cross terms only reach the high
-    word, so they may wrap."""
+    word, so they may wrap. Three arrays of the product's shape hold every
+    partial sum, each product written into one with out=."""
     a0, a1 = a_lo & _LOW32, a_lo >> _U32
     b0, b1 = b_lo & _LOW32, b_lo >> _U32
-    t = a1 * b0 + ((a0 * b0) >> _U32)
-    u = a0 * b1 + (t & _LOW32)
-    hi = a1 * b1 + (t >> _U32) + (u >> _U32) + a_lo * b_hi + a_hi * b_lo
-    return hi, a_lo * b_lo
+    # t = a1 b0 + (a0 b0 >> 32), u = a0 b1 + (t & 2**32 - 1)
+    t = a0 * b0
+    t >>= _U32
+    u = a1 * b0
+    t += u
+    np.multiply(a0, b1, out=u)
+    hi = t >> _U32
+    t &= _LOW32
+    u += t
+    u >>= _U32
+    # hi = a1 b1 + (t >> 32) + (u >> 32) + a_lo b_hi + a_hi b_lo
+    hi += u
+    for x, y in ((a1, b1), (a_lo, b_hi), (a_hi, b_lo)):
+        hi += np.multiply(x, y, out=u)
+    return hi, np.multiply(a_lo, b_lo, out=t)
 
 
 def _words128(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -194,8 +208,14 @@ def _vector_fill(words: list[np.ndarray], size: int) -> np.ndarray:
     doubling m gives C += A C, A = A**2. A and C stay Python ints and only
     the arrays wrap; the C inc terms of all rounds are one (rounds, trials)
     product. The columns are held as rows of (size, trials) arrays, so each
-    round reads and writes contiguous blocks, and the block is transposed
-    once, as its words convert to floats."""
+    round reads and writes contiguous blocks. A round writes A times the
+    first k rows plus its C inc row into rows [m, m + k) with out= and adds
+    the low word's carry in place, so it allocates only the product's words
+    and the carry flags. The XSL-RR output word is formed in one array, the
+    state's words reused for the rest, and the block is transposed once, as
+    its words convert to floats. Every operand is a uint64 array or one of
+    the uint64 constants above, never a Python int, so numpy 1.24's
+    value-based casting and numpy 2's NEP 50 give the same dtypes."""
     s_hi, s_lo, q_hi, q_lo = words
     i_hi, i_lo = (q_hi << _U1) | (q_lo >> _U63), (q_lo << _U1) | _U1
     start_lo = s_lo + i_lo
@@ -214,15 +234,24 @@ def _vector_fill(words: list[np.ndarray], size: int) -> np.ndarray:
         # columns [m, m + k) from the first k, column 0 from the start state
         k = max(min(m, size - m), 1)
         x_hi, x_lo = _mul128(*((hi[:k], lo[:k]) if m else (start_hi, start_lo)), a_hi, a_lo)
-        lo[m : m + k] = x_lo + y_lo[r]
-        hi[m : m + k] = x_hi + y_hi[r] + (lo[m : m + k] < x_lo)
+        new_hi, new_lo = hi[m : m + k], lo[m : m + k]
+        np.add(x_lo, y_lo[r], out=new_lo)
+        np.add(x_hi, y_hi[r], out=new_hi)
+        new_hi += new_lo < x_lo
         m += k
-    # XSL-RR: the xor of the halves rotated right by the state's top 6 bits;
-    # next_double's 53 bits convert exactly, and faster from int64
+    # XSL-RR: the xor of the halves rotated right by the state's top 6 bits
+    # (hi becomes the right shift, then the left shift 64 - rot mod 64, and
+    # lo the word shifted left by it); next_double's 53 bits convert
+    # exactly, and faster from int64
     lo ^= hi
     hi >>= _U58
-    word = (lo >> hi) | (lo << ((_U64 - hi) & _U63))
-    out = (word >> _U11).view(np.int64).T.astype(float, order="C")
+    word = lo >> hi
+    np.subtract(_U64, hi, out=hi)
+    hi &= _U63
+    lo <<= hi
+    word |= lo
+    word >>= _U11
+    out = word.view(np.int64).T.astype(float, order="C")
     return np.multiply(out, 2.0**-53, out=out)
 
 
@@ -249,25 +278,28 @@ def stream_uniforms(seed: int, trials: int, size: int, *key: int) -> np.ndarray:
     draw_matrix bit for bit. Each fill gives the same bits; the block's size
     n = trials * size picks the fastest, by crossovers measured with numpy 2.4
     on 2 vCPUs (each fill with its seed hash, medians of best-of-5 times; the
-    host's speed drifted by up to 2x between runs, so the ranges are wide):
+    host's speed drifted by up to 2x between runs, so the ranges are wide;
+    the array fill's figures are those of its in-place rounds):
 
-    - n <= _SMALL_BLOCK: _python_fill, about 1 us per uniform. The array fill
-      costs about 0.1 ms plus 25 us per doubling of the row length, so in
-      rows of 1-8 it already wins at 160-256 uniforms (40 x 4: 0.32-0.33
-      against 0.35-0.38 ms, 256 x 1: 0.28 against 0.72 ms), in rows of 64
-      the two cross near 256-512, and a single row, whose seed is hashed on
-      Python ints, stays faster in Python past 640 (1 x 640: 0.34-0.59
-      against 0.55-0.61 ms). 256 lies between: the Python fill loses at most
-      0.2-0.45 ms below it (256 x 1), the array fill at most 0.15-0.3 ms
-      above it (1 x 320, 1 x 512).
+    - n <= _SMALL_BLOCK: _python_fill, 0.5-1.5 us per uniform. The array
+      fill costs about 0.15 ms plus 15-25 us per doubling of the row
+      length, so in rows of 1-8 it already wins at 160-256 uniforms (40 x 4:
+      0.18 against 0.19 ms, 256 x 1: 0.16 against 0.40 ms), in rows of 64
+      the two cross near 256-512 (4 x 64: 0.49 against 0.39 ms, 8 x 64: 0.50
+      against 0.61 ms), and a single row, whose seed is hashed on Python
+      ints, stays faster in Python past 640 (1 x 640: 0.31 against 0.34 ms).
+      256 lies between: the Python fill loses at most 0.24 ms below it
+      (256 x 1), the array fill at most 0.15 ms above it (1 x 320; 0.06 ms
+      at 1 x 512).
     - n <= _VECTOR_BLOCK: _vector_fill. numpy's fill is faster per uniform,
       but its first use in a process imports numpy.random, 9.6-15.4 ms
-      (median 13.7 ms). In rows of 2048 the array fill costs 5.3-6.3 ms more
-      than numpy's fill at 2**17 uniforms, 11.5-12.9 ms more at 2**18 and
-      28 ms more at 2**19, at 50-60 ns per uniform once its arrays leave the
-      cache (30-50 ns at 500 x 64). 2**17 is the largest power of two at
-      which it beats numpy's fill plus even the fastest import measured.
-    - larger blocks: _numpy_fill, at about 6 ns per uniform.
+      (medians 13.7 and 10.1 ms in two sets). In rows of 2048 the array
+      fill costs 2.0-4.2 ms more than numpy's fill at 2**17 uniforms,
+      9.8-10.1 ms more at 2**18 and 24 ms more at 2**19, at 40-50 ns per
+      uniform once its arrays leave the cache (21 ns at 500 x 64). 2**17 is
+      the largest power of two at which it beats numpy's fill plus even the
+      fastest import measured; at 2**18 it still loses to it, by 0.2-0.5 ms.
+    - larger blocks: _numpy_fill, at about 5 ns per uniform.
     """
     trials = _checked_count("trials", trials)
     size = _checked_count("size", size)
@@ -278,9 +310,10 @@ def stream_uniforms(seed: int, trials: int, size: int, *key: int) -> np.ndarray:
     return fill(_pcg64_states(seed, trials, *key), size)
 
 
-def _exponential(u: np.ndarray) -> np.ndarray:
-    """Unit-mean exponential variates from uniforms (inverse CDF)."""
-    out = -u
+def _exponential(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Unit-mean exponential variates from uniforms (inverse CDF): -log1p(-u),
+    into out (u itself, for a block no caller holds) or a new array."""
+    out = np.negative(u, out=out)
     return np.negative(np.log1p(out, out=out), out=out)
 
 
@@ -299,9 +332,11 @@ def draw_gain_rows(seed: int, trials: int, n: int) -> np.ndarray:
     """(trials, n) gains whose row t is draw_gains(seed, n, stream=t).
 
     By the prefix property the first k columns are the k-gain draws, so one
-    block serves every dimension count up to n.
+    block serves every dimension count up to n. The freshly drawn uniforms
+    are turned into gains in place.
     """
-    return _exponential(stream_uniforms(seed, _checked_count("trials", trials), _checked_count("n", n)))
+    u = stream_uniforms(seed, _checked_count("trials", trials), _checked_count("n", n))
+    return _exponential(u, out=u)
 
 
 def draw_matrix(seed: int, rows: int, cols: int, stream: int = 0) -> np.ndarray:

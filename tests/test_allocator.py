@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -388,6 +389,19 @@ def test_gee_problem_validation():
         gee_dinkelbach(GeeProblem([1.0, -2.0], 1.0))
     with pytest.raises(ValueError, match="circuit power"):
         gee_rows([[1.0], [2.0]], [1.0, math.nan])
+    with pytest.raises(ValueError, match=r"^p_max_total must be positive and finite, got inf$"):
+        gee_dinkelbach(GeeProblem([1.0], 1.0, math.inf))
+    for shape in ((3,), (0, 2), (2, 0), (1, 2, 2)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'gains must be a non-empty (rows, n) array, got shape {shape}')}$"):
+            gee_rows(np.ones(shape), 1.0)
+    # gee_rows checks its input before it solves: gains, then pc, then the
+    # cap, and each before a row with no positive gain
+    with pytest.raises(ValueError, match="^gains must be finite and non-negative$"):
+        gee_rows([[0.0], [math.nan]], -1.0, -1.0)
+    with pytest.raises(ValueError, match="^circuit power must be positive and finite, got -1.0$"):
+        gee_rows([[0.0], [1.0]], -1.0, -1.0)
+    with pytest.raises(ValueError, match="^p_max_total must be positive and finite, got -1.0$"):
+        gee_rows([[0.0], [1.0]], 1.0, -1.0)
 
 
 def test_gee_rows_names_the_first_bad_per_row_circuit_power():

@@ -12,6 +12,7 @@ from eepower.channel import (
     _pcg64_states,
     _seed_words,
     _vector_fill,
+    _exponential,
     _words128,
     draw_gain_rows,
     draw_gains,
@@ -81,10 +82,17 @@ def test_gain_rows_slices_equal_per_stream_draws():
     for t in range(6):
         for n in (1, 2, 5, 16):
             assert np.all(block[t, :n] == draw_gains(12, n, stream=t))
+    # the uniforms of the Python, array and numpy fills turn into gains in
+    # place, with the bits of the transform into a new array
+    for trials, n in ((6, 16), (500, 64), (2, _VECTOR_BLOCK // 2 + 1)):
+        block = draw_gain_rows(12, trials, n)
+        assert block.tobytes() == _exponential(stream_uniforms(12, trials, n)).tobytes()
 
 
 def test_uniform_block_matrices_equal_per_stream_draws():
     block = stream_uniforms(21, 5, 2 * 8**2)
+    # the caller's uniforms are never written to
+    before = block.copy()
     for n in (1, 2, 3, 8):
         stack = matrices_from_uniforms(block, n, n)
         assert stack.shape == (5, n, n)
@@ -94,6 +102,7 @@ def test_uniform_block_matrices_equal_per_stream_draws():
     assert np.all(matrices_from_uniforms(block, 3, 7)[2] == draw_matrix(21, 3, 7, stream=2))
     with pytest.raises(ValueError):
         matrices_from_uniforms(block, 9, 9)
+    assert block.tobytes() == before.tobytes()
 
 
 _SEED_EDGES = (0, 2**32 - 1, 2**32, 2**64 + 5, 2**130)
@@ -153,11 +162,20 @@ _MUL128_EDGES = [0, 1, 2**64 - 1, 2**64, _MASK128, _PCG64_MULT]
 def test_mul128_is_the_product_mod_2_128(a, b):
     a = _MUL128_EDGES + a
     b_hi, b_lo = _words128([b])
-    # b as numpy scalars, as the jump constants enter, and as an array like a
-    for b_words in ((b_hi[0], b_lo[0]), _words128([b] * len(a))):
+    column = [b, *_MUL128_EDGES]
+    # b as numpy scalars, as the jump constants enter, as an array like a,
+    # and as a (k, 1) column against the row a, as the C inc terms enter:
+    # one row of products per value of b
+    for bs, b_words in (
+        ([b], (b_hi[0], b_lo[0])),
+        ([b], _words128([b] * len(a))),
+        (column, tuple(w[:, None] for w in _words128(column))),
+    ):
         hi, lo = _mul128(*_words128(a), *b_words)
         assert hi.dtype == lo.dtype == np.uint64
-        assert [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())] == [(x * b) & _MASK128 for x in a]
+        assert hi.shape == lo.shape == ((len(bs), len(a)) if len(bs) > 1 else (len(a),))
+        words = zip(np.atleast_2d(hi).tolist(), np.atleast_2d(lo).tolist())
+        assert [[h << 64 | l for h, l in zip(*row)] for row in words] == [[(x * y) & _MASK128 for x in a] for y in bs]
 
 
 @pytest.mark.parametrize(
