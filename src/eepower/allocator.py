@@ -36,6 +36,12 @@ one circuit power per link.
 A link's SE ln(1 + g p) and EE SE / (pc + p) over arrays come from
 `link_terms`; `ee_of` and the WSEE/WPEE ascent form them on Python floats.
 
+The package exports the row solvers only: `GeeProblem`, `gee_dinkelbach`,
+`wsee_ascent`, `wpee_ascent`, `wmee_maxmin` and `ee_of` stay importable here
+because the benchmark tracer wraps them and the tests import them, until the
+ROADMAP's tracer item ("the tracer finds what it wraps") frees them and its
+deletion pass ("one array API, no shims") removes them.
+
 Conventions: rates are in nats (natural log); converting to bits is a
 reporting concern, never a solver concern. Noise power is normalized to 1,
 so a channel gain is the SNR delivered by 1 W of transmit power.
@@ -57,11 +63,9 @@ from .numerics import lambert_w0_from_offset, lambert_w0_offset
 # traces a run, so they must stay importable from it.
 from .numerics import bisect, lambert_w0  # noqa: F401
 
-def _check_positive(name: str, value, optional: bool = False) -> None:
+def _check_positive(name: str, value) -> None:
     """ValueError naming `name` unless value (a number or an array) is
-    positive and finite throughout (or None when the parameter is optional)."""
-    if optional and value is None:
-        return
+    positive and finite throughout."""
     if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
@@ -249,7 +253,8 @@ def gee_rows(gains, pc, p_max_total: float | None = None):
         if bad.any():
             row = int(np.argmax(bad.any(axis=tuple(range(bad.ndim - 1)))))
             raise ValueError(f"row {row}: circuit power must be positive and finite, got {pcs[..., row]}")
-    _check_positive("p_max_total", p_max_total, optional=True)
+    if p_max_total is not None:
+        _check_positive("p_max_total", p_max_total)
     objective, _, (powers,) = _gee_solve([(g, pc)], p_max_total, keep_powers=True)
     return powers, objective
 

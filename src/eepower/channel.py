@@ -6,10 +6,13 @@ trials indexed by stream can run in any order (or in parallel) with
 bit-identical results. Every command draws through stream_uniforms, one row
 per stream; rng_for (numpy's own SeedSequence and PCG64), draw_gains and
 draw_matrix draw one stream at a time and are kept as the per-stream
-references its rows equal bit for bit. stream_uniforms computes the same
-SeedSequence hash, stream by stream on Python ints for up to _INT_STREAMS
-streams (about 20-25 us each) and for all streams at once on uint64 arrays
-above that (about 80-100 us), and fills each stream from its PCG64 state, so
+references its rows equal bit for bit (the package does not export them:
+they stay here for the tests and the benchmark tracer, which wraps them,
+until the ROADMAP's tracer item frees them and its deletion pass moves them
+into the tests). stream_uniforms computes the same SeedSequence hash,
+stream by stream on Python ints for up to _INT_STREAMS streams (about
+20-25 us each) and for all streams at once on uint64 arrays above that
+(about 80-100 us), and fills each stream from its PCG64 state, so
 each row is still a pure function of (seed, key) with the bits of rng_for.
 Three fills give those bits, and the block's size n = trials * size picks
 one (see stream_uniforms): up to _SMALL_BLOCK uniforms, PCG64's 128-bit step

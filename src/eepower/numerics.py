@@ -5,8 +5,10 @@ function for the allocation solvers, over arrays of offsets from the branch
 point (`lambert_w0_offset` for 1 + W, `lambert_w0_from_offset` for W; the
 scalar `lambert_w0` calls the latter), the squared singular values of stacks
 of complex matrices (the eigen-channel power gains of MIMO links), and a
-plain bisection root finder that no solver calls; it is kept public for its
-tests and for the benchmark tracer, which wraps it.
+plain bisection root finder that no solver calls. The package exports only
+`svd_gains`: `bisect` and the scalar `lambert_w0` stay here for their tests
+and for the benchmark tracer, which wraps them, until the ROADMAP's tracer
+item frees them and its deletion pass removes them.
 """
 
 from __future__ import annotations

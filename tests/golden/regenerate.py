@@ -32,6 +32,8 @@ RUNS = {
     "fairness-64": ["fairness", "--trials", "64"],
     "fairness-65": ["fairness", "--trials", "65"],
     "fairness-64-budget-3": ["fairness", "--trials", "64", "--budget", "3"],
+    # the `fairness` benchmark workload
+    "fairness-40": ["fairness", "--trials", "40"],
     "ofdm-sweep-500": ["ofdm-sweep", "--trials", "500"],
     "ofdm-sweep-50-budget-2": ["ofdm-sweep", "--trials", "50", "--budget", "2"],
     "mimo-sweep-10": ["mimo-sweep", "--trials", "10"],
