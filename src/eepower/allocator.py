@@ -23,8 +23,10 @@ max-min solver finds only each row's common level t, by bracketed Halley
 steps in s = sqrt(T - t) below the row's top level T, in which the budget
 equation is smooth, written in t so that T - s^2 is never formed
 (`wmee_rows`); the sum and product solvers (`wsee_rows`, `wpee_rows`) start
-from the per-link peaks and only trade power between pairs of links, each
-trade exact, row by row.
+from the per-link peaks and only trade power between pairs of links, row by
+row, each trade placed by bracketed Newton steps that stop once the last
+step's predicted error is within 1e-15 of the smaller power, without a
+further slope evaluation to confirm it.
 
 The three budgeted solvers share one interface: (rows, n) gains, per-link
 circuit powers that broadcast against them, and one total budget, checked by
@@ -558,9 +560,12 @@ def wsee_rows(gains, pc, budget: float):
     Each link's EE rises up to its peak (`eepa`), so the peaks are optimal
     whenever they fit the budget. Otherwise they are scaled onto the budget
     face and improved by pairwise power transfers, sweep after sweep, each
-    exact (`_pair_step`): a transfer's objective rises while the giving link
-    is above its peak, is concave while both are in [0, peak] and falls once
-    the taking link passes its peak. Each link term is concave on [0, peak]
+    kept only if it raises the objective. Each transfer is placed by
+    bracketed Newton steps (`_pair_step`) whose last step, predicted to land
+    within 1e-15 of the smaller power, is not confirmed by a further slope
+    evaluation. A transfer's objective rises while the giving link is above
+    its peak, is concave while both are in [0, peak] and falls once the
+    taking link passes its peak. Each link term is concave on [0, peak]
     and no optimum puts a link above its peak, so this is a concave program
     and a point no pairwise transfer improves is its global optimum. Each
     row sweeps on its own, and stops once a whole sweep raises its objective
@@ -593,16 +598,24 @@ def _pair_step(gi, ci, gj, cj, pi: float, pj: float, log_terms: bool) -> float:
     negative right of it; [a, b] keeps that sign bracket from t = 0 on. A
     Newton step is taken where phi'' < 0 and it lands inside the bracket, a
     step past an end of the interval tries that end once, and any other step
-    bisects. Stops at a Newton step or bracket of at most 1e-15 (pi + pj).
+    bisects. Stops at a Newton step or bracket of at most 1e-15 (pi + pj), or
+    once a Newton step s that follows an in-bracket Newton step s_prev has a
+    predicted error s^3 / s_prev^2 (Newton converges quadratically) of at
+    most 1e-15 times the smaller of the two links' current powers: that step
+    is returned without evaluating the slopes again to confirm it. An end try
+    or a bisection resets s_prev. The predicted error is held to the smaller
+    power, not to the interval: a step from far off can land near an end,
+    where the next steps creep, and a prediction held to the interval would
+    stop there off by up to the smaller power itself.
     """
     log1p, inf = math.log1p, math.inf
-    tol, a, b, t = 1e-15 * (pi + pj), -pi, pj, 0.0
+    tol, a, b, t, s_prev = 1e-15 * (pi + pj), -pi, pj, 0.0, 0.0
     a_open = b_open = True
     for _ in range(100):
         # T', T'' of each link's term L / D or its log, L = log1p(g x) and
         # D = pc + x; a log term's T' is +inf where L = 0
-        x = pi + t
-        d, rate, e1 = ci + x, log1p(gi * x), gi / (1.0 + gi * x)
+        xi, xj = pi + t, pj - t
+        d, rate, e1 = ci + xi, log1p(gi * xi), gi / (1.0 + gi * xi)
         if not log_terms:
             rise = e1 * d - rate
             d1i, d2i = rise / (d * d), -(e1 * e1 * d * d + 2.0 * rise) / (d * d * d)
@@ -611,8 +624,7 @@ def _pair_step(gi, ci, gj, cj, pi: float, pj: float, log_terms: bool) -> float:
             d1i, d2i = r - 1.0 / d, -r * r - e1 * e1 / rate + 1.0 / (d * d)
         else:
             d1i, d2i = inf, -inf
-        x = pj - t
-        d, rate, e1 = cj + x, log1p(gj * x), gj / (1.0 + gj * x)
+        d, rate, e1 = cj + xj, log1p(gj * xj), gj / (1.0 + gj * xj)
         if not log_terms:
             rise = e1 * d - rate
             d1j, d2j = rise / (d * d), -(e1 * e1 * d * d + 2.0 * rise) / (d * d * d)
@@ -630,9 +642,13 @@ def _pair_step(gi, ci, gj, cj, pi: float, pj: float, log_terms: bool) -> float:
             return t
         d2 = d2i + d2j
         step = t - d1 / d2 if d2 < 0.0 else math.nan
-        if abs(step - t) <= tol:
+        s = abs(step - t)
+        if s <= tol or s * s * s <= 1e-15 * (xi if xi < xj else xj) * s_prev * s_prev:
             return min(max(step, a), b)
-        if not a < step < b:
+        if a < step < b:
+            s_prev = s
+        else:
+            s_prev = 0.0
             step = b if step >= b and b_open else a if step <= a and a_open else 0.5 * (a + b)
         t = step
     return t
@@ -644,27 +660,27 @@ def _budget_ascent(gains, pc, budget: float, log_terms: bool):
     if dead.any():
         row = int(np.argmax(dead))
         raise InfeasibleError(f"row {row}: product objective is degenerate when a link has zero gain", row=row)
-    powers, objective = np.empty_like(peaks), np.empty(g.shape[0])
+    # every term rises on [0, peak], so the peak maximizes each coordinate;
+    # scaled onto the budget face, each coordinate's best point within its
+    # remaining budget is its current power, and only pairwise transfers
+    # along the face can still raise the objective. A row within the budget
+    # keeps its peaks (budget / budget is exactly 1)
+    sums = peaks.sum(axis=1)
+    start = peaks * (budget / np.maximum(sums, budget))[:, None]
     pairs = [(i, j) for i in range(g.shape[1]) for j in range(i + 1, g.shape[1])]
     log, log1p, exp, inf = math.log, math.log1p, math.exp, math.inf
+    powers, objective = [], []
     # the sweeps run on Python floats, each row's constants from one list per
     # array; a term is ee_of(g, x, pc) (no transfer leaves [-pi, pj], so no
     # power goes below 0) or its log, inline. Each link's current term is
     # kept in `terms`, and a total adds them from link 0 on (from Python 3.12
     # on, sum() compensates float sums and would round differently)
-    for r, (gs, pcs, p) in enumerate(zip(g.tolist(), pc.tolist(), peaks.tolist())):
-        # every term rises on [0, peak], so the peak maximizes each
-        # coordinate; scaled onto the budget face, each coordinate's best
-        # point within its remaining budget is its current power, and only
-        # pairwise transfers along the face can still raise the objective
-        s = float(peaks[r].sum())
-        if s > budget:
-            p = (peaks[r] * (budget / s)).tolist()
+    for gs, pcs, p, over in zip(g.tolist(), pc.tolist(), start.tolist(), (sums > budget).tolist()):
         terms = [log1p(gi * x) / (c + x) for gi, c, x in zip(gs, pcs, p)]
         if log_terms:
             terms = [log(v) if v > 0.0 else -inf for v in terms]
         obj = reduce(add, terms, 0.0)
-        for _ in range(500 if s > budget else 0):
+        for _ in range(500 if over else 0):
             for i, j in pairs:
                 pi, pj = p[i], p[j]
                 # the transfer interval [-pi, pj] is too short to move
@@ -683,5 +699,6 @@ def _budget_ascent(gains, pc, budget: float, log_terms: bool):
                 obj = new if new > obj else obj
                 break
             obj = new
-        powers[r], objective[r] = p, exp(obj) if log_terms else obj
-    return powers, objective
+        powers.append(p)
+        objective.append(exp(obj) if log_terms else obj)
+    return np.array(powers), np.array(objective)

@@ -34,6 +34,9 @@ RUNS = {
     "fairness-64-budget-3": ["fairness", "--trials", "64", "--budget", "3"],
     # the `fairness` benchmark workload
     "fairness-40": ["fairness", "--trials", "40"],
+    # the run whose bytes are most sensitive to where the WSEE/WPEE
+    # transfers land
+    "fairness-2000": ["fairness", "--trials", "2000"],
     "ofdm-sweep-500": ["ofdm-sweep", "--trials", "500"],
     "ofdm-sweep-50-budget-2": ["ofdm-sweep", "--trials", "50", "--budget", "2"],
     "mimo-sweep-10": ["mimo-sweep", "--trials", "10"],
