@@ -51,7 +51,7 @@ RUNS = {
     "pc-sweep": ["pc-sweep"],
 }
 # the (objective, dims) cases of `eepower verify --trials 1`
-VERIFY = [("ee_siso", 1)] + [(o, d) for o in ("gee", "sumrate", "wsee", "wpee", "wmee") for d in (2, 3)]
+VERIFY = [("ee_siso", 1)] + [(o, d) for o in ("gee", "sumrate", "wsee", "wpee", "wmee") for d in (1, 2, 3)]
 
 
 def _main(argv: list[str]) -> str:
