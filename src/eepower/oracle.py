@@ -9,13 +9,32 @@ of the per-point values, bit for bit.
 Every objective combines per-link terms that depend on that link's own power
 only (the SE or the EE of `link_terms`), folded from the first link on; one
 link's EE is "wsee" at n == 1.
-A row is one point of axes 0..n-2 with the last link's axis as its contents
-(one row when n == 1), so a row's values are combine(head, t_k) for its head
-value and the last link's terms t_k (for "gee", divided by pc + (P + p_k)
-with P the head's power sum). The rows are bounded first (at dims 3, cells
-of rows before rows), and only the rows that can hold the maximum are
-evaluated point by point. At most one array over every row is alive at a
-time: a second one costs more in fresh pages than the pass that fills it.
+
+- Dims 1. Every objective's value at a point is, bit for bit, the link's SE
+  (sum rate) or EE (the rest; "gee" is se / (pc + p), and the fold adds
+  -0.0, multiplies by 1.0 or takes the minimum with inf). The feasible
+  points are a prefix of the axis (p <= slack, exactly as the per-point
+  search tests it), split into cells of _CELL consecutive points. A cell's
+  value at its first point bounds its best value from below. Its se at its
+  last point, raised by the margin 1 + 8 eps, over pc plus its first power
+  (the raised se alone for the sum rate) bounds it from above, because
+  multiply, add and divide are monotone under rounding and log1p nearly
+  is: it is only faithfully rounded, so se may fall by an ulp from one
+  point to a later one, and the margin, at least 7 ulps, covers any log1p
+  within 2 ulps of the exact value. (Where se is subnormal, log1p(x) is x
+  or the float below it, which cannot fall.) The points from the first to
+  the last cell whose upper bound reaches the largest lower bound are
+  evaluated in ascending order. Every other cell's values lie below a
+  value that some point has, so the first maximum of that span is the
+  first maximum of the axis.
+
+At dims 2 and 3 a row is one point of axes 0..n-2 with the last link's axis
+as its contents, so a row's values are combine(head, t_k) for its head value
+and the last link's terms t_k (for "gee", divided by pc + (P + p_k) with P
+the head's power sum). The rows are bounded first (at dims 3, cells of rows
+before rows), and only the rows that can hold the maximum are evaluated
+point by point. At most one array over every row is alive at a time: a
+second one costs more in fresh pages than the pass that fills it.
 
 - Sum rate, WSEE, WPEE, WMEE. add, multiply (the terms are >= 0) and
   minimum are monotone under rounding, so combine(head, max of t_k over a
@@ -100,9 +119,8 @@ _MAX_POINTS = 10**8
 # grid values evaluated per block of candidate rows (about 1 MB of float64)
 _BLOCK = 2**17
 # how per-link terms combine into the objective (the rest sum them), and the
-# value each row's fold starts from (the whole head of a one-link grid's
-# single row): combine(identity, t) == t bit for bit; sums start from -0.0,
-# which keeps the sign of a zero t
+# value each row's fold starts from: combine(identity, t) == t bit for bit;
+# sums start from -0.0, which keeps the sign of a zero t
 _COMBINE = {"wpee": np.multiply, "wmee": np.minimum}
 _IDENTITY = {"wpee": 1.0, "wmee": np.inf}
 # a last-link term that makes combine(head, it) no larger than any grid value
@@ -111,7 +129,8 @@ _FLOOR = {"wpee": 0.0}
 # a gee row whose surrogate falls below -_GEE_MARGIN times its magnitudes
 # cannot reach the best value found; rounding moves a surrogate by ~1e-15
 _GEE_MARGIN = 1e-9
-# consecutive axis-1 indices per cell of a dims-3 grid's rows
+# consecutive axis-1 indices per cell of a dims-3 grid's rows, and
+# consecutive points per cell of a one-link axis
 _CELL = 16
 _EPS = np.finfo(float).eps
 
@@ -174,6 +193,8 @@ def grid_argmax(objective: str, gains, pc, grid: GridSpec, budget: float | None 
 
     steps = grid.steps
     axis = grid.axis()
+    if n == 1:
+        return _axis_argmax(objective, g[0], pc[0], axis, budget)
 
     # each link's term depends on its own power only: evaluate it once per
     # axis point, (n, steps)
@@ -187,7 +208,7 @@ def grid_argmax(objective: str, gains, pc, grid: GridSpec, budget: float | None 
 
     def coords_of(rows):
         """The axis-0..n-2 indices of the given rows."""
-        return np.unravel_index(rows, shape) if n > 1 else ()
+        return np.unravel_index(rows, shape)
 
     def row_values(coords):
         """The grid values of the rows at coords, (..., steps), each point
@@ -220,9 +241,8 @@ def grid_argmax(objective: str, gains, pc, grid: GridSpec, budget: float | None 
         # the budget sum at a point is first + (mid + p_last), as the
         # per-point search adds it
         coords = coords_of(rows)
-        first = axis[coords[0]] if n > 1 else np.full(rows.size, -0.0)
         mid = axis[coords[1]] if n > 2 else -0.0
-        length = _feasible_prefix(axis, first, mid, slack)
+        length = _feasible_prefix(axis, axis[coords[0]], mid, slack)
         if not length.any():
             raise InfeasibleError("no grid point satisfies the budget")
         bound = combine(_fold(combine, identity, term, coords), top[length])
@@ -247,6 +267,33 @@ def grid_argmax(objective: str, gains, pc, grid: GridSpec, budget: float | None 
     if best_val == -np.inf:
         raise InfeasibleError("no grid point satisfies the budget")
     return Allocation(np.append(axis[list(np.unravel_index(best_row, shape))], axis[best_k]), best_val)
+
+
+def _axis_argmax(objective, g, pc, axis, budget):
+    """Best point of a one-link grid: its cells bounded from their end
+    points, and only the span of those that can hold the maximum evaluated
+    (see "Dims 1" in the module docstring)."""
+    size = axis.size
+    if budget is not None:
+        size = int(_feasible_prefix(axis, -0.0, -0.0, budget + 1e-12 * (1.0 + abs(budget))))
+        if size == 0:
+            raise InfeasibleError("no grid point satisfies the budget")
+
+    def values(points):
+        se, ee = link_terms(g, axis[points], pc)
+        return se if objective == "sumrate" else ee
+
+    first = np.arange(0, size, _CELL)
+    last = first + (_CELL - 1)
+    last[-1] = size - 1
+    # the margin: at least 7 ulps above se at the cell's last point
+    top = link_terms(g, axis[last], pc)[0] * (1.0 + 8 * _EPS)
+    upper = top if objective == "sumrate" else top / (pc + axis[first])
+    cells = np.flatnonzero(_reaches(upper, values(first).max()))
+    start = first[cells[0]]
+    value = values(slice(start, min(first[cells[-1]] + _CELL, size)))
+    k = int(np.argmax(value))
+    return Allocation(axis[[start + k]], float(value[k]))
 
 
 def _fold(combine, value, vectors, coords):
@@ -289,16 +336,14 @@ def _screen(term, combine, identity, top, axis, slack):
         length = np.clip(np.floor(reach) + 1.0 - np.arange(sums), 0, steps).astype(np.intp)
         return top[length]
 
-    if n < 3:
-        head = _fold(combine, identity, term[:-1], (np.arange(steps),) * (n - 1))
-        sums = (n - 1) * (steps - 1) + 1
-        best = combine(head, by_sum(lo, sums)).max()
-        return np.flatnonzero(_reaches(combine(head, by_sum(hi, sums)), best))
+    head = combine(identity, term[0])
+    if n == 2:
+        best = combine(head, by_sum(lo, steps)).max()
+        return np.flatnonzero(_reaches(combine(head, by_sum(hi, steps)), best))
     cells = _cells(term[1])
     first = np.arange(0, cells.size, _CELL)
     # the padded cells reach index sums up to steps - 1 + cells.size - 1
     low, high = by_sum(lo, steps - 1 + cells.size), by_sum(hi, steps - 1 + cells.size)
-    head = combine(identity, term[0])
     # the first row of each cell bounds the best row from below; a cell's
     # rows share axis 0's head, and its largest axis-1 term with the prefix
     # of its first row, the longest, bounds each of them from above
@@ -380,10 +425,10 @@ def _gee_candidates(se, axis, pc, value_at):
         level = value
     scale = se.max(axis=1).sum() + level * (pc + n * axis[-1])
     floor = level * pc - c[-1].max() - _GEE_MARGIN * scale
-    if n < 3:
-        return np.flatnonzero(_fold(np.add, -0.0, c, (np.arange(axis.size),) * (n - 1)) >= floor)
-    # a cell's surrogates are at most axis 0's head plus its largest c_1
     head = -0.0 + c[0]
+    if n == 2:
+        return np.flatnonzero(head >= floor)
+    # a cell's surrogates are at most axis 0's head plus its largest c_1
     cells = _cells(c[1])
     ci, cc = np.nonzero(head[:, None] + cells.max(axis=1) >= floor)
     return _cell_rows(_row_heads(np.add, head, cells, ci, cc) >= floor, ci, cc, axis.size)

@@ -1,13 +1,8 @@
 import functools
 import math
-import os
 import re
-import subprocess
-import sys
 import types
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -38,6 +33,7 @@ from eepower.errors import InfeasibleError, PowerControlError
 from eepower.metrics import evaluate
 from eepower.numerics import lambert_w0, lambert_w0_offset
 from eepower.oracle import GridSpec, grid_argmax
+from numpy_dispatch import numpy_dispatch_groups, without_each_group
 
 E = math.e
 
@@ -1092,31 +1088,13 @@ def test_wmee_level_in_the_tail_below_the_top(shortfall):
         np.testing.assert_array_equal(powers, top[0])
 
 
-def _numpy_dispatch_groups():
-    """numpy's dispatched CPU feature groups, lowest first, and this CPU's features."""
-    umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath  # numpy.core before numpy 2
-    return list(umath.__cpu_dispatch__), umath.__cpu_features__
-
-
 @functools.cache
 def _tail_test_without_each_dispatch_group():
-    """{group: (exit code, output)} of the tail test in a child process per dispatch
-    group this CPU has, with that group and every higher one disabled, one per core."""
-    groups, has = _numpy_dispatch_groups()
-    present = [group for group in groups if has.get(group)]
-    code = f"import test_allocator as t\nfor s in {TAIL_SHORTFALLS!r}: t.test_wmee_level_in_the_tail_below_the_top(s)"
-    path = os.pathsep.join(str(d) for d in (Path(__file__).resolve().parent, Path(allocator.__file__).resolve().parents[1]))
-
-    def run(group):
-        env = {**os.environ, "PYTHONPATH": path, "NPY_DISABLE_CPU_FEATURES": " ".join(present[present.index(group) :])}
-        child = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code], env=env, capture_output=True, text=True)
-        return child.returncode, child.stdout + child.stderr
-
-    with ThreadPoolExecutor(os.cpu_count()) as pool:
-        return dict(zip(present, pool.map(run, present)))
+    """{group: (exit code, output)} of the tail test without each dispatch group."""
+    return without_each_group(f"import test_allocator as t\nfor s in {TAIL_SHORTFALLS!r}: t.test_wmee_level_in_the_tail_below_the_top(s)")
 
 
-@pytest.mark.parametrize("group", _numpy_dispatch_groups()[0])
+@pytest.mark.parametrize("group", numpy_dispatch_groups()[0])
 def test_wmee_level_in_the_tail_below_the_top_without(group):
     # a CPU without AVX-512 or AVX2 takes other numpy kernels, whose last
     # bits differ; the level must close its bracket as fast there

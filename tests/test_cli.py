@@ -568,8 +568,9 @@ def test_every_command_at_extreme_budgets_and_pcs_exits_by_the_contract(tmp_path
 
 # runs that exit 0 under the suite's RuntimeWarning filter: the one-trial
 # summary, capped rows, the staged GEE solve, pcs and budgets at the ends of
-# the float range, subnormal WMEE levels, and the WSEE/WPEE/WMEE one-row calls
-# and dims-3 oracle screens over many instances
+# the float range, subnormal WMEE levels, the WSEE/WPEE/WMEE one-row calls
+# and dims-3 oracle screens over many instances, and the one-link oracle of
+# every objective
 CONSOLE_RUNS = [
     "ofdm-sweep --trials 3",
     "ofdm-sweep --trials 1",
@@ -594,6 +595,12 @@ CONSOLE_RUNS = [
     "verify --objective gee --dims 3 --trials 20",
     "verify --objective sumrate --dims 3 --trials 20",
     "verify --objective sumrate --dims 3 --seed 5 --trials 20",
+    "verify --objective ee_siso --dims 1 --trials 20",
+    "verify --objective gee --dims 1 --trials 20",
+    "verify --objective sumrate --dims 1 --trials 20",
+    "verify --objective wsee --dims 1 --trials 20",
+    "verify --objective wpee --dims 1 --trials 20",
+    "verify --objective wmee --dims 1 --trials 20",
 ]
 
 

@@ -1,4 +1,7 @@
+import contextlib
+import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,9 +11,10 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from eepower import cli, oracle
-from eepower.allocator import wpa
+from eepower.allocator import eepa, wpa
 from eepower.errors import InfeasibleError
 from eepower.oracle import _EPS, _GEE_MARGIN, OBJECTIVES, GridSpec, _fold, grid_argmax
+from numpy_dispatch import numpy_dispatch_groups, without_each_group
 
 E = math.e
 
@@ -172,9 +176,115 @@ def test_grid_argmax_is_bitwise_the_per_point_search(case):
     np.testing.assert_array_equal(alloc.powers, powers)
 
 
+_LOG1P = np.log1p
+
+
+def log1p_off_by_an_ulp(x):
+    """np.log1p moved an ulp up, an ulp down or not at all by the input's bits
+    (0 stays 0): a log1p within 2 ulps that falls by up to 2 ulps from one
+    input to a larger one, where a faithfully rounded one may fall by one."""
+    x = np.asarray(x, dtype=float)
+    y = _LOG1P(x)
+    turn = x.view(np.uint64) % 3
+    return np.where((turn == 0) | (y == 0.0), y, np.nextafter(y, np.where(turn == 1, np.inf, -np.inf)))
+
+
+@st.composite
+def axis_instances(draw):
+    objective = draw(st.sampled_from(OBJECTIVES))
+    # up to the 40 001 points of `eepower verify --dims 1`, often at or next
+    # to a multiple of the cell size
+    cells = st.tuples(st.integers(1, 40_000 // oracle._CELL), st.integers(-1, 1))
+    steps = draw(st.integers(2, 40_001) | cells.map(lambda c: c[0] * oracle._CELL + c[1]))
+    # a zero gain now and then, where every value is 0 and the first point wins
+    gain = 0.0 if draw(st.integers(0, 15)) == 15 else 10.0 ** draw(st.floats(-15.0, 15.0))
+    pc = 10.0 ** draw(st.floats(-6.0, 6.0))
+    # p_max on a fixed range, or around the EE-optimal power, so that the
+    # maximum is often inside the axis
+    peak = float(eepa(gain, pc)) if gain > 0.0 else 1.0
+    p_max = draw(st.floats(-2.0, 2.0).map(lambda e: 10.0**e) | st.floats(-0.3, 1.0).map(lambda e: peak * 10.0**e))
+    # p_min at 0, inside the range, or so close to p_max that neighbouring
+    # points (and their values) are equal or an ulp or a few apart
+    narrow = st.floats(-15.0, -9.0).map(lambda e: p_max * (1.0 - 10.0**e))
+    p_min = draw(st.one_of(*(st.just(f * p_max) for f in (0.0, 0.1, 0.5)), narrow))
+    grid = GridSpec(p_min, p_max, steps)
+    axis = grid.axis()
+    k = draw(st.integers(0, steps - 2))
+    # below p_min (at p_min = 0, only the first point), on a grid point,
+    # between two, subnormal, or above every point
+    budgets = [math.inf, p_min / 2, float(axis[k]), float((axis[k] + axis[k + 1]) / 2), 5e-324, 2 * p_max]
+    budget = None if objective == "gee" else draw(st.none() | st.sampled_from(budgets))
+    return objective, gain, pc, grid, budget, draw(st.booleans())
+
+
+@settings(
+    max_examples=200, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(axis_instances())
+# the EE peak e - 1 lies past the middle of its cell, so the next cell's
+# first point beats this cell's: a bound from the first points alone drops
+# the cell that holds the maximum
+@example(("wsee", 1.0, 1.0, GridSpec(0.0, 5.0, 4001), None, False))
+# 66 and 83 points within 1e-14 of p_max, where the wobbled se of a cell's
+# last point falls below that of an earlier point that holds the maximum:
+# a bound without the margin drops that cell
+@example(("sumrate", 206.8, 0.48, GridSpec(0.899999999999991, 0.9, 66), None, True))
+@example(("wsee", 6.71, 6.19, GridSpec(0.2399999999999976, 0.24, 83), None, True))
+def test_axis_argmax_is_bitwise_the_per_point_search(case):
+    # one link: the cells of the axis bound its values, and the result is
+    # the per-point search's bit for bit, also under a log1p that falls by
+    # up to 2 ulps from one point to the next (wobble)
+    objective, gain, pc, grid, budget, wobble = case
+    with mock.patch.object(np, "log1p", log1p_off_by_an_ulp) if wobble else contextlib.nullcontext():
+        try:
+            alloc = grid_argmax(objective, [gain], [pc], grid, budget)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                reference_argmax(objective, [gain], [pc], grid, budget)
+            return
+        value, powers = reference_argmax(objective, [gain], [pc], grid, budget)
+    assert alloc.objective.hex() == value.hex()
+    np.testing.assert_array_equal(alloc.powers, powers)
+
+
+@functools.cache
+def _axis_test_without_each_dispatch_group():
+    """{group: (exit code, output)} of the one-link bitwise test without each dispatch group."""
+    return without_each_group("import test_oracle as t\nt.test_axis_argmax_is_bitwise_the_per_point_search()")
+
+
+@pytest.mark.parametrize("group", numpy_dispatch_groups()[0])
+def test_axis_argmax_is_bitwise_the_per_point_search_without(group):
+    # the cell bounds lean on log1p's last bit, which differs between the
+    # AVX-512, AVX2 and baseline kernels
+    runs = _axis_test_without_each_dispatch_group()
+    if group not in runs:
+        pytest.skip(f"numpy reports no {group} on this CPU (absent or already disabled), so no run disables it")
+    assert runs[group][0] == 0, runs[group][1]
+
+
+def test_one_link_search_builds_no_term_array():
+    # a 10**6-point axis is 8 MB; the search holds nothing else as large
+    grid = GridSpec(0.0, 100.0, 1_000_001)
+    for objective, budget in [("wsee", None), ("gee", None), ("sumrate", 50.0)]:
+        tracemalloc.start()
+        try:
+            grid_argmax(objective, [1.0], [1.0], grid, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * grid.steps, objective
+
+
 @pytest.mark.parametrize(
     "objective, gains, grid, budget",
     [
+        ("wsee", [0.7], GridSpec(0.0, 4.0, 40_001), None),
+        ("gee", [0.7], GridSpec(0.0, 4.0, 40_001), None),
+        ("sumrate", [0.7], GridSpec(0.0, 0.5, 40_001), 0.5),
+        ("wsee", [0.7], GridSpec(0.0, 0.75, 40_001), 0.75),
+        ("wpee", [0.7], GridSpec(0.0, 0.75, 40_001), 0.75),
+        ("wmee", [0.7], GridSpec(0.0, 0.75, 40_001), 0.75),
         ("gee", [0.7, 2.4], GridSpec(0.0, 4.0, 2001), None),
         ("sumrate", [0.7, 2.4], GridSpec(0.0, 1.0, 2001), 1.0),
         ("gee", [0.7, 2.4, 1.1], GridSpec(0.0, 4.0, 101), None),
@@ -183,11 +293,15 @@ def test_grid_argmax_is_bitwise_the_per_point_search(case):
         ("wpee", [0.7, 2.4, 1.1], GridSpec(0.0, 2.25, 101), 2.25),
         ("wmee", [0.7, 2.4, 1.1], GridSpec(0.0, 2.25, 101), 2.25),
     ],
-    ids=["gee", "sumrate", "gee-dims3", "sumrate-dims3", "wsee-dims3", "wpee-dims3", "wmee-dims3"],
+    ids=[
+        "ee_siso-dims1", "gee-dims1", "sumrate-dims1", "wsee-dims1", "wpee-dims1", "wmee-dims1",
+        "gee", "sumrate", "gee-dims3", "sumrate-dims3", "wsee-dims3", "wpee-dims3", "wmee-dims3",
+    ],
 )
 def test_verify_size_grid_is_bitwise_the_per_point_search(objective, gains, grid, budget):
-    # the grids `eepower verify --dims 2` searches, and at dims 3 the verify
-    # grids with a third of their steps
+    # the grids `eepower verify --dims 1` and `--dims 2` search (ee_siso's is
+    # the one-link wsee without a budget), and at dims 3 the verify grids with
+    # a third of their steps
     pcs = [1.3, 0.8, 1.1][: len(gains)]
     alloc = grid_argmax(objective, gains, pcs, grid, budget)
     value, powers = reference_argmax(objective, gains, pcs, grid, budget)
