@@ -23,9 +23,9 @@ import numpy
 
 HERE = Path(__file__).resolve().parent
 
-# name -> argv: each command at seed 1, with trial counts that cross every
-# fill threshold of channel.stream_uniforms (256 and 2**17 uniforms) and a
-# budget run of each scaling command and of fairness
+# name -> argv: each command at seed 1, at its defaults and with trial counts
+# that cross every fill threshold of channel.stream_uniforms (256 and 2**17
+# uniforms), and a budget run of each scaling command and of fairness
 RUNS = {
     # fairness draws 4 uniforms per trial on each of two streams: 64 trials
     # take the Python fill, 65 the array fill
@@ -49,6 +49,11 @@ RUNS = {
     "siso-profiles-2": ["siso-profiles", "--trials", "2"],
     "siso-ee-se": ["siso-ee-se"],
     "pc-sweep": ["pc-sweep"],
+    # the datasets at the commands' defaults
+    "ofdm-sweep": ["ofdm-sweep"],
+    "mimo-sweep": ["mimo-sweep"],
+    "table1": ["table1"],
+    "fairness": ["fairness"],
 }
 # the (objective, dims) cases of `eepower verify --trials 1`
 VERIFY = [("ee_siso", 1)] + [(o, d) for o in ("gee", "sumrate", "wsee", "wpee", "wmee") for d in (1, 2, 3)]

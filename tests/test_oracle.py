@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -403,10 +404,11 @@ def test_budget_must_be_a_number():
     with pytest.raises(ValueError, match="budget"):
         grid_argmax("sumrate", [1.0, 2.0], pcs, grid, budget=math.nan)
     # a budget above every grid sum keeps every point, however large
-    for objective in ("sumrate", "wpee"):
-        free = grid_argmax(objective, [1.0, 2.0], pcs, grid)
+    for objective, dims in itertools.product(("sumrate", "wsee", "wpee", "wmee"), (1, 2, 3)):
+        gains, pcs_d = [1.0, 2.0, 0.5][:dims], [1.0, 0.7, 1.3][:dims]
+        free = grid_argmax(objective, gains, pcs_d, grid)
         for budget in (math.inf, 1e300):
-            alloc = grid_argmax(objective, [1.0, 2.0], pcs, grid, budget)
+            alloc = grid_argmax(objective, gains, pcs_d, grid, budget)
             assert alloc.objective == free.objective
             np.testing.assert_array_equal(alloc.powers, free.powers)
     # except for gee, which takes none
