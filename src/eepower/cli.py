@@ -354,6 +354,9 @@ def _verify_instance(objective: str, gains, pcs) -> float:
         solve = {"wsee": wsee_ascent, "wpee": wpee_ascent, "wmee": wmee_maxmin}[objective]
         solver_obj = solve(gains, pcs, budget).objective
         oracle = grid_argmax(objective, gains, pcs, GridSpec(0.0, budget, steps), budget=budget)
+    # a NaN or infinite objective on either side fails the trial
+    if not (math.isfinite(oracle.objective) and math.isfinite(solver_obj)):
+        return math.inf
     return max(0.0, oracle.objective - solver_obj)
 
 

@@ -3,8 +3,8 @@
 Finds the best point of a rectangular power grid for any of the supported
 objectives, as an independent check on the closed-form and iterative
 solvers. A total-power budget may filter the grid for every objective but
-"gee", which takes none. The result is the first maximum in row-major order
-of the per-point values, bit for bit.
+"gee", which takes none; no budget is an unlimited one. The result is the
+first maximum in row-major order of the per-point values, bit for bit.
 
 Every objective combines per-link terms that depend on that link's own power
 only (the SE or the EE of `link_terms`), folded from the first link on; one
@@ -39,8 +39,6 @@ second one costs more in fresh pages than the pass that fills it.
 - Sum rate, WSEE, WPEE, WMEE. add, multiply (the terms are >= 0) and
   minimum are monotone under rounding, so combine(head, max of t_k over a
   prefix) is exactly the best value of the row's points in that prefix.
-  Without a budget the candidate rows are those whose bound over the whole
-  axis equals the largest.
 - Budget. The mask p0 + (p1 + ... + p_last) <= budget is monotone in the
   last power, because rounding is monotone and the axis is nondecreasing,
   so each row's feasible points are a prefix of length K. The screen
@@ -49,7 +47,8 @@ second one costs more in fresh pages than the pass that fills it.
   is within err of n*p_min + m*h, m the sum of its indices, where err adds
   that deviation and the rounding of the axis points and of the n - 1
   additions. With x = (slack - n*p_min)/h, slack the budget plus its
-  1e-12 tolerance, and d = err/h + 1 (err also covers the rounding of x;
+  1e-12 tolerance (inf without a budget; capped at 2*n*p_max, above every
+  grid sum), and d = err/h + 1 (err also covers the rounding of x;
   the 1 is headroom), every point with m <= x - d is within the budget and
   none with m > x + d is. So a row with index sum s has K between K_lo - s
   and K_hi - s, clipped to the axis, with K_lo - 1 = floor(x - d) and
@@ -68,11 +67,11 @@ second one costs more in fresh pages than the pass that fills it.
   only grows, and the screen keeps more rows. A one-sided screen (upper
   bounds against the exact value of the best one) does not do: the row with
   the largest upper bound can have no feasible point.
-- GEE without a budget. Dinkelbach steps: for a level L, the surrogate of a
-  point, sum over links of (t_a - L*p_a) minus L*pc, is separable up to
-  rounding, so it is largest at the per-axis maxima, and that point is
-  evaluated exactly. Each new L is that value, so every L is the value of a
-  grid point, and the steps stop when L stops rising. A point whose value
+- GEE. Dinkelbach steps: for a level L, the surrogate of a point, sum
+  over links of (t_a - L*p_a) minus L*pc, is separable up to rounding, so
+  it is largest at the per-axis maxima, and that point is evaluated
+  exactly. Each new L is that value, so every L is the value of a grid
+  point, and the steps stop when L stops rising. A point whose value
   reaches L makes the surrogate of its row (the head's links at the row's
   powers, the last one at its per-axis maximum) at least -(a few ulps) of
   the grid's largest magnitudes, so the rows whose surrogate is at or above
@@ -96,9 +95,10 @@ second one costs more in fresh pages than the pass that fills it.
   surrogate's terms at L) against the fixed threshold.
 
 The candidate rows are evaluated in row-major order, in blocks of about
-_BLOCK points, with the per-point arithmetic (sums from the first link on)
-and a strict > across blocks, so the value and the tie-break are those of a
-search over every point whatever the block size.
+_BLOCK points, each masked to its feasible prefix (the whole axis for gee
+and without a budget), with the per-point arithmetic (sums from the first
+link on) and a strict > across blocks, so the value and the tie-break are
+those of a search over every point whatever the block size.
 """
 
 from __future__ import annotations
@@ -164,10 +164,11 @@ def grid_argmax(objective: str, gains, pc, grid: GridSpec, budget: float | None 
     """Best grid point for the named objective.
 
     budget, when given, keeps only points whose summed power is at most the
-    budget; "gee" takes no budget (a ValueError). Gains must be finite and
-    non-negative, one to three of them (grid search only), and g*p_max must
-    not overflow. pc holds one positive, finite circuit power per gain; "gee"
-    takes pc[0] as the shared one.
+    budget; no budget is an unlimited one. A NaN budget, or any budget for
+    "gee", is a ValueError. Gains must be finite and non-negative, one to
+    three of them (grid search only), and g*p_max must not overflow. pc
+    holds one positive, finite circuit power per gain; "gee" takes pc[0] as
+    the shared one.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
@@ -190,11 +191,13 @@ def grid_argmax(objective: str, gains, pc, grid: GridSpec, budget: float | None 
         raise ValueError(f"budget must be a number, got {budget}")
     if grid.steps**n > _MAX_POINTS:
         raise ValueError(f"grid too large: {grid.steps}**{n} points exceeds {_MAX_POINTS}")
+    # no budget is an unlimited one
+    slack = math.inf if budget is None else budget + 1e-12 * (1.0 + abs(budget))
 
     steps = grid.steps
     axis = grid.axis()
     if n == 1:
-        return _axis_argmax(objective, g[0], pc[0], axis, budget)
+        return _axis_argmax(objective, g[0], pc[0], axis, slack)
 
     # each link's term depends on its own power only: evaluate it once per
     # axis point, (n, steps)
@@ -224,15 +227,11 @@ def grid_argmax(objective: str, gains, pc, grid: GridSpec, budget: float | None 
         """The grid value at a point of per-axis indices."""
         return row_values(tuple(point[:-1]))[point[-1]]
 
-    length = None  # every row's feasible prefix is the whole axis
-    if budget is None and objective == "gee":
+    if objective == "gee":
         rows = _gee_candidates(se, axis, pc[0], value_at)
-    elif budget is None:
-        head = _fold(combine, identity, term, np.indices(shape, sparse=True))
-        bound = combine(head, t_last.max(), out=head)
-        rows = np.flatnonzero(bound == bound.max())
+        # every row's feasible prefix is the whole axis
+        length = np.full(rows.size, steps)
     else:
-        slack = budget + 1e-12 * (1.0 + abs(budget))
         # the best last-link term over each prefix, from the empty one on: a
         # row without feasible points gets combine(head, floor), which is no
         # larger than any grid value
@@ -257,8 +256,7 @@ def grid_argmax(objective: str, gains, pc, grid: GridSpec, budget: float | None 
     for start in range(0, rows.size, per_block):
         block = rows[start:start + per_block]
         value = row_values(coords_of(block))
-        if length is not None:
-            value = np.where(np.arange(steps) < length[start:start + per_block, None], value, -np.inf)
+        value = np.where(np.arange(steps) < length[start:start + per_block, None], value, -np.inf)
         k = int(np.argmax(value))
         if value.flat[k] > best_val:
             best_val = float(value.flat[k])
@@ -269,15 +267,13 @@ def grid_argmax(objective: str, gains, pc, grid: GridSpec, budget: float | None 
     return Allocation(np.append(axis[list(np.unravel_index(best_row, shape))], axis[best_k]), best_val)
 
 
-def _axis_argmax(objective, g, pc, axis, budget):
-    """Best point of a one-link grid: its cells bounded from their end
-    points, and only the span of those that can hold the maximum evaluated
-    (see "Dims 1" in the module docstring)."""
-    size = axis.size
-    if budget is not None:
-        size = int(_feasible_prefix(axis, -0.0, -0.0, budget + 1e-12 * (1.0 + abs(budget))))
-        if size == 0:
-            raise InfeasibleError("no grid point satisfies the budget")
+def _axis_argmax(objective, g, pc, axis, slack):
+    """Best point of a one-link grid within the slack: its cells bounded from
+    their end points, and only the span of those that can hold the maximum
+    evaluated (see "Dims 1" in the module docstring)."""
+    size = int(_feasible_prefix(axis, -0.0, -0.0, slack))
+    if size == 0:
+        raise InfeasibleError("no grid point satisfies the budget")
 
     def values(points):
         se, ee = link_terms(g, axis[points], pc)

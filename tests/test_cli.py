@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from eepower import cli, experiments
+from eepower.allocator import Allocation
 from eepower.cli import build_parser, load_config, main
 from eepower.errors import InfeasibleError
 
@@ -279,6 +280,26 @@ def test_verify_failure_names_worst_trial_and_replay_command(monkeypatch, capsys
     seen.clear()
     assert main(["verify", "--objective", "wsee", "--dims", "2", "--seed", "4", "--trials", "2"]) == 2
     assert capsys.readouterr().err == captured.err
+
+
+@pytest.mark.parametrize("objective", [math.nan, math.inf])
+def test_verify_fails_a_trial_whose_objective_is_not_finite(objective, monkeypatch, capsys):
+    # max(0, oracle - solver) reads 0 for a NaN or +inf solver objective
+    seen = []
+
+    def fake_solver(gains, pcs, budget):
+        seen.append((gains.tolist(), pcs.tolist()))
+        return Allocation(np.zeros(gains.size), objective)
+
+    monkeypatch.setattr("eepower.cli.wsee_ascent", fake_solver)
+    assert main(["verify", "--objective", "wsee", "--dims", "2", "--seed", "4", "--trials", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "verify wsee --dims 2: max objective shortfall inf (tolerance 1.0e-03) FAIL\n"
+    gains, pcs = seen[0]
+    assert captured.err == (
+        f"verify wsee --dims 2: worst trial 0 (seed=4): gains {gains!r}, pcs {pcs!r}; "
+        "replay: eepower verify --objective wsee --dims 2 --seed 4 --trials 1\n"
+    )
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
