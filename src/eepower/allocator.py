@@ -383,7 +383,7 @@ def _gee_floors(g, pc):
         delta -= cum_delta
         logs -= delta
         del delta
-        k = np.count_nonzero(logs < scaled_pc[..., None], axis=-1)
+        k = (logs < scaled_pc[..., None]).sum(axis=-1)
     del logs
     row = np.arange(g.shape[0])
     return s1, scaled_pc, cum_delta[row, k - 1], k, cum_log[row, k - 1] / k
@@ -531,11 +531,12 @@ def _rising_powers(g, pc, peaks, t):
     # a zero level or a zero gain makes y NaN, which fmax takes to 0 W
     with np.errstate(divide="ignore", invalid="ignore"):
         c = a / g
-        rest = a * pc - c
+        apc = a * pc
+        rest = apc - c
         d = np.maximum(-np.expm1(np.log(c) + 1.0 + rest) / math.e, 0.0)
         y = -lambert_w0_from_offset(d, -c * np.exp(rest)) / c - 1.0
         slope = 1.0 / (1.0 + y) - c
-        step = (np.log1p(y) - a * pc - c * y) / slope
+        step = (np.log1p(y) - apc - c * y) / slope
         y = np.where((slope > 0.0) & (np.abs(step) <= 1e-12 * (1.0 + y)), y - step, y)
         return np.minimum(np.fmax(y / g, 0.0), peaks)
 

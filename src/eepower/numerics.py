@@ -80,9 +80,9 @@ def lambert_w0_offset(d) -> np.ndarray:
         log = np.log1p(d - _INV_E)
         v = np.where(p < 1.0, series, 1.0 + log * (1.0 - np.log1p(log) / (2.0 + log)))
         for _ in range(4):
-            ev = np.exp(v)
+            vev = v * np.exp(v)
             # Newton step, then Halley's correction with f''/f' = (1 + v) / v
-            step = ((v * ev - np.expm1(v)) / math.e - d) / (v * ev / math.e)
+            step = ((vev - np.expm1(v)) / math.e - d) / (vev / math.e)
             v = v - step / (1.0 - step * (1.0 + v) / (2.0 * v))
     return np.where(p < 1e-2, series, v)
 

@@ -12,21 +12,23 @@ link's EE is "wsee" at n == 1.
 
 - Dims 1. Every objective's value at a point is, bit for bit, the link's SE
   (sum rate) or EE (the rest; "gee" is se / (pc + p), and the fold adds
-  -0.0, multiplies by 1.0 or takes the minimum with inf). The feasible
-  points are a prefix of the axis (p <= slack, exactly as the per-point
-  search tests it), split into cells of _CELL consecutive points. A cell's
-  value at its first point bounds its best value from below. Its se at its
-  last point, raised by the margin 1 + 8 eps, over pc plus its first power
-  (the raised se alone for the sum rate) bounds it from above, because
-  multiply, add and divide are monotone under rounding and log1p nearly
-  is: it is only faithfully rounded, so se may fall by an ulp from one
-  point to a later one, and the margin, at least 7 ulps, covers any log1p
-  within 2 ulps of the exact value. (Where se is subnormal, log1p(x) is x
-  or the float below it, which cannot fall.) The points from the first to
-  the last cell whose upper bound reaches the largest lower bound are
-  evaluated in ascending order. Every other cell's values lie below a
-  value that some point has, so the first maximum of that span is the
-  first maximum of the axis.
+  -0.0, multiplies by 1.0 or takes the minimum with inf). No axis is
+  built: each point read is formed from its index with np.linspace's own
+  arithmetic, which gives the axis's bits. The feasible points are a prefix
+  of the axis (p <= slack, exactly as the per-point search tests it), found
+  by bisection on that formula and split into cells of _CELL consecutive
+  points. A cell's value at its first point bounds its best value from
+  below. Its se at its last point, raised by the margin 1 + 8 eps, over pc
+  plus its first power (the raised se alone for the sum rate) bounds it
+  from above, because multiply, add and divide are monotone under rounding
+  and log1p nearly is: it is only faithfully rounded, so se may fall by an
+  ulp from one point to a later one, and the margin, at least 7 ulps,
+  covers any log1p within 2 ulps of the exact value. (Where se is
+  subnormal, log1p(x) is x or the float below it, which cannot fall.) The
+  points from the first to the last cell whose upper bound reaches the
+  largest lower bound are evaluated in ascending order. Every other cell's
+  values lie below a value that some point has, so the first maximum of
+  that span is the first maximum of the axis.
 
 At dims 2 and 3 a row is one point of axes 0..n-2 with the last link's axis
 as its contents, so a row's values are combine(head, t_k) for its head value
@@ -103,12 +105,13 @@ those of a search over every point whatever the block size.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InfeasibleError
 from .allocator import Allocation, link_terms
@@ -194,10 +197,11 @@ def grid_argmax(objective: str, gains, pc, grid: GridSpec, budget: float | None 
     # no budget is an unlimited one
     slack = math.inf if budget is None else budget + 1e-12 * (1.0 + abs(budget))
 
+    if n == 1:
+        return _axis_argmax(objective, g[0], pc[0], grid, slack)
+
     steps = grid.steps
     axis = grid.axis()
-    if n == 1:
-        return _axis_argmax(objective, g[0], pc[0], axis, slack)
 
     # each link's term depends on its own power only: evaluate it once per
     # axis point, (n, steps)
@@ -267,29 +271,55 @@ def grid_argmax(objective: str, gains, pc, grid: GridSpec, budget: float | None 
     return Allocation(np.append(axis[list(np.unravel_index(best_row, shape))], axis[best_k]), best_val)
 
 
-def _axis_argmax(objective, g, pc, axis, slack):
+def _axis_argmax(objective, g, pc, grid, slack):
     """Best point of a one-link grid within the slack: its cells bounded from
     their end points, and only the span of those that can hold the maximum
-    evaluated (see "Dims 1" in the module docstring)."""
-    size = int(_feasible_prefix(axis, -0.0, -0.0, slack))
+    evaluated (see "Dims 1" in the module docstring). No axis is built: the
+    points read are formed from their indices, bit for bit as on the axis."""
+    size = _axis_prefix(grid, slack)
     if size == 0:
         raise InfeasibleError("no grid point satisfies the budget")
 
     def values(points):
-        se, ee = link_terms(g, axis[points], pc)
+        se, ee = link_terms(g, points, pc)
         return se if objective == "sumrate" else ee
 
     first = np.arange(0, size, _CELL)
     last = first + (_CELL - 1)
     last[-1] = size - 1
+    at_first = _axis_points(grid, first)
     # the margin: at least 7 ulps above se at the cell's last point
-    top = link_terms(g, axis[last], pc)[0] * (1.0 + 8 * _EPS)
-    upper = top if objective == "sumrate" else top / (pc + axis[first])
-    cells = np.flatnonzero(_reaches(upper, values(first).max()))
-    start = first[cells[0]]
-    value = values(slice(start, min(first[cells[-1]] + _CELL, size)))
+    top = link_terms(g, _axis_points(grid, last), pc)[0] * (1.0 + 8 * _EPS)
+    upper = top if objective == "sumrate" else top / (pc + at_first)
+    cells = np.flatnonzero(_reaches(upper, values(at_first).max()))
+    points = _axis_points(grid, np.arange(first[cells[0]], min(first[cells[-1]] + _CELL, size)))
+    value = values(points)
     k = int(np.argmax(value))
-    return Allocation(axis[[start + k]], float(value[k]))
+    return Allocation(points[[k]], float(value[k]))
+
+
+def _axis_points(grid, index):
+    """grid.axis()[index] for an int or an int array index, bit for bit,
+    without the axis: np.linspace's index * step + p_min, with
+    (index / div) * delta + p_min where the step delta / div underflows to
+    0, and p_max itself at the last index."""
+    div = grid.steps - 1
+    p_min, p_max = float(grid.p_min), float(grid.p_max)
+    delta = p_max - p_min
+    step = delta / div
+    points = (index * step if step else index / div * delta) + p_min
+    if isinstance(points, float):
+        return points if index < div else p_max
+    return np.where(index < div, points, p_max)
+
+
+def _axis_prefix(grid, slack):
+    """The number of grid.axis() points p with p <= slack (none for a NaN
+    slack), by bisection on `_axis_points`: the axis is nondecreasing, so
+    they are a prefix."""
+    if math.isnan(slack):  # bisect_right would place it after every point
+        return 0
+    return bisect.bisect_right(range(grid.steps), slack, key=functools.partial(_axis_points, grid))
 
 
 def _fold(combine, value, vectors, coords):
@@ -348,12 +378,14 @@ def _screen(term, combine, identity, top, axis, slack):
     upper = combine(combine(head[:, None], cells.max(axis=1)), high[at_first])
     ci, cc = np.nonzero(_reaches(upper, bar))
     row_head = _row_heads(combine, head, cells, ci, cc)
-    start = ci + first[cc]
-    lower = sliding_window_view(low, _CELL)[start]
+    # the index sums of the rows of the bounded cells
+    window = (ci + first[cc])[:, None] + np.arange(_CELL)
+    lower = low[window]
     best = combine(row_head, lower, out=lower).max(initial=-np.inf)
-    # two arrays over the bounded rows at a time: the heads and one gather
+    # three arrays over the bounded rows at a time: the heads, the index
+    # sums and one gather
     del lower
-    upper = combine(row_head, sliding_window_view(high, _CELL)[start], out=row_head)
+    upper = combine(row_head, high[window], out=row_head)
     return _cell_rows(_reaches(upper, best), ci, cc, steps)
 
 

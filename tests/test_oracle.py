@@ -265,7 +265,8 @@ def test_axis_argmax_is_bitwise_the_per_point_search_without(group):
 
 
 def test_one_link_search_builds_no_term_array():
-    # a 10**6-point axis is 8 MB; the search holds nothing else as large
+    # a 10**6-point axis is 8 MB; the search builds neither it nor a term
+    # array, with or without a budget
     grid = GridSpec(0.0, 100.0, 1_000_001)
     for objective, budget in [("wsee", None), ("gee", None), ("sumrate", 50.0)]:
         tracemalloc.start()
@@ -274,7 +275,61 @@ def test_one_link_search_builds_no_term_array():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 8 * grid.steps, objective
+        assert peak < 8 * grid.steps, objective
+
+
+# steps 2, 3, 301, 40 001 and 10**6; p_min 0 and > 0; a huge p_max; a
+# spacing below an ulp of p_min; and steps that underflow to 0, which
+# np.linspace forms as (i / div) * delta
+AXIS_GRIDS = [
+    GridSpec(0.0, 1.0, 2),
+    GridSpec(0.3, 2.0, 3),
+    GridSpec(0.0, 4.0, 301),
+    GridSpec(1e-3, 1e300, 301),
+    GridSpec(1.0, 1.0 + 2**-45, 301),
+    GridSpec(0.1, 0.75, 4001),
+    GridSpec(0.0, 4.0, 40_001),
+    GridSpec(0.0, 5e-322, 301),
+    GridSpec(0.0, 100.0, 10**6),
+    GridSpec(0.0, 5e-324, 3),
+    GridSpec(5e-324, 2e-323, 3),
+]
+
+
+def _sampled(steps):
+    """Every index of a grid up to 40 001 steps; about 3000 of a larger one,
+    its ends included."""
+    return range(steps) if steps <= 40_001 else sorted({*range(0, steps, 331), *range(steps - 5, steps)})
+
+
+@pytest.mark.parametrize("grid", AXIS_GRIDS, ids=str)
+def test_axis_points_are_the_axis_bit_for_bit(grid):
+    axis = grid.axis()
+    index = np.arange(grid.steps)
+    assert np.array_equal(oracle._axis_points(grid, index).view(np.int64), axis.view(np.int64))
+    assert oracle._axis_points(grid, index[1::7]).tobytes() == axis[1::7].tobytes()
+    for i in _sampled(grid.steps):
+        point = oracle._axis_points(grid, i)
+        assert type(point) is float and point.hex() == float(axis[i]).hex(), i
+
+
+@pytest.mark.parametrize("grid", AXIS_GRIDS, ids=str)
+def test_axis_prefix_is_the_feasible_prefix_of_the_axis(grid):
+    # slacks at each (sampled) grid point and 1-2 ulps either side of it,
+    # below p_min, above p_max, infinite and NaN (a budget of -inf gives a
+    # NaN slack, whose prefix is empty)
+    axis = grid.axis()
+    slacks = [-1.0, -0.0, -math.inf, math.inf, math.nan, 2 * grid.p_max, math.nextafter(grid.p_min, -math.inf)]
+    for i in _sampled(grid.steps):
+        p = float(axis[i])
+        below, above = math.nextafter(p, -math.inf), math.nextafter(p, math.inf)
+        slacks += [math.nextafter(below, -math.inf), below, p, above, math.nextafter(above, math.inf)]
+    expected = oracle._feasible_prefix(axis, -0.0, -0.0, np.array(slacks))
+    assert [oracle._axis_prefix(grid, slack) for slack in slacks] == expected.tolist()
+    assert oracle._axis_prefix(grid, math.nan) == 0
+    assert oracle._axis_prefix(grid, math.inf) == grid.steps
+    with pytest.raises(InfeasibleError):
+        grid_argmax("sumrate", [1.0], [1.0], grid, -math.inf)
 
 
 @pytest.mark.parametrize(
