@@ -603,11 +603,12 @@ def _pair_step(gi, ci, gj, cj, pi: float, pj: float, log_terms: bool) -> float:
     once a Newton step s that follows an in-bracket Newton step s_prev has a
     predicted error s^3 / s_prev^2 (Newton converges quadratically) of at
     most 1e-15 times the smaller of the two links' current powers: that step
-    is returned without evaluating the slopes again to confirm it. An end try
-    or a bisection resets s_prev. The predicted error is held to the smaller
-    power, not to the interval: a step from far off can land near an end,
-    where the next steps creep, and a prediction held to the interval would
-    stop there off by up to the smaller power itself.
+    is returned, clipped to the bracket, without evaluating the slopes again
+    to confirm it. An end try or a bisection resets s_prev. The predicted
+    error is held to the smaller power, not to the interval: a step from far
+    off can land near an end, where the next steps creep, and a prediction
+    held to the interval would stop there off by up to the smaller power
+    itself.
     """
     log1p, inf = math.log1p, math.inf
     tol, a, b, t, s_prev = 1e-15 * (pi + pj), -pi, pj, 0.0, 0.0
@@ -618,8 +619,8 @@ def _pair_step(gi, ci, gj, cj, pi: float, pj: float, log_terms: bool) -> float:
         xi, xj = pi + t, pj - t
         d, rate, e1 = ci + xi, log1p(gi * xi), gi / (1.0 + gi * xi)
         if not log_terms:
-            rise = e1 * d - rate
-            d1i, d2i = rise / (d * d), -(e1 * e1 * d * d + 2.0 * rise) / (d * d * d)
+            rise, dd = e1 * d - rate, d * d
+            d1i, d2i = rise / dd, -(e1 * e1 * d * d + 2.0 * rise) / (dd * d)
         elif rate > 0.0:
             r = e1 / rate
             d1i, d2i = r - 1.0 / d, -r * r - e1 * e1 / rate + 1.0 / (d * d)
@@ -627,8 +628,8 @@ def _pair_step(gi, ci, gj, cj, pi: float, pj: float, log_terms: bool) -> float:
             d1i, d2i = inf, -inf
         d, rate, e1 = cj + xj, log1p(gj * xj), gj / (1.0 + gj * xj)
         if not log_terms:
-            rise = e1 * d - rate
-            d1j, d2j = rise / (d * d), -(e1 * e1 * d * d + 2.0 * rise) / (d * d * d)
+            rise, dd = e1 * d - rate, d * d
+            d1j, d2j = rise / dd, -(e1 * e1 * d * d + 2.0 * rise) / (dd * d)
         elif rate > 0.0:
             r = e1 / rate
             d1j, d2j = r - 1.0 / d, -r * r - e1 * e1 / rate + 1.0 / (d * d)
@@ -643,9 +644,10 @@ def _pair_step(gi, ci, gj, cj, pi: float, pj: float, log_terms: bool) -> float:
             return t
         d2 = d2i + d2j
         step = t - d1 / d2 if d2 < 0.0 else math.nan
-        s = abs(step - t)
+        # comparisons, not abs/min/max: here a builtin call costs more than the float arithmetic
+        s = step - t if step >= t else t - step
         if s <= tol or s * s * s <= 1e-15 * (xi if xi < xj else xj) * s_prev * s_prev:
-            return min(max(step, a), b)
+            return a if step < a else b if step > b else step
         if a < step < b:
             s_prev = s
         else:

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import sys
 import types
 import warnings
 from unittest import mock
@@ -1382,12 +1383,13 @@ def reference_slopes(link, x, log_terms):
     return rise / (d * d), -(d1 * d1 * d * d + 2.0 * rise) / (d * d * d)
 
 
-def reference_pair_step(link_i, link_j, pi, pj, log_terms, predict=True):
+def reference_pair_step(link_i, link_j, pi, pj, log_terms, predict=True, seen=None):
     """The exact pair step as it was written on `reference_slopes`, one
     call per link and Newton step, over the transfer interval [-pi, pj], and
     the number of slope evaluations it took (one call per link each). With
     predict=False it stops only on a step or bracket of at most tol, as the
-    ascent did before it stopped on its predicted Newton error."""
+    ascent did before it stopped on its predicted Newton error. A set `seen`
+    gets where each step fell: "nan", "step >= t" or "step < t"."""
     tol, a, b, t, s_prev = 1e-15 * (pi + pj), -pi, pj, 0.0, 0.0
     a_open = b_open = True
     for evaluations in range(1, 101):
@@ -1404,6 +1406,8 @@ def reference_pair_step(link_i, link_j, pi, pj, log_terms, predict=True):
         d2 = d2i + d2j
         step = t - d1 / d2 if d2 < 0.0 else math.nan
         s = abs(step - t)
+        if seen is not None:
+            seen.add("nan" if math.isnan(step) else "step >= t" if step >= t else "step < t")
         if s <= tol or (predict and s * s * s <= 1e-15 * min(xi, xj) * s_prev * s_prev):
             return min(max(step, a), b), evaluations
         if a < step < b:
@@ -1526,9 +1530,18 @@ def test_pair_step_is_exact_on_random_pairs(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_pair_step_equals_the_reference_bit_for_bit(seed):
-    for log_terms, link_i, link_j, pi, pj in _random_pairs(np.random.default_rng(seed), 100):
+    # the default draw, then the physical range (gains 10^U(-12, 12), circuit
+    # powers 10^U(-4, 4)): the pairs reach a NaN step (phi'' >= 0, which
+    # bisects) and a step on each side of t, the branches of the step length
+    # that the pair step forms by comparisons, not abs. No drawn pair stops
+    # on a step outside its bracket, so the clip's outer branches go
+    # unexercised
+    rng, seen = np.random.default_rng(seed), set()
+    pairs = _random_pairs(rng, 100) + _random_pairs(rng, 100, gains=(-12.0, 12.0), pcs=(-4.0, 4.0))
+    for log_terms, link_i, link_j, pi, pj in pairs:
         t = allocator._pair_step(*link_i, *link_j, pi, pj, log_terms)
-        assert t.hex() == reference_pair_step(link_i, link_j, pi, pj, log_terms)[0].hex()
+        assert t.hex() == reference_pair_step(link_i, link_j, pi, pj, log_terms, seen=seen)[0].hex()
+    assert {"nan", "step >= t", "step < t"} <= seen
 
 
 def _count_pair_steps(monkeypatch):
@@ -1610,6 +1623,27 @@ def test_pair_steps_stay_within_their_evaluation_budget(monkeypatch, solver):
     solver(gains, pc, 2.0)
     assert counts["transfers"] == len(confirmed)
     assert counts["evaluations"] / counts["transfers"] <= 2.8 < sum(confirmed) / len(confirmed)
+
+
+def test_pair_step_calls_no_builtin_but_log1p():
+    # on the rows of `fairness --trials 40` at seed 1: the Newton loop forms
+    # its step length and clip by comparisons, since a builtin call
+    # (abs, min, max) costs more there than the float arithmetic beside it
+    gains = draw_gain_rows(1, 40, 4)
+    pc = 0.25 + 1.75 * stream_uniforms(1, 40, 4, 1)
+    code, called = allocator._pair_step.__code__, set()
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code is code:
+            called.add(arg)
+
+    sys.setprofile(profile)
+    try:
+        wsee_rows(gains, pc, 2.0)
+        wpee_rows(gains, pc, 2.0)
+    finally:
+        sys.setprofile(None)
+    assert called == {math.log1p}
 
 
 def test_pair_step_slopes_match_finite_differences():
